@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError, UsageError
+from .errors import UsageError
 
 _CHECKED = False
 
@@ -89,9 +89,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
@@ -105,14 +102,3 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True)
         self.name = name
 
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def check_tensor4(arr: np.ndarray, what: str = "tensor") -> np.ndarray:
-    """Validate an (n, c, h, w) activation array."""
-    a = np.asarray(arr)
-    if a.ndim != 4:
-        raise ShapeError(f"{what} must be rank-4 (n, c, h, w), got shape {a.shape}")
-    return a

@@ -1,12 +1,30 @@
 """Differentiable layer primitives.
 
 All ops take and return :class:`~gradrep.autodiff.Tensor` values and register
-their backward closures on the tape. Convolution runs as im2col + one matmul
-per batch with a fixed reduction order (kernel-major, then spatial), so
-repeated runs on the same machine are bit-identical.
+their backward closures on the tape.
+
+Convolution lowers to im2col columns and one batched matmul. The columns come
+from a single gather (``np.take``) through a flat index plan, cached per input
+channels, height, width, kernel, stride and padding but not batch size; padded
+taps read one zero sentinel. A 1x1 kernel without padding needs no gather: its
+columns are the input itself, or a strided slice of it at stride 2. The input
+gradient of a stride-1 conv is the same gather applied to the output gradient,
+with the flipped, transposed kernel, and again one matmul. Strided convs with
+k > 1 map column gradients back to the input (col2im) by the adjoint gather:
+each input position takes the few taps that read it and sums them.
+
+Every reduction runs in a fixed order, so repeated runs on the same machine
+are bit-identical. Forward outputs, kernel gradients and strided input
+gradients equal those of the earlier slice-loop im2col and scatter-add col2im
+bit for bit. Input gradients of stride-1 convs differ from the earlier col2im
+at round-off (about 1e-15 relative), because the taps are summed in another
+order. Train-mode batch norm likewise takes its per-channel sums with
+``einsum``, in another order than the earlier ``mean``/``sum`` passes.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -28,27 +46,77 @@ def conv_output_hw(h: int, w: int, k_h: int, k_w: int, stride: int, padding: int
     return out_h, out_w
 
 
-def _im2col(xp: np.ndarray, k_h: int, k_w: int, stride: int, out_h: int, out_w: int):
-    n, c, _, _ = xp.shape
-    cols = np.empty((n, c, k_h, k_w, out_h, out_w), dtype=xp.dtype)
-    for p in range(k_h):
-        for q in range(k_w):
-            cols[:, :, p, q] = xp[
-                :, :, p : p + stride * out_h : stride, q : q + stride * out_w : stride
-            ]
-    return cols.reshape(n, c * k_h * k_w, out_h * out_w)
+@functools.lru_cache(maxsize=256)
+def _gather_index(c, h, w, k_h, k_w, stride, pad_h, pad_w):
+    """Flat im2col index into one sample's c*h*w values plus a zero sentinel.
+
+    Entry (ci, p, q, i, j) points at x[ci, i*stride + p - pad_h, j*stride + q -
+    pad_w], or at the sentinel (position c*h*w) when that tap lands in the
+    padding; a negative padding crops. The batch size is not part of the key.
+    Every call shares the cached array. It stays writeable, because take()
+    copies a read-only index on each call, so callers must not write to it.
+    Every entry is in range by construction, so callers take() with
+    ``mode="wrap"``, which skips the bounds check that ``"raise"`` does.
+    """
+    out_h = (h + 2 * pad_h - k_h) // stride + 1
+    out_w = (w + 2 * pad_w - k_w) // stride + 1
+    rows = (np.arange(out_h).reshape(1, 1, out_h, 1) * stride
+            + np.arange(k_h).reshape(k_h, 1, 1, 1) - pad_h)
+    cols = (np.arange(out_w).reshape(1, 1, 1, out_w) * stride
+            + np.arange(k_w).reshape(1, k_w, 1, 1) - pad_w)
+    idx = np.arange(c).reshape(c, 1, 1, 1, 1) * (h * w) + rows * w + cols
+    idx[:, (rows < 0) | (rows >= h) | (cols < 0) | (cols >= w)] = c * h * w
+    return idx.ravel()
 
 
-def _col2im(dcols, padded_shape, k_h, k_w, stride, out_h, out_w):
-    n, c, hp, wp = padded_shape
-    dxp = np.zeros(padded_shape, dtype=dcols.dtype)
-    d6 = dcols.reshape(n, c, k_h, k_w, out_h, out_w)
-    for p in range(k_h):
-        for q in range(k_w):
-            dxp[
-                :, :, p : p + stride * out_h : stride, q : q + stride * out_w : stride
-            ] += d6[:, :, p, q]
-    return dxp
+def _im2col(x: np.ndarray, k_h: int, k_w: int, stride: int, pad_h: int, pad_w: int):
+    """(n, c, h, w) -> (n, c*k_h*k_w, out_h*out_w) columns by one gather."""
+    n, c, h, w = x.shape
+    idx = _gather_index(c, h, w, k_h, k_w, stride, pad_h, pad_w)
+    src = x.reshape(n, c * h * w)
+    if pad_h > 0 or pad_w > 0:
+        src = np.concatenate((src, np.zeros((n, 1), dtype=x.dtype)), axis=1)
+    return src.take(idx, axis=1, mode="wrap").reshape(n, c * k_h * k_w, -1)
+
+
+@functools.lru_cache(maxsize=256)
+def _col2im_index(c, h, w, k_h, k_w, stride, padding):
+    """The adjoint of :func:`_gather_index`, also as a gather.
+
+    For every input position (ci, y, x) and each of the ceil(k_h/stride) *
+    ceil(k_w/stride) slots of taps that can read it, the flat column index of
+    (ci, p, q, i, j) with i*stride + p - padding = y and j*stride + q - padding
+    = x, or the sentinel c*k_h*k_w*out_h*out_w where that tap does not exist.
+    One row per slot, in (p, q) order. Shared and writeable like
+    :func:`_gather_index`.
+    """
+    out_h = (h + 2 * padding - k_h) // stride + 1
+    out_w = (w + 2 * padding - k_w) // stride + 1
+    slots_h, slots_w = -(-k_h // stride), -(-k_w // stride)
+    y = np.arange(h).reshape(1, 1, h, 1) + padding
+    x = np.arange(w).reshape(1, 1, 1, w) + padding
+    p = y % stride + stride * np.arange(slots_h).reshape(slots_h, 1, 1, 1)
+    q = x % stride + stride * np.arange(slots_w).reshape(1, slots_w, 1, 1)
+    i, j = (y - p) // stride, (x - q) // stride
+    length = out_h * out_w
+    idx = (np.arange(c).reshape(c, 1, 1, 1, 1) * (k_h * k_w * length)
+           + (p * k_w + q) * length + i * out_w + j)
+    missing = (p >= k_h) | (i < 0) | (i >= out_h) | (q >= k_w) | (j < 0) | (j >= out_w)
+    idx[:, missing] = c * k_h * k_w * length
+    return idx.transpose(1, 2, 0, 3, 4).reshape(slots_h * slots_w, c * h * w)
+
+
+def _col2im(dcols, c, h, w, k_h, k_w, stride, padding):
+    """(n, c*k_h*k_w, out_h*out_w) column gradients -> (n, c, h, w): every
+    input position gathers the taps that read it, one slot at a time, and
+    sums them in (p, q) order."""
+    n = dcols.shape[0]
+    slots = _col2im_index(c, h, w, k_h, k_w, stride, padding)
+    src = np.concatenate((dcols.reshape(n, -1), np.zeros((n, 1), dtype=dcols.dtype)), axis=1)
+    dx = src.take(slots[0], axis=1, mode="wrap")
+    for slot in slots[1:]:
+        dx += src.take(slot, axis=1, mode="wrap")
+    return dx.reshape(n, c, h, w)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
@@ -78,12 +146,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
             f"stride {stride}, padding {padding}"
         )
 
-    if padding:
-        xp = np.zeros((n, c_in, h + 2 * padding, wd + 2 * padding), dtype=x.data.dtype)
-        xp[:, :, padding : padding + h, padding : padding + wd] = x.data
+    pointwise = k_h == k_w == 1 and padding == 0
+    if pointwise:
+        # a 1x1 kernel's columns are x itself, subsampled at stride > 1
+        cols = x.data[:, :, ::stride, ::stride].reshape(n, c_in, out_h * out_w)
     else:
-        xp = x.data
-    cols = _im2col(xp, k_h, k_w, stride, out_h, out_w)
+        cols = _im2col(x.data, k_h, k_w, stride, padding, padding)
     w2 = w.data.reshape(c_out, c_in * k_h * k_w)
     out2 = np.matmul(w2, cols)  # (n, c_out, out_h*out_w)
     out_data = out2.reshape(n, c_out, out_h, out_w)
@@ -100,11 +168,21 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
             dw2 = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
             w.accumulate_grad(dw2.reshape(w.data.shape))
         if x.requires_grad or x._parents:
-            dcols = np.matmul(w2.T, g2)
-            dxp = _col2im(dcols, xp.shape, k_h, k_w, stride, out_h, out_w)
-            if padding:
-                dxp = dxp[:, :, padding : padding + h, padding : padding + wd]
-            x.accumulate_grad(dxp)
+            if pointwise:
+                dx = np.matmul(w2.T, g2).reshape(n, c_in, out_h, out_w)
+                if stride > 1:
+                    full = np.zeros(x.data.shape, dtype=dx.dtype)
+                    full[:, :, ::stride, ::stride] = dx
+                    dx = full
+            elif stride == 1:
+                # full correlation of g with the flipped, transposed kernel
+                wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+                gcols = _im2col(g, k_h, k_w, 1, k_h - 1 - padding, k_w - 1 - padding)
+                dx = np.matmul(wt, gcols).reshape(x.data.shape)
+            else:
+                dcols = np.matmul(w2.T, g2)
+                dx = _col2im(dcols, c_in, h, wd, k_h, k_w, stride, padding)
+            x.accumulate_grad(dx)
         if bias is not None and (bias.requires_grad or bias._parents):
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
 
@@ -181,27 +259,35 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     if n < 2:
         raise UsageError(f"batchnorm in train mode needs batch size >= 2, got {n}")
     m = n * h * w
-    mu = x.data.mean(axis=(0, 2, 3))
-    xc = x.data - mu.reshape(1, c, 1, 1)
-    var = (xc * xc).mean(axis=(0, 2, 3))
+    x3 = x.data.reshape(n, c, h * w)
+    mu = np.einsum("nck->c", x3) / m
+    xhat = x3 - mu[:, None]
+    var = np.einsum("nck,nck->c", xhat, xhat) / m
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv_std.reshape(1, c, 1, 1)
-    out_data = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
+    xhat *= inv_std[:, None]
+    out3 = xhat * gamma.data[:, None]
+    out3 += beta.data[:, None]
+    out_data = out3.reshape(n, c, h, w)
 
     if not _needs(x, gamma, beta):
         return Tensor(out_data), mu, var
 
     def backward(g):
+        g3 = g.reshape(n, c, h * w)
+        sum_g = np.einsum("nck->c", g3)
+        sum_gx = np.einsum("nck,nck->c", g3, xhat)
         if gamma.requires_grad or gamma._parents:
-            gamma.accumulate_grad((g * xhat).sum(axis=(0, 2, 3)))
+            gamma.accumulate_grad(sum_gx)
         if beta.requires_grad or beta._parents:
-            beta.accumulate_grad(g.sum(axis=(0, 2, 3)))
+            beta.accumulate_grad(sum_g)
         if x.requires_grad or x._parents:
-            gxh = (g * xhat).sum(axis=(0, 2, 3)) / m
-            gm = g.sum(axis=(0, 2, 3)) / m
-            coeff = (gamma.data * inv_std).reshape(1, c, 1, 1)
-            dx = coeff * (g - gm.reshape(1, c, 1, 1) - xhat * gxh.reshape(1, c, 1, 1))
-            x.accumulate_grad(dx)
+            a = gamma.data * inv_std
+            b = a * sum_gx / m
+            c0 = a * sum_g / m
+            dx = g3 * a[:, None]
+            dx -= xhat * b[:, None]
+            dx -= c0[:, None]
+            x.accumulate_grad(dx.reshape(n, c, h, w))
 
     out = Tensor(out_data, parents=(x, gamma, beta), backward=backward)
     return out, mu, var

@@ -7,6 +7,7 @@ from gradrep import ops
 from gradrep.autodiff import Parameter, Tensor
 from gradrep.data import (
     CIFAR10_RECORD,
+    NORMALIZATION,
     DatasetHandle,
     augment_images,
     gen_synthetic,
@@ -159,6 +160,20 @@ class TestBatching:
         std = np.asarray(ds.norm_std).reshape(1, 3, 1, 1)
         np.testing.assert_allclose(x * std + mean, ds.images / 255.0, atol=1e-12)
 
+    @pytest.mark.parametrize("source", sorted(NORMALIZATION))
+    def test_normalized_bytes_match_formula_for_every_pixel_value(self, source):
+        # every channel holds each of the 256 values once, plus a reversed copy
+        levels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        images = np.stack([np.stack([levels] * 3), np.stack([levels[::-1]] * 3)])
+        ds = DatasetHandle(source, images, np.zeros(2, dtype=np.int64), 10)
+        mean = np.asarray(NORMALIZATION[source][0]).reshape(1, 3, 1, 1)
+        std = np.asarray(NORMALIZATION[source][1]).reshape(1, 3, 1, 1)
+        want = (images.astype(np.float64) / 255.0 - mean) / std
+        got = ds.normalized()
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert ds.normalized([1]).tobytes() == want[1:].tobytes()
+
     def test_batches_cover_dataset_in_order_without_rng(self):
         ds = gen_synthetic(10, 8, 2, seed=1)
         labels = np.concatenate([lab for _, lab in iter_batches(ds, 4)])
@@ -200,3 +215,6 @@ class TestBatching:
         with pytest.raises(DataFormatError):
             DatasetHandle("synthetic", np.zeros((2, 3, 8, 8), dtype=np.uint8),
                           np.zeros(3, dtype=np.int64), 10)
+        with pytest.raises(DataFormatError):
+            DatasetHandle("synthetic", np.zeros((2, 3, 8, 8)),
+                          np.zeros(2, dtype=np.int64), 10)

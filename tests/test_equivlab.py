@@ -23,15 +23,21 @@ from gradrep.models import (
     BlockInfo,
     CslaBlockSpec,
     ModelSpec,
+    PRESETS,
     RepVggStyleBlock,
+    block_infos,
+    build_csla,
     build_hypersearch,
     build_hypersearch_all_ones,
     build_repvgg,
+    build_multipliers,
     build_resnet_reference,
     build_target,
+    build_target_equivalent_init,
 )
-from gradrep.optim import OptimizerConfig
+from gradrep.optim import MultiplierSgd, OptimizerConfig, equivalent_init
 from gradrep.rng import Rng
+from gradrep.train import train_model
 
 PLAIN_SGD = OptimizerConfig(base_lr=0.1, momentum=0.0, weight_decay=0.0,
                             schedule="constant", warmup_epochs=0, total_epochs=1,
@@ -100,6 +106,62 @@ class TestCounterpartTheorem:
             CslaBlockSpec(4, 8, 1, tuple(np.ones(8)), tuple(np.ones(8)), True)
         with pytest.raises(ConfigError):
             CslaBlockSpec(8, 8, 1, tuple(np.ones(8)), tuple(np.ones(8)), False)
+
+
+class TestWholeNetworkCounterpart:
+    """The oracle for every conv, BN or optimizer change: CSLA and the plain
+    model with gradient multipliers, trained through ``train_model`` on the
+    same data stream, stay exact counterparts for the whole network."""
+
+    CFG = OptimizerConfig(base_lr=0.05, momentum=0.9, weight_decay=4e-5,
+                          warmup_epochs=1, total_epochs=2, schedule="cosine",
+                          label_smoothing=0.1, batch_size=64)
+
+    @staticmethod
+    def train(family, spec, scales, train_set, ablation=None):
+        rng, stream = Rng.spawn(3, 2)  # same kernel and data streams per family
+        if family == "csla":
+            model = build_csla(spec, scales, rng=rng)
+            mults, managed = {}, ()
+        else:
+            model = (build_target(spec, rng=rng) if ablation == "skip_reinit"
+                     else build_target_equivalent_init(spec, scales, rng=rng))
+            mults = build_multipliers(model, scales)
+            if ablation == "skip_gradmult":
+                mults = {name: np.ones_like(m) for name, m in mults.items()}
+            managed = tuple(model.gr_managed_params())
+        opt = MultiplierSgd(dict(model.named_parameters()), momentum=0.9,
+                            weight_decay=4e-5, multipliers=mults, managed=managed)
+        result = train_model(model, opt, train_set, None, TestWholeNetworkCounterpart.CFG,
+                             stream, augment=True, eval_each_epoch=False)
+        return model, result.train_loss
+
+    @staticmethod
+    def kernel_gap(plain, csla, scales):
+        gaps = []
+        for pb, cb in zip(plain.blocks, csla.blocks):
+            s, t = scales[pb.info.block_id]
+            gamma = cb.gamma.values if cb.info.has_identity else None
+            w = equivalent_init(cb.conv3.weight.data, cb.conv1.weight.data, s, t, gamma)
+            gaps.append(np.abs(w - pb.conv.weight.data).max())
+        return max(gaps)
+
+    def test_desk4_losses_and_kernels_agree_and_ablations_break_them(self):
+        spec = PRESETS["desk4"]
+        infos = block_infos(spec)
+        assert any(i.stride == 2 for i in infos) and any(i.has_identity for i in infos)
+        draws = Rng(5)
+        scales = {i.block_id: (0.4 + draws.uniform(i.c_out), 0.4 + draws.uniform(i.c_out))
+                  for i in infos}
+        train_set = gen_synthetic(512, 32, 10, seed=4)
+        csla, csla_loss = self.train("csla", spec, scales, train_set)
+        plain, plain_loss = self.train("repopt", spec, scales, train_set)
+        assert len(csla_loss) == 2
+        np.testing.assert_allclose(plain_loss, csla_loss, rtol=1e-10, atol=0)
+        assert self.kernel_gap(plain, csla, scales) <= 1e-10
+        for ablation in ("skip_reinit", "skip_gradmult"):
+            ablated, _ = self.train("repopt", spec, scales, train_set, ablation)
+            assert self.kernel_gap(ablated, csla, scales) > 1e-4, ablation
 
 
 class TestBnFusion:

@@ -55,6 +55,12 @@ def assert_grad_close(analytic, numeric, rtol=1e-6, atol=1e-7):
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
 
 
+#: (kernel, stride, padding) of every conv2d lowering: the 3x3 gather with and
+#: without padding (stride-1 dx by gather), the 1x1 reshape and strided slice,
+#: and the strided 3x3 (dx by the col2im gather)
+LOWERINGS = [(3, 1, 1), (3, 1, 0), (1, 1, 0), (1, 2, 0), (3, 2, 1)]
+
+
 # ---------------------------------------------------------------------------
 # conv2d forward
 # ---------------------------------------------------------------------------
@@ -77,14 +83,27 @@ class TestConvForward:
         for corner in [(0, 0), (0, 5), (5, 0), (5, 5)]:
             assert out[0, 0, corner[0], corner[1]] == pytest.approx(4 * v)
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
-    def test_matches_nested_loop_oracle(self, stride, padding):
+    @pytest.mark.parametrize("k,stride,padding", LOWERINGS + [(3, 2, 0), (1, 1, 1)])
+    @pytest.mark.parametrize("hw", [(5, 5), (5, 7)])
+    def test_matches_nested_loop_oracle(self, k, stride, padding, hw):
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(2, 2, 5, 5))
-        w = rng.normal(size=(3, 2, 3, 3))
+        x = rng.normal(size=(2, 2) + hw)
+        w = rng.normal(size=(3, 2, k, k))
         got = ops.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
         want = conv2d_reference(x, w, stride=stride, padding=padding)
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+
+    def test_gather_plans_keyed_by_shape_not_batch(self):
+        # (5, 7) and (7, 5) share every other key part; each must get its own
+        # plan, and a new batch size must reuse the plan of its shape
+        ops._gather_index.cache_clear()
+        rng = np.random.default_rng(11)
+        w = rng.normal(size=(3, 2, 3, 3))
+        for n, hw in ((2, (5, 7)), (2, (7, 5)), (3, (5, 7))):
+            x = rng.normal(size=(n, 2) + hw)
+            got = ops.conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
+            np.testing.assert_allclose(got, conv2d_reference(x, w, 1, 1), atol=1e-12, rtol=0)
+        assert ops._gather_index.cache_info().currsize == 2
 
     def test_output_shape_formula(self):
         x = Tensor(np.zeros((1, 4, 11, 9)))
@@ -288,19 +307,24 @@ class TestFiniteDifferences:
             num = numerical_grad(lambda: build(False)[0].item(), arr)
             assert_grad_close(param.grad, num)
 
-    def test_conv_input_gradient(self):
-        rng = np.random.default_rng(42)
-        xd = rng.normal(size=(1, 2, 5, 5))
-        wd = rng.normal(size=(2, 2, 3, 3))
-        proj = rng.normal(size=(1, 2, 3, 3))
+    # (3, 2, 0) adds col2im taps that would start before the first output row
+    @pytest.mark.parametrize("k,stride,padding", LOWERINGS + [(3, 2, 0)])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_conv_input_gradient(self, k, stride, padding, batch):
+        rng = np.random.default_rng(42 + batch)
+        xd = rng.normal(size=(batch, 3, 5, 7))
+        wd = rng.normal(size=(2, 3, k, k))
+        out_hw = ops.conv_output_hw(5, 7, k, k, stride, padding)
+        proj = rng.normal(size=(batch, 2) + out_hw)
 
         def loss_value():
             return ops.weighted_sum(
-                ops.conv2d(Tensor(xd), Tensor(wd), stride=2, padding=1), proj
+                ops.conv2d(Tensor(xd), Tensor(wd), stride=stride, padding=padding), proj
             ).item()
 
         x = Tensor(xd.copy(), requires_grad=True)
-        ops.weighted_sum(ops.conv2d(x, Tensor(wd), stride=2, padding=1), proj).backward()
+        ops.weighted_sum(ops.conv2d(x, Tensor(wd), stride=stride, padding=padding),
+                         proj).backward()
         assert_grad_close(x.grad, numerical_grad(loss_value, xd))
 
 
