@@ -3,8 +3,20 @@
 A forward computation builds a tape of :class:`Tensor` nodes; each node caches
 its forward value and a closure that routes the incoming gradient to its
 parents. ``backward()`` on a scalar loss walks the tape once in reverse
-topological order and leaves ``.grad`` (same shape as ``.data``) on every node
+topological order and leaves ``.grad`` (same shape as ``.data``) on every leaf
 that requires gradients.
+
+The walk frees the tape as it goes: once an interior node has passed its
+gradient on, it drops that gradient, its closure (and with it the arrays the
+closure saved for backward) and its parent links. Leaves, the nodes without
+parents such as :class:`Parameter`, keep ``.grad``. A graph therefore
+supports one backward pass; a second one that reaches a freed node, from the
+old loss or from a new one built on top of it, raises
+:class:`~gradrep.errors.UsageError`.
+
+Inside ``with no_grad():`` the ops record no tape at all: they return plain
+tensors without parents or closures, for forward passes that are never
+differentiated, such as evaluation.
 
 Everything is float64 by default; float32 is an opt-in for speed. With checked
 mode on, tensor construction rejects non-finite values.
@@ -12,11 +24,14 @@ mode on, tensor construction rejects non-finite values.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from .errors import UsageError
 
 _CHECKED = False
+_GRAD_ENABLED = True
 
 
 def set_checked(flag: bool) -> None:
@@ -27,6 +42,31 @@ def set_checked(flag: bool) -> None:
 
 def checked() -> bool:
     return _CHECKED
+
+
+def grad_enabled() -> bool:
+    """False inside :func:`no_grad`, where ops record no tape."""
+    return _GRAD_ENABLED
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the block without recording a tape; the previous state returns
+    on exit, also when the block raises."""
+    global _GRAD_ENABLED
+    previous = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
+
+
+def _released(g):
+    raise UsageError(
+        "backward() reached a node whose tape an earlier backward() freed; "
+        "a graph supports one backward pass"
+    )
 
 
 class Tensor:
@@ -64,7 +104,8 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Reverse pass from a scalar node; fills .grad on the whole tape."""
+        """Reverse pass from a scalar node; fills .grad on the leaves and
+        frees the interior of the tape as it goes."""
         if self.data.size != 1:
             raise UsageError(
                 f"backward() starts from a scalar, got shape {self.data.shape}"
@@ -85,9 +126,18 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            # popping drops the walk's own reference, so a freed node whose
+            # value nobody else holds is collected here
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
+                node._backward = _released
+                node._parents = ()
+                # a freed node still asks for a gradient, so a later pass
+                # that reaches it raises instead of dropping what flows there
+                node.requires_grad = True
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"

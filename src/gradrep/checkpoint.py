@@ -12,13 +12,14 @@ on the same trajectory as the uninterrupted one.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataFormatError, FormatVersionError
+from .errors import ConfigError, DataFormatError, FormatVersionError
 from .models import (
     Model,
     ModelSpec,
@@ -106,29 +107,57 @@ def load_checkpoint(path: str) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: corrupt header: {exc}") from exc
     offset = 16 + header_len
-    params, buffers, opt_state = {}, {}, {}
-    for entry in header["arrays"]:
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+    try:
+        entries = [_array_entry(e) for e in header["arrays"]]
+        kind = header["model"]["kind"]
+        spec_doc = header["model"]["spec"]
+        spec = ModelSpec(spec_doc["stem_channels"],
+                         tuple(tuple(s) for s in spec_doc["stages"]),
+                         spec_doc["num_classes"], spec_doc["input_hw"])
+        epoch = _natural(header["counters"]["epoch"])
+        step = _natural(header["counters"]["step"])
+        rng_state, extra = header.get("rng"), header.get("extra", {})
+        if rng_state is not None and not isinstance(rng_state, dict):
+            raise ValueError(f"rng must be an object or null, got {rng_state!r}")
+        if not isinstance(extra, dict):
+            raise ValueError(f"extra must be an object, got {extra!r}")
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        # a JSON header missing a key, or holding a value of the wrong type
+        # or range; ConfigError comes from ModelSpec's own checks
+        raise DataFormatError(f"{path}: malformed header: {exc!r}") from exc
+    sections = {"param": {}, "buffer": {}, "opt": {}}
+    for section, name, shape in entries:
+        count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(data):
             raise DataFormatError(
-                f"{path}: truncated at array {entry['name']!r} "
+                f"{path}: truncated at array {name!r} "
                 f"(need {nbytes} bytes at offset {offset}, have {len(data) - offset})"
             )
-        arr = np.frombuffer(data, dtype=np.float64, count=count,
-                            offset=offset).reshape(entry["shape"]).copy()
+        sections[section][name] = np.frombuffer(data, dtype=np.float64, count=count,
+                                                offset=offset).reshape(shape).copy()
         offset += nbytes
-        {"param": params, "buffer": buffers, "opt": opt_state}[entry["section"]][
-            entry["name"]] = arr
     if offset != len(data):
         raise DataFormatError(f"{path}: {len(data) - offset} trailing bytes")
-    spec_doc = header["model"]["spec"]
-    spec = ModelSpec(spec_doc["stem_channels"],
-                     tuple(tuple(s) for s in spec_doc["stages"]),
-                     spec_doc["num_classes"], spec_doc["input_hw"])
-    return Checkpoint(header["model"]["kind"], spec, params, buffers, opt_state,
-                      header.get("rng"), header["counters"]["epoch"],
-                      header["counters"]["step"], header.get("extra", {}))
+    return Checkpoint(kind, spec, sections["param"], sections["buffer"], sections["opt"],
+                      rng_state, epoch, step, extra)
+
+
+def _natural(value) -> int:
+    """A non-negative JSON integer (booleans excluded)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"want a non-negative integer, got {value!r}")
+    return value
+
+
+def _array_entry(doc) -> tuple:
+    """(section, name, shape) of one header array entry."""
+    section, name, shape = doc["section"], doc["name"], doc["shape"]
+    if section not in ("param", "buffer", "opt") or not isinstance(name, str):
+        raise ValueError(f"bad array entry section {section!r}, name {name!r}")
+    if not isinstance(shape, list):
+        raise ValueError(f"array {name!r}: shape must be a list, got {shape!r}")
+    return section, name, tuple(_natural(d) for d in shape)
 
 
 def snapshot_model(model: Model, optimizer=None, data_rng=None, epoch=0, step=0,
@@ -192,10 +221,11 @@ def restore_fused(ckpt: Checkpoint):
 
     if ckpt.model_kind != "fused":
         raise DataFormatError(f"checkpoint kind {ckpt.model_kind!r} is not fused")
-    convs = []
-    for i in range(ckpt.extra["num_convs"]):
-        convs.append(FusedConv(ckpt.params[f"conv{i}.kernel"],
-                               ckpt.params[f"conv{i}.bias"],
-                               ckpt.extra["strides"][i], ckpt.extra["paddings"][i]))
-    return InferenceModel(convs, ckpt.params["fc.weight"], ckpt.params["fc.bias"],
-                          spec=ckpt.spec)
+    try:
+        convs = [FusedConv(ckpt.params[f"conv{i}.kernel"], ckpt.params[f"conv{i}.bias"],
+                           ckpt.extra["strides"][i], ckpt.extra["paddings"][i])
+                 for i in range(ckpt.extra["num_convs"])]
+        fc_weight, fc_bias = ckpt.params["fc.weight"], ckpt.params["fc.bias"]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise DataFormatError(f"fused checkpoint lacks an entry: {exc!r}") from exc
+    return InferenceModel(convs, fc_weight, fc_bias, spec=ckpt.spec)

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import quantize as quantmod
+from .autodiff import no_grad
 from .checkpoint import (
     load_checkpoint,
     restore_fused,
@@ -281,7 +282,8 @@ def cmd_convert(args, cfg: RunConfig) -> int:
     worst = 0.0
     for _ in range(args.check_inputs):
         x = stream.gaussian((2, 3, model.spec.input_hw, model.spec.input_hw))
-        want = model.forward(x, training=False).data
+        with no_grad():
+            want = model.forward(x, training=False).data
         got = fused.forward(x)
         worst = max(worst, float(np.abs(want - got).max()))
     write_json(os.path.join(args.out, "conversion_report.json"), {
@@ -461,7 +463,7 @@ def main(argv=None) -> int:
     except GradrepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ConfigError, UsageError)) else 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

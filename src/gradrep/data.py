@@ -8,8 +8,8 @@ CIFAR binary layout (one record per image, no headers):
 * CIFAR-100: 2 label bytes (coarse then fine; the fine label is used) then the
   same 3072 image bytes.
 
-Pixel normalization is pinned per source (README lists the constants) so that
-accuracies are comparable across runs and implementations.
+Pixel normalization is pinned per source (:data:`NORMALIZATION` holds the
+constants) so that accuracies are comparable across runs and implementations.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ NORMALIZATION = {
     "cifar100": ((0.5071, 0.4865, 0.4409), (0.2673, 0.2564, 0.2762)),
     "synthetic": ((0.5, 0.5, 0.5), (0.25, 0.25, 0.25)),
 }
+
+#: samples per noise draw in gen_synthetic; must stay even (see there)
+_SYNTH_CHUNK = 128
 
 CIFAR10_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR10_TEST_FILES = ["test_batch.bin"]
@@ -211,13 +214,21 @@ def gen_synthetic(n: int, resolution: int, classes: int, seed: int, *,
     base_sigma = resolution / 6.0
     jitter = rng.gaussian((n, 2)) * (resolution * jitter_frac)
     sigmas = base_sigma * (1.0 + radius_spread * (rng.uniform(n) - 0.5) * 2.0)
-    pixel_noise = rng.gaussian((n, 3, resolution, resolution)) * noise
     images = np.empty((n, 3, resolution, resolution), dtype=np.uint8)
-    for i in range(n):
-        cy, cx = centers[labels[i]] + jitter[i]
-        blob = np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigmas[i] ** 2)))
-        img = colors[labels[i]][:, None, None] * blob[None] + 0.25 + pixel_noise[i]
-        images[i] = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+    # the noise is drawn chunk by chunk, so only one chunk of float64 images
+    # is alive at a time; an even chunk size keeps every Box-Muller pair
+    # inside one draw, so the bytes equal those of a single whole draw
+    for start in range(0, n, _SYNTH_CHUNK):
+        stop = min(start + _SYNTH_CHUNK, n)
+        lab = labels[start:stop]
+        pos = centers[lab] + jitter[start:stop]
+        cy = pos[:, 0, None, None]
+        cx = pos[:, 1, None, None]
+        sig = sigmas[start:stop, None, None]
+        blob = np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sig ** 2)))
+        pixel_noise = rng.gaussian((stop - start, 3, resolution, resolution)) * noise
+        img = colors[lab][:, :, None, None] * blob[:, None] + 0.25 + pixel_noise
+        images[start:stop] = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     return DatasetHandle("synthetic", images, labels, classes)
 
 

@@ -28,12 +28,12 @@ import functools
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, grad_enabled
 from .errors import ShapeError, UsageError
 
 
 def _needs(*tensors) -> bool:
-    return any(t.requires_grad or t._parents for t in tensors)
+    return grad_enabled() and any(t.requires_grad or t._parents for t in tensors)
 
 
 # ---------------------------------------------------------------------------

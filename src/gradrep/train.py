@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
+from .autodiff import no_grad
 from .data import DatasetHandle, iter_batches
 from .errors import UsageError
 from .models import Model
@@ -36,9 +37,10 @@ class TrainResult:
 def evaluate(model: Model, handle: DatasetHandle, batch_size: int = 256):
     """Eval-mode accuracy and argmax predictions over the whole split."""
     preds = []
-    for x, _ in iter_batches(handle, batch_size):
-        logits = model.forward(x, training=False)
-        preds.append(np.argmax(logits.data, axis=1))
+    with no_grad():
+        for x, _ in iter_batches(handle, batch_size):
+            logits = model.forward(x, training=False)
+            preds.append(np.argmax(logits.data, axis=1))
     preds = np.concatenate(preds)
     acc = float((preds == handle.labels).mean())
     return acc, preds

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,11 +8,15 @@ from gradrep.checkpoint import (
     Checkpoint,
     load_checkpoint,
     optimizer_arrays,
+    restore_fused,
     restore_model,
     save_checkpoint,
+    snapshot_fused,
     snapshot_model,
 )
+from gradrep.cli import main
 from gradrep.data import gen_synthetic
+from gradrep.equivlab import convert_model
 from gradrep.errors import DataFormatError, FormatVersionError
 from gradrep.hypersearch import init_scales
 from gradrep.models import ModelSpec, build_csla, build_target
@@ -99,6 +106,62 @@ class TestRoundTrip:
         path.write_bytes(data[:-100])
         with pytest.raises(DataFormatError):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h: h.pop("arrays"), id="no-arrays"),
+        pytest.param(lambda h: h.pop("model"), id="no-model"),
+        pytest.param(lambda h: h["model"].pop("spec"), id="no-spec"),
+        pytest.param(lambda h: h["model"]["spec"].pop("stages"), id="no-stages"),
+        pytest.param(lambda h: h.pop("counters"), id="no-counters"),
+        pytest.param(lambda h: h["counters"].pop("step"), id="no-step"),
+        pytest.param(lambda h: h["arrays"][0].pop("shape"), id="no-shape"),
+        pytest.param(lambda h: h["arrays"][0].update(section="weights"), id="unknown-section"),
+        pytest.param(lambda h: h["arrays"][0].update(shape=[-1, 4]), id="negative-shape"),
+        pytest.param(lambda h: h["arrays"][0].update(shape=[2.0, 4]), id="float-shape"),
+        pytest.param(lambda h: h["arrays"][0].update(shape=4), id="scalar-shape"),
+        pytest.param(lambda h: h["model"]["spec"].update(stages=[[1, "4"]]), id="string-channels"),
+        pytest.param(lambda h: h["model"]["spec"].update(num_classes=0), id="zero-classes"),
+        pytest.param(lambda h: h["counters"].update(epoch="2"), id="string-epoch"),
+        pytest.param(lambda h: h.update(extra=[]), id="list-extra"),
+        pytest.param(lambda h: h.update(rng=7), id="number-rng"),
+    ])
+    def test_malformed_header(self, tmp_path, edit):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), snapshot_model(build_target(SPEC, seed=3)))
+        data = path.read_bytes()
+        header_len = struct.unpack("<Q", data[8:16])[0]
+        header = json.loads(data[16:16 + header_len])
+        edit(header)
+        raw = json.dumps(header).encode()
+        path.write_bytes(data[:8] + struct.pack("<Q", len(raw)) + raw
+                         + data[16 + header_len:])
+        with pytest.raises(DataFormatError):
+            load_checkpoint(str(path))
+        assert main(["convert", "--checkpoint", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+
+    def test_header_not_an_object(self, tmp_path):
+        raw = b"[]"
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"GRCP" + struct.pack("<I", 1) + struct.pack("<Q", len(raw)) + raw)
+        with pytest.raises(DataFormatError):
+            load_checkpoint(str(path))
+
+    def test_cli_reports_unreadable_checkpoint(self, tmp_path):
+        # a directory in place of the checkpoint file: an error line, exit 1
+        assert main(["convert", "--checkpoint", str(tmp_path),
+                     "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize("drop", ["num_convs", "strides", "conv0.kernel", "fc.bias"])
+    def test_fused_checkpoint_missing_entry(self, tmp_path, drop):
+        fused = convert_model(build_target(SPEC, seed=3))
+        ckpt = snapshot_fused(fused, SPEC)
+        ckpt.extra.pop(drop, None)
+        ckpt.params.pop(drop, None)
+        path = tmp_path / "fused.ckpt"
+        save_checkpoint(str(path), ckpt)
+        with pytest.raises(DataFormatError):
+            restore_fused(load_checkpoint(str(path)))
 
     def test_multiplier_dump(self, tmp_path):
         from gradrep.models import build_multipliers

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from gradrep.autodiff import Parameter, Tensor
 from gradrep.data import (
     CIFAR10_RECORD,
     NORMALIZATION,
+    _SYNTH_CHUNK,
     DatasetHandle,
     augment_images,
     gen_synthetic,
@@ -114,7 +116,62 @@ class TestCifarParsing:
             write_cifar10(ds, str(tmp_path / "x.bin"))
 
 
+def gen_synthetic_reference(n, resolution, classes, seed, *, jitter_frac=0.125,
+                            noise=0.18, radius_spread=0.3):
+    """The generator as one whole noise draw and a per-sample loop: the
+    reference the chunked gen_synthetic must match byte for byte."""
+    rng = Rng(seed)
+    angles = 2.0 * np.pi * np.arange(classes) / classes
+    radius = resolution / 3.5
+    centers = np.stack([
+        resolution / 2 + radius * np.cos(angles),
+        resolution / 2 + radius * np.sin(angles),
+    ], axis=1)
+    colors = 0.35 + 0.5 * rng.uniform(classes * 3).reshape(classes, 3)
+    labels = rng.integers_below(classes, n)
+    yy, xx = np.meshgrid(np.arange(resolution), np.arange(resolution), indexing="ij")
+    base_sigma = resolution / 6.0
+    jitter = rng.gaussian((n, 2)) * (resolution * jitter_frac)
+    sigmas = base_sigma * (1.0 + radius_spread * (rng.uniform(n) - 0.5) * 2.0)
+    pixel_noise = rng.gaussian((n, 3, resolution, resolution)) * noise
+    images = np.empty((n, 3, resolution, resolution), dtype=np.uint8)
+    for i in range(n):
+        cy, cx = centers[labels[i]] + jitter[i]
+        blob = np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sigmas[i] ** 2)))
+        img = colors[labels[i]][:, None, None] * blob[None] + 0.25 + pixel_noise[i]
+        images[i] = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+    return images, labels
+
+
 class TestSynthetic:
+    # odd resolutions make 3*r*r odd, so a chunk of an odd number of samples
+    # would split a Box-Muller pair; n covers one short chunk, an odd n that
+    # is not a multiple of the chunk, and the benchmark's 6000 x 32x32
+    @pytest.mark.parametrize("n,resolution,classes,seed", [
+        (5, 7, 3, 0),
+        (_SYNTH_CHUNK // 2 + 1, 9, 4, 1),
+        (2 * _SYNTH_CHUNK + 1, 33, 5, 2),
+        (_SYNTH_CHUNK + 2, 8, 10, 3),
+        (6000, 32, 10, 4),
+    ])
+    def test_matches_per_sample_reference(self, n, resolution, classes, seed):
+        assert _SYNTH_CHUNK % 2 == 0
+        images, labels = gen_synthetic_reference(n, resolution, classes, seed)
+        got = gen_synthetic(n, resolution, classes, seed)
+        assert got.images.tobytes() == images.tobytes()
+        assert got.labels.tobytes() == labels.tobytes()
+
+    def test_traced_peak_memory_bounded(self):
+        # one whole float64 noise draw for 6000 x 3 x 32 x 32 alone is 147 MB
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            gen_synthetic(6000, 32, 10, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+
     def test_same_seed_identical_bytes(self):
         a = gen_synthetic(32, 16, 10, seed=9)
         b = gen_synthetic(32, 16, 10, seed=9)

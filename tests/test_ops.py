@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from gradrep import ops
-from gradrep.autodiff import Parameter, Tensor, set_checked
+from gradrep.autodiff import Parameter, Tensor, grad_enabled, no_grad, set_checked
+from gradrep.data import gen_synthetic
 from gradrep.errors import ShapeError, UsageError
+from gradrep.models import ModelSpec, build_hypersearch
+from gradrep.train import evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +56,17 @@ def numerical_grad(loss_fn, arr, h=1e-5):
 
 def assert_grad_close(analytic, numeric, rtol=1e-6, atol=1e-7):
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
+
+
+def interior_nodes(root):
+    """Every node of root's tape that has parents (root included)."""
+    found, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in found and node._parents:
+            found[id(node)] = node
+            stack.extend(node._parents)
+    return list(found.values())
 
 
 #: (kernel, stride, padding) of every conv2d lowering: the 3x3 gather with and
@@ -212,6 +226,22 @@ class TestBackward:
 
         assert run().tobytes() == run().tobytes()
 
+    def test_second_backward_on_released_graph_raises(self):
+        x = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
+        w = Parameter(np.ones((1, 1, 3, 3)))
+        hidden = ops.conv2d(x, w, padding=1)
+        loss = ops.tsum(ops.relu(hidden))
+        loss.backward()
+        want_w, want_x = w.grad.copy(), x.grad.copy()
+        with pytest.raises(UsageError):
+            loss.backward()
+        # a new loss on a freed node cannot route a gradient through it
+        with pytest.raises(UsageError):
+            ops.tsum(hidden).backward()
+        # the failed pass added nothing to the leaves
+        assert w.grad.tobytes() == want_w.tobytes()
+        assert x.grad.tobytes() == want_x.tobytes()
+
 
 class TestFiniteDifferences:
     """Central-difference checks (h=1e-5, float64) across 20+ seeds."""
@@ -238,7 +268,12 @@ class TestFiniteDifferences:
             return ops.weighted_sum(out, proj), (w, g, b)
 
         loss, (w, g, b) = build(True)
+        inner = interior_nodes(loss)
         loss.backward()
+        # the walk freed the interior of the tape; the leaves keep .grad
+        for node in inner:
+            assert node.grad is None and node._parents == ()
+            assert node._backward.__closure__ is None
         for param, arr in ((w, wd), (g, gd), (b, bd)):
             num = numerical_grad(lambda: build(False)[0].item(), arr)
             assert_grad_close(param.grad, num)
@@ -398,3 +433,52 @@ class TestCheckedMode:
             Tensor(np.array([1.0, 2.0]))
         finally:
             set_checked(False)
+
+
+class TestNoGrad:
+    def test_ops_record_no_tape(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
+        w = Parameter(rng.normal(size=(4, 3, 3, 3)))
+        g, b = Parameter(np.ones(4)), Parameter(np.zeros(4))
+
+        def forward():
+            out, _, _ = ops.batchnorm_train(ops.conv2d(x, w, padding=1), g, b)
+            return ops.cross_entropy(ops.global_avg_pool(ops.relu(out)),
+                                     np.array([0, 3]))
+
+        taped = forward()
+        with no_grad():
+            assert not grad_enabled()
+            bare = forward()
+        assert grad_enabled()
+        assert taped._parents and taped._backward is not None
+        assert bare._parents == () and bare._backward is None
+        assert bare.data.tobytes() == taped.data.tobytes()
+
+    def test_state_restored_after_exception(self):
+        with pytest.raises(ShapeError):
+            with no_grad():
+                with no_grad():
+                    pass
+                assert not grad_enabled()
+                ops.add(Tensor(np.zeros(2)), Tensor(np.zeros(3)))
+        assert grad_enabled()
+
+    def test_evaluate_matches_taped_forward(self, monkeypatch):
+        spec = ModelSpec(4, ((1, 4), (1, 8)), 10, 16)
+        model = build_hypersearch(spec, seed=2)
+        handle = gen_synthetic(40, 16, 10, seed=1)
+        logits = model.forward(handle.normalized(), training=False)
+        assert logits._parents
+        taped_forward, modes = model.forward, []
+
+        def spy(x, training):
+            modes.append(grad_enabled())
+            return taped_forward(x, training)
+
+        monkeypatch.setattr(model, "forward", spy)
+        acc, preds = evaluate(model, handle, batch_size=16)
+        assert modes == [False, False, False]
+        assert preds.tobytes() == np.argmax(logits.data, axis=1).tobytes()
+        assert acc == float((preds == handle.labels).mean())
