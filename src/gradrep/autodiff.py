@@ -18,8 +18,10 @@ Inside ``with no_grad():`` the ops record no tape at all: they return plain
 tensors without parents or closures, for forward passes that are never
 differentiated, such as evaluation.
 
-Everything is float64 by default; float32 is an opt-in for speed. With checked
-mode on, tensor construction rejects non-finite values.
+A tensor converts non-float input to float64 and keeps float32 as given; the
+layers and the data path create float64 arrays throughout, so models compute
+in float64. With checked mode on, tensor construction rejects non-finite
+values.
 """
 
 from __future__ import annotations

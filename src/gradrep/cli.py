@@ -27,30 +27,23 @@ from .checkpoint import (
 )
 from .config import RunConfig, load_config
 from .data import gen_synthetic, load_cifar, write_cifar10
-from .equivlab import (
-    convert_model,
-    identity_variance_ratio,
-    verify_csla_gr,
-    verify_ghost_gr,
-    verify_scalar_two_branch,
-)
+from .equivlab import convert_model, identity_variance_ratio, verify_csla_gr
 from .errors import ConfigError, GradrepError, UsageError
 from .hypersearch import degrade_scales, export_scales, import_scales, run_hyper_search
 from .models import (
     CslaBlockSpec,
     build_multipliers,
     build_hypersearch,
-    build_hypersearch_all_ones,
     build_repvgg,
     build_resnet_reference,
     build_target,
     build_target_equivalent_init,
     count_params_train,
 )
-from .optim import MultiplierAdamW, MultiplierSgd, OptimizerConfig
+from .optim import MultiplierSgd, OptimizerConfig
 from .reports import write_csv, write_json
 from .rng import Rng
-from .train import evaluate, train_model
+from .train import train_model
 
 
 def _load_datasets(cfg: RunConfig):
@@ -149,14 +142,9 @@ def _build_train_model(args, cfg, spec, scales):
         mults = build_multipliers(model, scales)
         managed = tuple(model.gr_managed_params())
     ocfg = cfg.optimizer_config()
-    if args.optimizer == "adamw":
-        opt = MultiplierAdamW(dict(model.named_parameters()),
-                              weight_decay=ocfg.weight_decay, multipliers=mults,
-                              managed=managed)
-    else:
-        opt = MultiplierSgd(dict(model.named_parameters()), momentum=ocfg.momentum,
-                            weight_decay=ocfg.weight_decay, multipliers=mults,
-                            managed=managed)
+    opt = MultiplierSgd(dict(model.named_parameters()), momentum=ocfg.momentum,
+                        weight_decay=ocfg.weight_decay, multipliers=mults,
+                        managed=managed)
     return model, opt, mults
 
 
@@ -205,7 +193,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
         return 0
 
     scales = None
-    if args.optimizer in ("repopt", "adamw") and base_scales is not None:
+    if args.optimizer == "repopt" and base_scales is not None:
         scales = _scales_for_mode(base_scales, args.scales_mode)
     model, opt, mults, data_rng, result = _run_one_training(
         args, cfg, spec, scales, train, test)
@@ -235,26 +223,21 @@ def cmd_verify_equivalence(args, cfg: RunConfig) -> int:
                            batch_size=cfg["eq.batch"])
     case = cfg["eq.case"]
     seed = cfg["seed"]
+    c = cfg["eq.channels"]
     ablation = args.ablation.replace("-", "_") if args.ablation else None
-    if case == "scalar":
-        report = verify_scalar_two_branch(cfg["eq.alpha_a"], cfg["eq.alpha_b"],
-                                          cfg["eq.steps"], ocfg, seed,
-                                          channels=cfg["eq.channels"],
-                                          batch=cfg["eq.batch"], hw=cfg["eq.hw"],
-                                          ablation=ablation)
+    if case == "scalar":  # two 3x3 branches with scalar scales
+        block = CslaBlockSpec(c, c, 1, ((3, np.full(c, cfg["eq.alpha_a"])),
+                                        (3, np.full(c, cfg["eq.alpha_b"]))), False)
     elif case == "block":
-        c = cfg["eq.channels"]
         draws = Rng(seed).uniform(2 * c)
         block = CslaBlockSpec.square(c, 0.4 + draws[:c], 0.4 + draws[c:])
-        report = verify_csla_gr(block, cfg["eq.steps"], ocfg, seed,
-                                batch=cfg["eq.batch"], hw=cfg["eq.hw"],
-                                ablation=ablation)
-    elif case == "ghost":
-        report = verify_ghost_gr(cfg["eq.channels"], cfg["eq.steps"], ocfg, seed,
-                                 batch=cfg["eq.batch"], hw=cfg["eq.hw"],
-                                 ablation=ablation)
+    elif case == "ghost":  # a 0.8-scaled 1x1 branch plus identity, BN after the sum
+        block = CslaBlockSpec(c, c, 1, ((1, np.full(c, 0.8)),), True)
     else:
         raise ConfigError(f"eq.case must be scalar|block|ghost, got {case!r}")
+    report = verify_csla_gr(block, cfg["eq.steps"], ocfg, seed, batch=cfg["eq.batch"],
+                            hw=cfg["eq.hw"], ablation=ablation,
+                            post_bn=case == "ghost")
     report.write_csv(os.path.join(args.out, "equivalence.csv"))
     report.write_json_summary(os.path.join(args.out, "summary.json"))
     if ablation:
@@ -353,10 +336,9 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
                 return build_resnet_reference(stage_blocks, seed=seed,
                                               input_hw=cfg["data.resolution"])
             spec = cfg.model_spec(cfg["data.classes"], cfg["data.resolution"])
-            if arch == "hs":
-                return build_hypersearch(spec, seed=seed)
-            if arch == "hs-ones":
-                return build_hypersearch_all_ones(spec, seed=seed)
+            if arch in ("hs", "hs-ones"):
+                return build_hypersearch(spec, seed=seed,
+                                         init="hs_init" if arch == "hs" else "all_ones")
             raise ConfigError(f"analyze.arch must be resnet|hs|hs-ones, got {arch!r}")
 
         ids, per_seed, mean = identity_variance_ratio(
@@ -412,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "three-branch baseline)")
     _add_common(p)
     p.add_argument("--arch", choices=["target", "repvgg"], default="target")
-    p.add_argument("--optimizer", choices=["sgd", "repopt", "adamw"], default="sgd")
+    p.add_argument("--optimizer", choices=["sgd", "repopt"], default="sgd")
     p.add_argument("--scales", help="scales JSON from hyper-search (enables the "
                                     "multiplier rules)")
     p.add_argument("--scales-mode", default="searched",

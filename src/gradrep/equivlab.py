@@ -18,17 +18,16 @@ import numpy as np
 
 from . import ops
 from .autodiff import Parameter, Tensor
-from .errors import ConfigError, ShapeError
-from .layers import BatchNorm2d, Conv2d
+from .errors import ConfigError
+from .layers import BatchNorm2d
 from .models import CslaBlockSpec, Model
 from .optim import (
     MultiplierSgd,
     OptimizerConfig,
-    build_grad_mult,
-    build_grad_mult_1x1,
-    build_grad_mult_scalar,
-    equivalent_init,
-    equivalent_init_1x1,
+    dirac_kernel,
+    embed_kernel,
+    equivalent_kernel,
+    grad_mult,
 )
 from .reports import write_csv, write_json
 from .rng import Rng, msra_init
@@ -68,86 +67,31 @@ class EquivalenceReport:
         })
 
 
-class _Counterparts:
-    """One branched/single pair stepped in lockstep by the harness."""
-
-    def forward_branched(self, x: Tensor, training: bool) -> Tensor:
-        raise NotImplementedError
-
-    def forward_single(self, x: Tensor, training: bool) -> Tensor:
-        raise NotImplementedError
-
-    def combined_kernel(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def single_kernel(self) -> np.ndarray:
-        return self.w_prime.data
-
-
-class _ScalarPair(_Counterparts):
-    """Two same-shape 3x3 kernels with scalar scales vs one kernel with the
-    scalar multiplier."""
-
-    def __init__(self, alpha_a, alpha_b, c, seed, ablation=None):
-        rng = Rng(seed)
-        self.alpha_a, self.alpha_b = float(alpha_a), float(alpha_b)
-        w_a = msra_init((c, c, 3, 3), rng=rng)
-        w_b = msra_init((c, c, 3, 3), rng=rng)
-        self.w_a = Parameter(w_a, name="w_a")
-        self.w_b = Parameter(w_b, name="w_b")
-        if ablation == "skip_reinit":
-            init = msra_init((c, c, 3, 3), rng=rng)
-        else:
-            init = alpha_a * w_a + alpha_b * w_b
-        self.w_prime = Parameter(init.copy(), name="w")
-        mult = (1.0 if ablation == "skip_gradmult"
-                else build_grad_mult_scalar(alpha_a, alpha_b))
-        self.branched_params = {"w_a": self.w_a, "w_b": self.w_b}
-        self.single_params = {"w": self.w_prime}
-        self.multipliers = {"w": mult}
-
-    def forward_branched(self, x, training):
-        ya = ops.conv2d(x, self.w_a, stride=1, padding=1)
-        yb = ops.conv2d(x, self.w_b, stride=1, padding=1)
-        return ops.add(
-            ops.channel_scale(ya, Tensor(np.full(ya.data.shape[1], self.alpha_a))),
-            ops.channel_scale(yb, Tensor(np.full(yb.data.shape[1], self.alpha_b))),
-        )
-
-    def forward_single(self, x, training):
-        return ops.conv2d(x, self.w_prime, stride=1, padding=1)
-
-    def combined_kernel(self):
-        return self.alpha_a * self.w_a.data + self.alpha_b * self.w_b.data
-
-
-class _CslaPair(_Counterparts):
-    """Full branched block (3x3, 1x1, optional identity, channel-wise scales)
-    vs one 3x3 conv, optionally with a shared post-addition BN + ReLU head."""
+class _Pair:
+    """A branched block (constant-scaled branches, optional trainable identity
+    scaling, optional shared post-addition BN + ReLU head) and its single
+    K x K conv counterpart trained with the gradient multiplier."""
 
     def __init__(self, block: CslaBlockSpec, seed, ablation=None, post_bn=False):
         rng = Rng(seed)
         self.block = block
-        self.s = np.asarray(block.s, dtype=np.float64)
-        self.t = np.asarray(block.t, dtype=np.float64)
-        w_s = msra_init((block.c_out, block.c_in, 3, 3), rng=rng)
-        w_t = msra_init((block.c_out, block.c_in, 1, 1), rng=rng)
-        self.w_s = Parameter(w_s, name="w_s")
-        self.w_t = Parameter(w_t, name="w_t")
+        self.branches = [(k, np.asarray(s, dtype=np.float64)) for k, s in block.branches]
+        self.scales = [Tensor(s) for _, s in self.branches]
+        self.kernels = [Parameter(msra_init((block.c_out, block.c_in, k, k), rng=rng),
+                                  name=f"w{i}")
+                        for i, (k, _) in enumerate(block.branches)]
         self.gamma = (Parameter(np.ones(block.c_out), name="gamma")
                       if block.has_identity else None)
+        self.k = max(k for k, _ in block.branches)
         if ablation == "skip_reinit":
-            init = msra_init((block.c_out, block.c_in, 3, 3), rng=rng)
+            init = msra_init((block.c_out, block.c_in, self.k, self.k), rng=rng)
         else:
-            init = equivalent_init(
-                w_s, w_t, self.s, self.t,
-                np.ones(block.c_out) if block.has_identity else None,
-            )
-        self.w_prime = Parameter(init.copy(), name="w")
+            init = equivalent_kernel(self.branches, [w.data for w in self.kernels],
+                                     np.ones(block.c_out) if block.has_identity else None)
+        self.w_prime = Parameter(init, name="w")
         mult = (np.ones_like(init) if ablation == "skip_gradmult"
-                else build_grad_mult(self.s, self.t, block.has_identity,
-                                     c_in=block.c_in))
-        self.branched_params = {"w_s": self.w_s, "w_t": self.w_t}
+                else grad_mult(self.branches, block.has_identity, c_in=block.c_in))
+        self.branched_params = {w.name: w for w in self.kernels}
         if self.gamma is not None:
             self.branched_params["gamma"] = self.gamma
         self.single_params = {"w": self.w_prime}
@@ -161,74 +105,44 @@ class _CslaPair(_Counterparts):
             self.single_params.update({"bn.gamma": self.bn_single.gamma,
                                        "bn.beta": self.bn_single.beta})
 
-    def forward_branched(self, x, training):
-        z = ops.add(
-            ops.channel_scale(ops.conv2d(x, self.w_s, self.block.stride, 1), Tensor(self.s)),
-            ops.channel_scale(ops.conv2d(x, self.w_t, self.block.stride, 0), Tensor(self.t)),
-        )
+    def forward_branched(self, x):
+        z = None
+        for (k, _), w, s in zip(self.branches, self.kernels, self.scales):
+            y = ops.channel_scale(ops.conv2d(x, w, self.block.stride, k // 2), s)
+            z = y if z is None else ops.add(z, y)
         if self.gamma is not None:
             z = ops.add(z, ops.channel_scale(x, self.gamma))
         if self.post_bn:
-            z = ops.relu(self.bn_branched.forward(z, training))
+            z = ops.relu(self.bn_branched.forward(z, True))
         return z
 
-    def forward_single(self, x, training):
-        z = ops.conv2d(x, self.w_prime, self.block.stride, 1)
+    def forward_single(self, x):
+        z = ops.conv2d(x, self.w_prime, self.block.stride, self.k // 2)
         if self.post_bn:
-            z = ops.relu(self.bn_single.forward(z, training))
+            z = ops.relu(self.bn_single.forward(z, True))
         return z
 
     def combined_kernel(self):
-        return equivalent_init(
-            self.w_s.data, self.w_t.data, self.s, self.t,
-            self.gamma.data if self.gamma is not None else None,
-        )
+        return equivalent_kernel(self.branches, [w.data for w in self.kernels],
+                                 self.gamma.data if self.gamma is not None else None)
 
 
-class _GhostPair(_Counterparts):
-    """Two-branch 1x1 degenerate case (constant-scaled 1x1 conv plus trainable
-    identity scaling), BN after the addition on both sides."""
-
-    def __init__(self, c, t_values, seed, ablation=None):
-        rng = Rng(seed)
-        self.t = np.asarray(t_values, dtype=np.float64)
-        w_t = msra_init((c, c, 1, 1), rng=rng)
-        self.w_t = Parameter(w_t, name="w_t")
-        self.gamma = Parameter(np.ones(c), name="gamma")
-        if ablation == "skip_reinit":
-            init = msra_init((c, c, 1, 1), rng=rng)
-        else:
-            init = equivalent_init_1x1(w_t, self.t, np.ones(c))
-        self.w_prime = Parameter(init.copy(), name="w")
-        mult = (np.ones_like(init) if ablation == "skip_gradmult"
-                else build_grad_mult_1x1(self.t, has_identity=True))
-        self.bn_branched = BatchNorm2d(c)
-        self.bn_single = BatchNorm2d(c)
-        self.branched_params = {"w_t": self.w_t, "gamma": self.gamma,
-                                "bn.gamma": self.bn_branched.gamma,
-                                "bn.beta": self.bn_branched.beta}
-        self.single_params = {"w": self.w_prime,
-                              "bn.gamma": self.bn_single.gamma,
-                              "bn.beta": self.bn_single.beta}
-        self.multipliers = {"w": mult}
-
-    def forward_branched(self, x, training):
-        z = ops.add(ops.channel_scale(ops.conv2d(x, self.w_t), Tensor(self.t)),
-                    ops.channel_scale(x, self.gamma))
-        return ops.relu(self.bn_branched.forward(z, training))
-
-    def forward_single(self, x, training):
-        z = ops.conv2d(x, self.w_prime)
-        return ops.relu(self.bn_single.forward(z, training))
-
-    def combined_kernel(self):
-        return equivalent_init_1x1(self.w_t.data, self.t, self.gamma.data)
+def _mse_backward(y: Tensor, target: np.ndarray, params: dict) -> None:
+    for p in params.values():
+        p.grad = None
+    ops.mse_loss(y, target).backward()
 
 
-def _run_lockstep(pair: _Counterparts, steps, cfg: OptimizerConfig, seed, *,
-                  batch, c_in, hw, training=True, config_echo=None) -> EquivalenceReport:
-    """Synchronized updates on identical random input/target streams."""
-    stream = Rng(seed)
+def verify_csla_gr(block: CslaBlockSpec, steps, cfg: OptimizerConfig, seed, *,
+                   batch=4, hw=16, ablation=None, post_bn=False) -> EquivalenceReport:
+    """Train the branched block and its single-kernel counterpart in lockstep
+    on one seeded input/target stream (seed + 1) and record both divergences
+    before every update. ``ablation`` skips the equivalent initialization or
+    the gradient multiplier, which must break the equivalence."""
+    if ablation not in ABLATIONS:
+        raise ConfigError(f"unknown ablation {ablation!r}; want one of {ABLATIONS}")
+    pair = _Pair(block, seed, ablation, post_bn=post_bn)
+    stream = Rng(seed + 1)
     opt_branched = MultiplierSgd(pair.branched_params, momentum=cfg.momentum,
                                  weight_decay=cfg.weight_decay)
     opt_single = MultiplierSgd(pair.single_params, momentum=cfg.momentum,
@@ -237,61 +151,24 @@ def _run_lockstep(pair: _Counterparts, steps, cfg: OptimizerConfig, seed, *,
                                managed=tuple(pair.multipliers))
     out_div, kern_div = [], []
     for _ in range(steps):
-        x_data = stream.gaussian((batch, c_in, hw, hw))
-        y1 = pair.forward_branched(Tensor(x_data), training)
-        y2 = pair.forward_single(Tensor(x_data), training)
-        out_div.append(float(np.abs(y1.data - y2.data).max()))
-        kern_div.append(float(np.abs(pair.combined_kernel() - pair.single_kernel()).max()))
+        x = Tensor(stream.gaussian((batch, block.c_in, hw, hw)))
+        kern_div.append(float(np.abs(pair.combined_kernel() - pair.w_prime.data).max()))
+        # each side runs forward and backward in turn: one tape alive at a time
+        y1 = pair.forward_branched(x)
         target = stream.gaussian(y1.data.shape)
-        for params, loss in ((pair.branched_params, ops.mse_loss(y1, target)),
-                             (pair.single_params, ops.mse_loss(y2, target))):
-            for p in params.values():
-                p.grad = None
-            loss.backward()
+        _mse_backward(y1, target, pair.branched_params)
+        y2 = pair.forward_single(x)
+        _mse_backward(y2, target, pair.single_params)
+        out_div.append(float(np.abs(y1.data - y2.data).max()))
         opt_branched.step(cfg.base_lr)
         opt_single.step(cfg.base_lr)
-    echo = dict(config_echo or {})
-    echo.update({"steps": steps, "lr": cfg.base_lr, "momentum": cfg.momentum,
-                 "weight_decay": cfg.weight_decay, "seed": seed,
-                 "batch": batch, "hw": hw})
-    return EquivalenceReport(out_div, kern_div, steps, echo)
-
-
-def verify_scalar_two_branch(alpha_a, alpha_b, steps, cfg: OptimizerConfig,
-                             seed, *, channels=2, batch=4, hw=8,
-                             ablation=None) -> EquivalenceReport:
-    if ablation not in ABLATIONS:
-        raise ConfigError(f"unknown ablation {ablation!r}; want one of {ABLATIONS}")
-    pair = _ScalarPair(alpha_a, alpha_b, channels, seed, ablation)
-    echo = {"case": "scalar_two_branch", "alpha_a": alpha_a, "alpha_b": alpha_b,
-            "ablation": ablation or "none"}
-    return _run_lockstep(pair, steps, cfg, seed + 1, batch=batch, c_in=channels,
-                         hw=hw, config_echo=echo)
-
-
-def verify_csla_gr(block: CslaBlockSpec, steps, cfg: OptimizerConfig, seed, *,
-                   batch=4, hw=16, ablation=None, post_bn=False) -> EquivalenceReport:
-    if ablation not in ABLATIONS:
-        raise ConfigError(f"unknown ablation {ablation!r}; want one of {ABLATIONS}")
-    pair = _CslaPair(block, seed, ablation, post_bn=post_bn)
     echo = {"case": "csla_block", "c_in": block.c_in, "c_out": block.c_out,
-            "stride": block.stride, "has_identity": block.has_identity,
-            "post_bn": post_bn, "ablation": ablation or "none"}
-    return _run_lockstep(pair, steps, cfg, seed + 1, batch=batch,
-                         c_in=block.c_in, hw=hw, config_echo=echo)
-
-
-def verify_ghost_gr(channels, steps, cfg: OptimizerConfig, seed, *, batch=4,
-                    hw=8, t_values=None, ablation=None) -> EquivalenceReport:
-    if ablation not in ABLATIONS:
-        raise ConfigError(f"unknown ablation {ablation!r}; want one of {ABLATIONS}")
-    t = (np.full(channels, 0.8) if t_values is None
-         else np.asarray(t_values, dtype=np.float64))
-    pair = _GhostPair(channels, t, seed, ablation)
-    echo = {"case": "ghost_two_branch", "channels": channels,
-            "ablation": ablation or "none"}
-    return _run_lockstep(pair, steps, cfg, seed + 1, batch=batch, c_in=channels,
-                         hw=hw, config_echo=echo)
+            "stride": block.stride, "kernels": [k for k, _ in block.branches],
+            "has_identity": block.has_identity, "post_bn": post_bn,
+            "ablation": ablation or "none", "steps": steps, "lr": cfg.base_lr,
+            "momentum": cfg.momentum, "weight_decay": cfg.weight_decay,
+            "seed": seed + 1, "batch": batch, "hw": hw}
+    return EquivalenceReport(out_div, kern_div, steps, echo)
 
 
 # ---------------------------------------------------------------------------
@@ -343,21 +220,6 @@ def fuse_bn(kernel: np.ndarray, bias, bn) -> FusedConv:
     return FusedConv(fused_kernel, fused_bias)
 
 
-def pad_1x1_to_3x3(kernel: np.ndarray) -> np.ndarray:
-    c_out, c_in, kh, kw = kernel.shape
-    if (kh, kw) != (1, 1):
-        raise ShapeError(f"expected a 1x1 kernel, got {kernel.shape}")
-    out = np.zeros((c_out, c_in, 3, 3))
-    out[:, :, 1, 1] = kernel[:, :, 0, 0]
-    return out
-
-
-def dirac_kernel_3x3(c: int) -> np.ndarray:
-    out = np.zeros((c, c, 3, 3))
-    out[np.arange(c), np.arange(c), 1, 1] = 1.0
-    return out
-
-
 def convert_repvgg_block(block) -> FusedConv:
     """Merge a three-branch block into one biased 3x3 conv: fuse per-branch
     BNs, embed the 1x1 kernel at the centers, express the identity branch as a
@@ -365,10 +227,10 @@ def convert_repvgg_block(block) -> FusedConv:
     info = block.info
     f3 = fuse_bn(block.conv3.weight.data, None, block.bn3)
     f1 = fuse_bn(block.conv1.weight.data, None, block.bn1)
-    kernel = f3.kernel + pad_1x1_to_3x3(f1.kernel)
+    kernel = f3.kernel + embed_kernel(f1.kernel, 3)
     bias = f3.bias + f1.bias
     if info.has_identity:
-        fid = fuse_bn(dirac_kernel_3x3(info.c_out), None, block.bnid)
+        fid = fuse_bn(dirac_kernel(info.c_out, 3), None, block.bnid)
         kernel = kernel + fid.kernel
         bias = bias + fid.bias
     return FusedConv(kernel, bias, stride=info.stride, padding=1)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import ops
 from .autodiff import Parameter, Tensor
-from .errors import ShapeError
+from .errors import DataFormatError, ShapeError
 from .rng import Rng, msra_init
 
 BN_EPS = 1e-5
@@ -54,8 +54,14 @@ class Module:
             p.grad = None
 
     def load_arrays(self, params: dict, buffers: dict, prefix: str = ""):
-        """Overwrite parameter/buffer values in place from name->array dicts."""
+        """Overwrite every parameter/buffer value in place from name->array
+        dicts; a name the dicts lack raises :class:`DataFormatError`."""
         own = dict(self.named_parameters(prefix))
+        own_buf = dict(self.named_buffers(prefix))
+        missing = sorted(set(own) - set(params)) + sorted(set(own_buf) - set(buffers))
+        if missing:
+            raise DataFormatError(f"stored arrays lack {len(missing)} of this model's "
+                                  f"parameters and buffers: {missing}")
         for name, arr in params.items():
             if name not in own:
                 raise ShapeError(f"unknown parameter {name!r} for this model")
@@ -65,7 +71,6 @@ class Module:
                     f"{own[name].data.shape}"
                 )
             own[name].data = np.array(arr, dtype=own[name].data.dtype)
-        own_buf = dict(self.named_buffers(prefix))
         for name, arr in buffers.items():
             if name not in own_buf:
                 raise ShapeError(f"unknown buffer {name!r} for this model")

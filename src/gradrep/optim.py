@@ -55,108 +55,113 @@ class OptimizerConfig:
 
 
 # ---------------------------------------------------------------------------
-# multiplier construction
+# branch algebra
 # ---------------------------------------------------------------------------
+#
+# A branched block is a list of branches, each a (k, scales) pair: a k x k
+# conv (k odd, padding k // 2, the block's stride) followed by constant
+# per-output-channel scales, plus optionally a trainable identity scaling.
+# Its single-operator counterpart is one K x K conv, K the largest k: each
+# branch's footprint sits centered in it, the identity at the diagonal centers.
 
-def build_grad_mult(s, t, has_identity: bool, c_in: int | None = None) -> np.ndarray:
-    """Multiplier tensor for a 3x3 kernel backing a (3x3, 1x1, identity) block.
+def _center(big: int, k: int) -> slice:
+    """Rows (or columns) of a k x k footprint centered in a big x big kernel."""
+    off = (big - k) // 2
+    return slice(off, off + k)
 
-    Entry (c, d, p, q) is s_c^2 away from the center, s_c^2 + t_c^2 at the
-    center (p = q = 1 zero-based), plus 1 at diagonal centers when the block
-    has an identity branch.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    if s.ndim != 1 or s.shape != t.shape:
+
+def _diagonal_centers(w: np.ndarray) -> np.ndarray:
+    """A view of w[c, c, K // 2, K // 2] for every channel c of a contiguous
+    (c, c, K, K) array: the identity branch's taps."""
+    c, _, k, _ = w.shape
+    return w.reshape(c * c, k * k)[::c + 1, k * k // 2]
+
+
+def embed_kernel(kernel: np.ndarray, k: int) -> np.ndarray:
+    """A square kernel zero-padded to k x k, centered."""
+    c_out, c_in, kb, _ = kernel.shape
+    out = np.zeros((c_out, c_in, k, k))
+    out[:, :, _center(k, kb), _center(k, kb)] = kernel
+    return out
+
+
+def dirac_kernel(c: int, k: int) -> np.ndarray:
+    """The k x k kernel of the identity map on c channels."""
+    out = np.zeros((c, c, k, k))
+    _diagonal_centers(out)[:] = 1.0
+    return out
+
+
+def branch_scales(branches) -> tuple:
+    """(K, float64 scale vectors) of a branch list with one or more odd kernel
+    sizes and 1-d scale vectors of one length."""
+    sizes = [k for k, _ in branches]
+    scales = [np.asarray(s, dtype=np.float64) for _, s in branches]
+    if not sizes or any(k < 1 or k % 2 != 1 for k in sizes):
+        raise ShapeError(f"want one or more branches of odd kernel size, got {sizes}")
+    if scales[0].ndim != 1 or any(s.shape != scales[0].shape for s in scales):
         raise ShapeError(f"scale vectors must be 1-d and equal length, got "
-                         f"{s.shape} and {t.shape}")
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(t))):
+                         f"{[s.shape for s in scales]}")
+    return max(sizes), scales
+
+
+def grad_mult(branches, has_identity: bool, c_in: int | None = None) -> np.ndarray:
+    """Multiplier tensor for the single K x K kernel backing a branched block:
+    sum_b s_b^2 over branch b's footprint, plus 1 at the diagonal centers when
+    the block has an identity branch.
+
+    For the (3x3, 1x1, identity) block, entry (c, d, p, q) is s_c^2 away from
+    the center, s_c^2 + t_c^2 at the center, and 1 more at diagonal centers.
+    """
+    big, scales = branch_scales(branches)
+    if not np.isfinite(scales).all():
         raise ConfigError("scale vectors must be finite")
-    c = s.shape[0]
+    c = scales[0].shape[0]
     c_in = c if c_in is None else c_in
     if has_identity and c_in != c:
         raise ShapeError(f"identity branch needs square channels, got {c}x{c_in}")
-    m = np.empty((c, c_in, 3, 3))
-    m[:] = (s ** 2)[:, None, None, None]
-    m[:, :, 1, 1] = (s ** 2 + t ** 2)[:, None]
+    m = np.zeros((c, c_in, big, big))
+    for (k, _), s in zip(branches, scales):
+        fp = _center(big, k)
+        m[:, :, fp, fp] += (s ** 2)[:, None, None, None]
     if has_identity:
-        idx = np.arange(c)
-        m[idx, idx, 1, 1] += 1.0
+        _diagonal_centers(m)[:] += 1.0
     return m
 
 
-def build_grad_mult_scalar(alpha_a: float, alpha_b: float) -> float:
-    """Two branches with scalar scales collapse to one scalar multiplier."""
-    return float(alpha_a) ** 2 + float(alpha_b) ** 2
+def equivalent_kernel(branches, kernels, gamma=None) -> np.ndarray:
+    """Fold branch kernels into the single equivalent K x K kernel:
+    sum_b s_b * embed(W_b), plus gamma * dirac for the identity branch (its
+    channel scales, all ones at init).
 
-
-def build_grad_mult_1x1(t, has_identity: bool, c_in: int | None = None) -> np.ndarray:
-    """Multiplier for a 1x1 kernel backing a (1x1-conv, identity) block:
-    t_c^2 everywhere plus 1 on the diagonal when the identity branch exists."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 1:
-        raise ShapeError(f"scale vector must be 1-d, got shape {t.shape}")
-    c = t.shape[0]
-    c_in = c if c_in is None else c_in
-    if has_identity and c_in != c:
-        raise ShapeError(f"identity branch needs square channels, got {c}x{c_in}")
-    m = np.empty((c, c_in, 1, 1))
-    m[:] = (t ** 2)[:, None, None, None]
-    if has_identity:
-        idx = np.arange(c)
-        m[idx, idx, 0, 0] += 1.0
-    return m
-
-
-# ---------------------------------------------------------------------------
-# equivalent kernels
-# ---------------------------------------------------------------------------
-
-def equivalent_init(w_s: np.ndarray, w_t: np.ndarray, s, t,
-                    gamma=None) -> np.ndarray:
-    """Fold branch kernels into the single equivalent 3x3 kernel.
-
-    w' = s_c * w_s everywhere; the 1x1 kernel times t_c joins at the centers;
-    gamma (the identity branch's channel scales, all ones at init) joins at
-    the diagonal centers. Also used mid-training to combine the branched
+    Initializes the single kernel, and mid-training combines the branched
     counterpart's current kernels when checking the step invariant.
     """
-    w_s = np.asarray(w_s, dtype=np.float64)
-    w_t = np.asarray(w_t, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    c_out, c_in = w_s.shape[0], w_s.shape[1]
-    if w_s.shape[2:] != (3, 3) or w_t.shape != (c_out, c_in, 1, 1):
-        raise ShapeError(f"want kernels ({c_out},{c_in},3,3) and ({c_out},{c_in},1,1), "
-                         f"got {w_s.shape} and {w_t.shape}")
-    if s.shape != (c_out,) or t.shape != (c_out,):
-        raise ShapeError(f"scale vectors must have shape ({c_out},), got "
-                         f"{s.shape} and {t.shape}")
-    w = s[:, None, None, None] * w_s
-    w[:, :, 1, 1] += t[:, None] * w_t[:, :, 0, 0]
+    big, scales = branch_scales(branches)
+    c_out, c_in = np.shape(kernels[0])[:2]
+    if len(kernels) != len(branches) or scales[0].shape != (c_out,) or any(
+            np.shape(w) != (c_out, c_in, k, k) for (k, _), w in zip(branches, kernels)):
+        raise ShapeError(f"want one ({c_out},{c_in},k,k) kernel per branch of sizes "
+                         f"{[k for k, _ in branches]} and scales of shape ({c_out},), "
+                         f"got kernels {[np.shape(w) for w in kernels]} and scales "
+                         f"{scales[0].shape}")
+    w = np.zeros((c_out, c_in, big, big))
+    for (k, _), s, wb in zip(branches, scales, kernels):
+        fp = _center(big, k)
+        w[:, :, fp, fp] += s[:, None, None, None] * wb
     if gamma is not None:
         gamma = np.asarray(gamma, dtype=np.float64)
         if c_in != c_out or gamma.shape != (c_out,):
             raise ShapeError(f"identity term needs square kernel and gamma of shape "
                              f"({c_out},), got c_in={c_in}, gamma {gamma.shape}")
-        idx = np.arange(c_out)
-        w[idx, idx, 1, 1] += gamma
+        _diagonal_centers(w)[:] += gamma
     return w
 
 
-def equivalent_init_1x1(w_t: np.ndarray, t, gamma=None) -> np.ndarray:
-    """Two-branch 1x1 counterpart: w' = t_c * w_t (+ gamma on the diagonal)."""
-    w_t = np.asarray(w_t, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    c_out, c_in = w_t.shape[0], w_t.shape[1]
-    if w_t.shape[2:] != (1, 1) or t.shape != (c_out,):
-        raise ShapeError(f"want kernel ({c_out},{c_in},1,1) and scales ({c_out},), "
-                         f"got {w_t.shape} and {t.shape}")
-    w = t[:, None, None, None] * w_t
-    if gamma is not None:
-        idx = np.arange(c_out)
-        w[idx, idx, 0, 0] += np.asarray(gamma, dtype=np.float64)
-    return w
+def equivalent_init(w_s: np.ndarray, w_t: np.ndarray, s, t,
+                    gamma=None) -> np.ndarray:
+    """The (3x3, 1x1, identity) block's branches folded into one 3x3 kernel."""
+    return equivalent_kernel(((3, s), (1, t)), (w_s, w_t), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -241,71 +246,6 @@ class MultiplierSgd:
             if not key.startswith("velocity."):
                 raise UsageError(f"unexpected optimizer state entry {key!r}")
             self.velocities[key[len("velocity."):]] = np.array(arr, dtype=np.float64)
-
-
-class MultiplierAdamW:
-    """AdamW behind the same multiplier hook.
-
-    The multiplier is applied to the raw gradient before the moment updates;
-    decay is decoupled. No counterpart-equivalence is claimed for this rule;
-    it is exercised for shape and determinism only.
-    """
-
-    def __init__(self, named_params, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=0.0, multipliers=None, managed=()):
-        self.params = dict(named_params)
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.multipliers = dict(multipliers or {})
-        self.managed = tuple(managed)
-        for name in self.managed:
-            if name not in self.multipliers:
-                raise UsageError(f"managed parameter {name!r} has no gradient multiplier")
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-        self.t = 0
-
-    def step(self, lr: float) -> None:
-        self.t += 1
-        b1, b2 = self.betas
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
-            mult = self.multipliers.get(name)
-            if mult is not None:
-                g = g * mult
-            m = self.m.setdefault(name, np.zeros_like(p.data))
-            v = self.v.setdefault(name, np.zeros_like(p.data))
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data -= lr * update
-
-    def state_arrays(self) -> dict:
-        out = {f"adam_m.{n}": v for n, v in sorted(self.m.items())}
-        out.update({f"adam_v.{n}": v for n, v in sorted(self.v.items())})
-        out["adam_t"] = np.array([float(self.t)])
-        return out
-
-    def load_state_arrays(self, arrays: dict) -> None:
-        self.m, self.v = {}, {}
-        for key, arr in arrays.items():
-            if key == "adam_t":
-                self.t = int(arr[0])
-            elif key.startswith("adam_m."):
-                self.m[key[7:]] = np.array(arr)
-            elif key.startswith("adam_v."):
-                self.v[key[7:]] = np.array(arr)
-            else:
-                raise UsageError(f"unexpected optimizer state entry {key!r}")
 
 
 def lr_schedule(cfg: OptimizerConfig, step: int, total_steps: int) -> float:

@@ -163,6 +163,25 @@ class TestRoundTrip:
         with pytest.raises(DataFormatError):
             restore_fused(load_checkpoint(str(path)))
 
+    @pytest.mark.parametrize("kind,section,name", [
+        ("target", "params", "blocks.1.bn.beta"),
+        ("target", "buffers", "blocks.0.bn.running_mean"),
+        ("csla", "params", "blocks.2.conv1.weight"),
+        ("csla", "buffers", "blocks.0.scale3.const_scale"),
+    ])
+    def test_missing_model_array(self, tmp_path, kind, section, name):
+        model = (build_target(SPEC, seed=3) if kind == "target"
+                 else build_csla(SPEC, init_scales(SPEC), seed=3))
+        ckpt = snapshot_model(model)
+        del getattr(ckpt, section)[name]
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), ckpt)
+        with pytest.raises(DataFormatError) as err:
+            restore_model(load_checkpoint(str(path)))
+        assert name in str(err.value)
+        assert main(["convert", "--checkpoint", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+
     def test_multiplier_dump(self, tmp_path):
         from gradrep.models import build_multipliers
 

@@ -165,10 +165,6 @@ class TestTrainCli:
                        scales_file, "--scales-mode", "all-ones", "--out", out) == 0
         assert read_json(os.path.join(out, "summary.json"))["scales_mode"] == "all-ones"
 
-    def test_adamw_runs(self, tmp_path):
-        out = str(tmp_path / "adamw")
-        assert run_cli("train", *TINY, "--optimizer", "adamw", "--out", out) == 0
-
     def test_ablation_matrix_six_rows(self, tmp_path, scales_file):
         out = str(tmp_path / "matrix")
         assert run_cli("train", *TINY, "--set", "opt.epochs=1", "--optimizer",

@@ -8,16 +8,12 @@ from gradrep.equivlab import (
     BNState,
     convert_model,
     convert_repvgg_block,
-    dirac_kernel_3x3,
     fuse_bn,
     identity_variance_ratio,
-    pad_1x1_to_3x3,
     training_divergence_after_conversion,
     verify_csla_gr,
-    verify_ghost_gr,
-    verify_scalar_two_branch,
 )
-from gradrep.errors import ConfigError
+from gradrep.errors import ConfigError, ShapeError
 from gradrep.layers import BatchNorm2d
 from gradrep.models import (
     BlockInfo,
@@ -28,14 +24,19 @@ from gradrep.models import (
     block_infos,
     build_csla,
     build_hypersearch,
-    build_hypersearch_all_ones,
     build_repvgg,
     build_multipliers,
     build_resnet_reference,
     build_target,
     build_target_equivalent_init,
 )
-from gradrep.optim import MultiplierSgd, OptimizerConfig, equivalent_init
+from gradrep.optim import (
+    MultiplierSgd,
+    OptimizerConfig,
+    dirac_kernel,
+    embed_kernel,
+    equivalent_init,
+)
 from gradrep.rng import Rng
 from gradrep.train import train_model
 
@@ -52,9 +53,20 @@ def block_c8():
     return CslaBlockSpec.square(8, rng.uniform(0.4, 1.4, 8), rng.uniform(0.4, 1.4, 8))
 
 
+def scalar_spec(alpha_a, alpha_b, c=2):
+    """Two 3x3 branches with scalar scales, no identity."""
+    return CslaBlockSpec(c, c, 1, ((3, np.full(c, alpha_a)), (3, np.full(c, alpha_b))),
+                         False)
+
+
+def ghost_spec(c, t=0.8):
+    """A constant-scaled 1x1 branch plus the trainable identity scaling."""
+    return CslaBlockSpec(c, c, 1, ((1, np.full(c, t)),), True)
+
+
 class TestCounterpartTheorem:
     def test_scalar_two_branch_50_steps(self):
-        report = verify_scalar_two_branch(0.9, 0.35, 50, PLAIN_SGD, seed=7)
+        report = verify_csla_gr(scalar_spec(0.9, 0.35), 50, PLAIN_SGD, seed=7, hw=8)
         assert report.max_output_divergence <= 1e-10
         assert report.max_kernel_divergence <= 1e-10
         assert len(report.output_divergence) == 50
@@ -66,8 +78,8 @@ class TestCounterpartTheorem:
 
     def test_strided_block_without_identity(self):
         rng = np.random.default_rng(3)
-        block = CslaBlockSpec(4, 8, 2, tuple(rng.uniform(0.5, 1.5, 8)),
-                              tuple(rng.uniform(0.5, 1.5, 8)), False)
+        block = CslaBlockSpec(4, 8, 2, ((3, tuple(rng.uniform(0.5, 1.5, 8))),
+                                        (1, tuple(rng.uniform(0.5, 1.5, 8)))), False)
         report = verify_csla_gr(block, 50, HEAVY_SGD, seed=5, hw=12)
         assert report.max_output_divergence <= 1e-8
 
@@ -77,9 +89,23 @@ class TestCounterpartTheorem:
         assert report.max_output_divergence <= 1e-8
 
     def test_ghost_two_branch_case(self):
-        report = verify_ghost_gr(8, 100, HEAVY_SGD, seed=17)
+        report = verify_csla_gr(ghost_spec(8), 100, HEAVY_SGD, seed=17, hw=8,
+                                post_bn=True)
         assert report.max_output_divergence <= 1e-8
         assert report.max_kernel_divergence <= 1e-10
+
+    def test_mixed_size_branches_with_identity(self):
+        # 5x5, 3x3 and 1x1 branches plus identity fold into one 5x5 kernel
+        rng = np.random.default_rng(23)
+        block = CslaBlockSpec(6, 6, 1, tuple((k, tuple(rng.uniform(0.4, 1.4, 6)))
+                                             for k in (5, 3, 1)), True)
+        report = verify_csla_gr(block, 100, HEAVY_SGD, seed=29, hw=12)
+        assert report.max_output_divergence <= 1e-8
+        assert report.max_kernel_divergence <= 1e-10
+        for ablation in ("skip_reinit", "skip_gradmult"):
+            report = verify_csla_gr(block, 11, PLAIN_SGD, seed=19, hw=12,
+                                    ablation=ablation)
+            assert report.divergence_at(10) > 1e-3, ablation
 
     @pytest.mark.parametrize("ablation", ["skip_reinit", "skip_gradmult"])
     def test_either_ablation_breaks_equivalence(self, ablation):
@@ -92,7 +118,7 @@ class TestCounterpartTheorem:
             verify_csla_gr(block_c8(), 5, PLAIN_SGD, seed=0, ablation="skip_both")
 
     def test_report_io(self, tmp_path):
-        report = verify_scalar_two_branch(1.0, 0.5, 5, PLAIN_SGD, seed=1)
+        report = verify_csla_gr(scalar_spec(1.0, 0.5), 5, PLAIN_SGD, seed=1, hw=8)
         csv = tmp_path / "eq.csv"
         js = tmp_path / "eq.json"
         report.write_csv(str(csv))
@@ -102,10 +128,13 @@ class TestCounterpartTheorem:
         assert len(lines) == 6
 
     def test_block_spec_invariant_enforced(self):
+        ones = ((3, tuple(np.ones(8))), (1, tuple(np.ones(8))))
         with pytest.raises(ConfigError):
-            CslaBlockSpec(4, 8, 1, tuple(np.ones(8)), tuple(np.ones(8)), True)
+            CslaBlockSpec(4, 8, 1, ones, True)
         with pytest.raises(ConfigError):
-            CslaBlockSpec(8, 8, 1, tuple(np.ones(8)), tuple(np.ones(8)), False)
+            CslaBlockSpec(8, 8, 2, ones, True)
+        with pytest.raises(ShapeError):
+            CslaBlockSpec(8, 8, 1, ((2, tuple(np.ones(8))),), False)
 
 
 class TestWholeNetworkCounterpart:
@@ -198,14 +227,14 @@ class TestBnFusion:
 
     def test_pad_1x1_embeds_center(self):
         k = np.arange(6.0).reshape(3, 2, 1, 1)
-        p = pad_1x1_to_3x3(k)
+        p = embed_kernel(k, 3)
         assert p.shape == (3, 2, 3, 3)
         np.testing.assert_array_equal(p[:, :, 1, 1], k[:, :, 0, 0])
         assert p.sum() == k.sum()
 
     def test_dirac_kernel_is_identity_conv(self):
         x = np.random.default_rng(2).normal(size=(1, 3, 5, 5))
-        out = ops.conv2d(Tensor(x), Tensor(dirac_kernel_3x3(3)), 1, 1).data
+        out = ops.conv2d(Tensor(x), Tensor(dirac_kernel(3, 3)), 1, 1).data
         np.testing.assert_allclose(out, x, atol=1e-15)
 
 
@@ -330,7 +359,7 @@ class TestVarianceRatio:
             return build_hypersearch(spec, seed=seed)
 
         def ones_factory(seed):
-            return build_hypersearch_all_ones(spec, seed=seed)
+            return build_hypersearch(spec, seed=seed, init="all_ones")
 
         ids, _, mean_sqrt = identity_variance_ratio(sqrt_factory, data, 3)
         _, _, mean_ones = identity_variance_ratio(ones_factory, data, 3)

@@ -8,7 +8,6 @@ from gradrep.layers import BatchNorm2d, Conv2d
 from gradrep.models import (
     PRESETS,
     CslaBlock,
-    GhostStyleBlock,
     BlockInfo,
     ModelSpec,
     PlainBlock,
@@ -157,6 +156,14 @@ class TestBuilders:
             if block.info.has_identity:
                 np.testing.assert_allclose(block.gamma.values, 1.0)
 
+    def test_hs_all_ones_init(self):
+        model = build_hypersearch(SMALL, seed=0, init="all_ones")
+        for block in model.blocks:
+            np.testing.assert_array_equal(block.scale3.values, 1.0)
+            np.testing.assert_array_equal(block.scale1.values, 1.0)
+        with pytest.raises(ConfigError):
+            build_hypersearch(SMALL, seed=0, init="ones")
+
     def test_hs_equals_csla_with_same_constants_at_init(self):
         x = np.random.default_rng(1).normal(size=(2, 3, 16, 16))
         hs = build_hypersearch(SMALL, seed=5)
@@ -187,7 +194,8 @@ class TestBuilders:
         rng_seed = 9
         from gradrep.rng import Rng
 
-        block = CslaBlock(info, np.ones(4), np.zeros(4), False, rng=Rng(rng_seed))
+        block = CslaBlock(info, ((3, np.ones(4)), (1, np.zeros(4))), False,
+                          rng=Rng(rng_seed))
         block.conv1.weight.data[:] = 0.0
         plain = PlainBlock(info, weight=block.conv3.weight.data.copy())
         x = np.random.default_rng(4).normal(size=(2, 3, 8, 8))
@@ -218,7 +226,8 @@ class TestBuilders:
     def test_ghost_block_without_identity_is_plain_1x1(self):
         from gradrep.rng import Rng
 
-        block = GhostStyleBlock(4, np.ones(4), False, rng=Rng(3), with_identity=False)
+        block = CslaBlock(BlockInfo(0, "b", 4, 4, 1, False, 1), ((1, np.ones(4)),),
+                          False, rng=Rng(3))
         x = np.random.default_rng(6).normal(size=(2, 4, 6, 6))
         got = block.forward(Tensor(x), training=False).data
         conv = ops.conv2d(Tensor(x), Tensor(block.conv1.weight.data))
@@ -239,7 +248,7 @@ class TestBuilders:
     def test_zero_residual_branch_is_identity(self):
         from gradrep.rng import Rng
 
-        block = ResidualBlock(4, rng=Rng(1))
+        block = ResidualBlock(BlockInfo(0, "b", 4, 4, 1, True, 1), rng=Rng(1))
         block.conv_b.weight.data[:] = 0.0
         x = np.abs(np.random.default_rng(8).normal(size=(2, 4, 6, 6)))
         out = block.forward(Tensor(x), training=False).data

@@ -102,9 +102,9 @@ class TestPositionStats:
 
 
 def identity_inference_model(c=3, layers=2):
-    from gradrep.equivlab import dirac_kernel_3x3
+    from gradrep.optim import dirac_kernel
 
-    convs = [FusedConv(dirac_kernel_3x3(c), np.zeros(c), 1, 1) for _ in range(layers)]
+    convs = [FusedConv(dirac_kernel(c, 3), np.zeros(c), 1, 1) for _ in range(layers)]
     return InferenceModel(convs, np.eye(c), np.zeros(c))
 
 
