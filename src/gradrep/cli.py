@@ -123,43 +123,47 @@ def cmd_hyper_search(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _build_train_model(args, cfg, spec, scales):
-    """Model + optimizer for one training arm, honoring the rule flags."""
-    model_rng = Rng.spawn(cfg["seed"], 2)[0]
-    arch = getattr(args, "arch", "target")
+#: (scales source, reinit rule, gradmult rule) per row of --ablation-matrix
+ABLATION_MATRIX = (
+    ("searched", True, True),
+    ("searched", False, True),
+    ("searched", True, False),
+    ("all-ones", True, True),
+    ("hs-init", True, True),
+    ("channel-mean", True, True),
+)
+
+
+def _train_arm(cfg, spec, arch, scales, reinit, gradmult, train, test):
+    """Build and train one arm: the three-branch baseline (arch "repvgg") or
+    the plain model, with the multiplier rules turned on by ``scales``.
+    Returns the model, its optimizer, the data stream and the result."""
+    model_rng, data_rng = Rng.spawn(cfg["seed"], 2)
     if arch == "repvgg":
-        if scales is not None:
-            raise UsageError("--arch repvgg trains the three-branch baseline; "
-                             "scales/multipliers do not apply")
         model = build_repvgg(spec, rng=model_rng)
-    elif scales is not None and not args.no_reinit:
+    elif scales is not None and reinit:
         model = build_target_equivalent_init(spec, scales, rng=model_rng)
     else:
         model = build_target(spec, rng=model_rng)
-    mults = {}
-    managed = ()
-    if arch != "repvgg" and scales is not None and not args.no_gradmult:
-        mults = build_multipliers(model, scales)
-        managed = tuple(model.gr_managed_params())
+    mults = build_multipliers(model, scales) if scales is not None and gradmult else {}
     ocfg = cfg.optimizer_config()
     opt = MultiplierSgd(dict(model.named_parameters()), momentum=ocfg.momentum,
                         weight_decay=ocfg.weight_decay, multipliers=mults,
-                        managed=managed)
-    return model, opt, mults
-
-
-def _run_one_training(args, cfg, spec, scales, train, test):
-    model, opt, mults = _build_train_model(args, cfg, spec, scales)
-    data_rng = Rng.spawn(cfg["seed"], 2)[1]
-    result = train_model(model, opt, train, test, cfg.optimizer_config(), data_rng,
+                        managed=tuple(model.gr_managed_params()) if mults else ())
+    result = train_model(model, opt, train, test, ocfg, data_rng,
                          epochs=cfg.epochs_to_run(), augment=cfg["data.augment"])
-    return model, opt, mults, data_rng, result
+    return model, opt, data_rng, result
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    if args.optimizer == "repopt" and not args.scales:
-        raise UsageError("--optimizer repopt requires --scales <file>")
-    if args.arch == "repvgg" and (args.optimizer == "repopt" or args.scales):
+    rule_flags = {"--no-reinit": args.no_reinit, "--no-gradmult": args.no_gradmult,
+                  "--ablation-matrix": args.ablation_matrix,
+                  "--scales-mode": args.scales_mode != "searched"}
+    given = [flag for flag, on in rule_flags.items() if on]
+    if given and not args.scales:
+        raise UsageError(f"{', '.join(given)} given without --scales <file>; the "
+                         "multiplier rules apply only with scales")
+    if args.arch == "repvgg" and args.scales:
         raise UsageError("--arch repvgg trains the three-branch baseline with a "
                          "plain optimizer; scales/multipliers do not apply")
     train, test = _load_datasets(cfg)
@@ -167,23 +171,11 @@ def cmd_train(args, cfg: RunConfig) -> int:
     base_scales = import_scales(args.scales) if args.scales else None
 
     if args.ablation_matrix:
-        if base_scales is None:
-            raise UsageError("--ablation-matrix requires --scales <file>")
         rows = []
-        matrix = [
-            ("repopt", "searched", True, True),
-            ("repopt", "searched", False, True),
-            ("repopt", "searched", True, False),
-            ("repopt", "all-ones", True, True),
-            ("repopt", "hs-init", True, True),
-            ("repopt", "channel-mean", True, True),
-        ]
-        for optimizer, source, reinit, gradmult in matrix:
-            sub = argparse.Namespace(optimizer=optimizer, no_reinit=not reinit,
-                                     no_gradmult=not gradmult, scales=args.scales)
-            scales = _scales_for_mode(base_scales, source)
-            _, _, _, _, result = _run_one_training(sub, cfg, spec, scales, train, test)
-            rows.append((optimizer, source, int(reinit), int(gradmult),
+        for source, reinit, gradmult in ABLATION_MATRIX:
+            result = _train_arm(cfg, spec, args.arch, _scales_for_mode(base_scales, source),
+                                reinit, gradmult, train, test)[-1]
+            rows.append(("repopt", source, int(reinit), int(gradmult),
                          result.final_test_acc, result.train_loss[-1]))
         write_csv(os.path.join(args.out, "ablation_matrix.csv"),
                   ["optimizer", "source", "reinit", "gradmult", "final_test_acc",
@@ -193,17 +185,18 @@ def cmd_train(args, cfg: RunConfig) -> int:
         return 0
 
     scales = None
-    if args.optimizer == "repopt" and base_scales is not None:
+    if base_scales is not None:
         scales = _scales_for_mode(base_scales, args.scales_mode)
-    model, opt, mults, data_rng, result = _run_one_training(
-        args, cfg, spec, scales, train, test)
+    model, opt, data_rng, result = _train_arm(
+        cfg, spec, args.arch, scales, not args.no_reinit, not args.no_gradmult,
+        train, test)
     write_csv(os.path.join(args.out, "metrics.csv"),
               ["epoch", "train_loss", "test_acc"], _metrics_rows(result))
     write_json(os.path.join(args.out, "summary.json"), {
-        "optimizer": args.optimizer,
+        "optimizer": "repopt" if scales is not None else "sgd",
         "scales_mode": args.scales_mode if scales is not None else None,
         "rule_of_initialization": scales is not None and not args.no_reinit,
-        "rule_of_iteration": bool(mults),
+        "rule_of_iteration": bool(opt.multipliers),
         "final_test_acc": result.final_test_acc,
         "final_train_loss": result.train_loss[-1],
         "params_train": count_params_train(spec, args.arch),
@@ -212,7 +205,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     save_checkpoint(os.path.join(args.out, "checkpoint.ckpt"),
                     snapshot_model(model, opt, data_rng, epoch=result.epochs_run,
                                    step=result.global_step,
-                                   multipliers=mults if args.dump_mults else None))
+                                   multipliers=opt.multipliers if args.dump_mults else None))
     return 0
 
 
@@ -394,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "three-branch baseline)")
     _add_common(p)
     p.add_argument("--arch", choices=["target", "repvgg"], default="target")
-    p.add_argument("--optimizer", choices=["sgd", "repopt"], default="sgd")
     p.add_argument("--scales", help="scales JSON from hyper-search (enables the "
                                     "multiplier rules)")
     p.add_argument("--scales-mode", default="searched",

@@ -21,14 +21,7 @@ from .autodiff import Parameter, Tensor
 from .errors import ConfigError
 from .layers import BatchNorm2d
 from .models import CslaBlockSpec, Model
-from .optim import (
-    MultiplierSgd,
-    OptimizerConfig,
-    dirac_kernel,
-    embed_kernel,
-    equivalent_kernel,
-    grad_mult,
-)
+from .optim import MultiplierSgd, OptimizerConfig, equivalent_kernel, grad_mult
 from .reports import write_csv, write_json
 from .rng import Rng, msra_init
 
@@ -176,24 +169,6 @@ def verify_csla_gr(block: CslaBlockSpec, steps, cfg: OptimizerConfig, seed, *,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BNState:
-    gamma: np.ndarray
-    beta: np.ndarray
-    mean: np.ndarray
-    var: np.ndarray
-    eps: float = 1e-5
-
-
-def _bn_state(bn) -> BNState:
-    if isinstance(bn, BNState):
-        return bn
-    if isinstance(bn, BatchNorm2d):
-        return BNState(bn.gamma.data, bn.beta.data, bn.running_mean,
-                       bn.running_var, bn.eps)
-    raise ConfigError(f"cannot read BN state from {type(bn).__name__}")
-
-
-@dataclass
 class FusedConv:
     kernel: np.ndarray
     bias: np.ndarray
@@ -206,34 +181,37 @@ class FusedConv:
         return out.data
 
 
-def fuse_bn(kernel: np.ndarray, bias, bn) -> FusedConv:
-    """Fold an eval-mode BN into the preceding conv:
-    kernel' = gamma/sqrt(var+eps) * kernel (per output channel),
-    bias' = beta + (bias - mean) * gamma/sqrt(var+eps)."""
-    st = _bn_state(bn)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    c_out = kernel.shape[0]
-    bias = np.zeros(c_out) if bias is None else np.asarray(bias, dtype=np.float64)
-    scale = st.gamma / np.sqrt(st.var + st.eps)
-    fused_kernel = kernel * scale[:, None, None, None]
-    fused_bias = st.beta + (bias - st.mean) * scale
-    return FusedConv(fused_kernel, fused_bias)
+def _bn_fold(bn: BatchNorm2d) -> tuple:
+    """(scale, shift) of an eval-mode BN read as a per-channel affine map:
+    scale = gamma / sqrt(var + eps), shift = beta - mean * scale."""
+    scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+    return scale, bn.beta.data - bn.running_mean * scale
+
+
+def fuse_bn(kernel: np.ndarray, bn: BatchNorm2d, stride: int = 1) -> FusedConv:
+    """Fold an eval-mode BN into the preceding bias-free conv (padding 1):
+    kernel' = scale * kernel per output channel, bias' = shift."""
+    scale, shift = _bn_fold(bn)
+    return FusedConv(np.asarray(kernel, dtype=np.float64) * scale[:, None, None, None],
+                     shift, stride)
 
 
 def convert_repvgg_block(block) -> FusedConv:
-    """Merge a three-branch block into one biased 3x3 conv: fuse per-branch
-    BNs, embed the 1x1 kernel at the centers, express the identity branch as a
-    BN-fused diagonal-center kernel, then sum kernels and biases."""
+    """Merge a three-branch block into one biased 3x3 conv. Each branch's BN
+    scale is its branch scale in the branch algebra, so the kernel is the
+    equivalent kernel of the (3x3, 1x1) branches with the identity BN scale as
+    gamma; the bias sums the BN shifts in the order 3x3, 1x1, identity."""
     info = block.info
-    f3 = fuse_bn(block.conv3.weight.data, None, block.bn3)
-    f1 = fuse_bn(block.conv1.weight.data, None, block.bn1)
-    kernel = f3.kernel + embed_kernel(f1.kernel, 3)
-    bias = f3.bias + f1.bias
+    a3, shift3 = _bn_fold(block.bn3)
+    a1, shift1 = _bn_fold(block.bn1)
+    bias = shift3 + shift1
+    a_id = None
     if info.has_identity:
-        fid = fuse_bn(dirac_kernel(info.c_out, 3), None, block.bnid)
-        kernel = kernel + fid.kernel
-        bias = bias + fid.bias
-    return FusedConv(kernel, bias, stride=info.stride, padding=1)
+        a_id, shift_id = _bn_fold(block.bnid)
+        bias = bias + shift_id
+    kernel = equivalent_kernel(((3, a3), (1, a1)),
+                               (block.conv3.weight.data, block.conv1.weight.data), a_id)
+    return FusedConv(kernel, bias, info.stride)
 
 
 class InferenceModel:
@@ -247,18 +225,16 @@ class InferenceModel:
         self.spec = spec
 
     def features(self, x: np.ndarray):
-        """Per-layer post-ReLU activations (calibration taps)."""
-        acts = []
+        """Yield each post-ReLU activation in turn (the calibration taps)."""
         h = np.asarray(x, dtype=np.float64)
         for conv in self.convs:
             h = np.maximum(conv.forward(h), 0.0)
-            acts.append(h)
-        return acts
+            yield h
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = np.asarray(x, dtype=np.float64)
-        for conv in self.convs:
-            h = np.maximum(conv.forward(h), 0.0)
+        for h in self.features(h):  # one activation alive at a time
+            pass
         pooled = h.mean(axis=(2, 3))
         return pooled @ self.fc_weight.T + self.fc_bias
 
@@ -266,16 +242,12 @@ class InferenceModel:
 def convert_model(model: Model) -> InferenceModel:
     """Fuse a trained model into its deploy form. Plain blocks fold conv+BN;
     three-branch blocks are merged; the stem folds like a plain block."""
-    stem = fuse_bn(model.stem_conv.weight.data, None, model.stem_bn)
-    stem.stride, stem.padding = 2, 1
-    convs = [stem]
+    convs = [fuse_bn(model.stem_conv.weight.data, model.stem_bn, model.stem_conv.stride)]
     for block in model.blocks:
         if hasattr(block, "bn3"):
             convs.append(convert_repvgg_block(block))
         elif hasattr(block, "conv") and hasattr(block, "bn"):
-            fused = fuse_bn(block.conv.weight.data, None, block.bn)
-            fused.stride, fused.padding = block.info.stride, 1
-            convs.append(fused)
+            convs.append(fuse_bn(block.conv.weight.data, block.bn, block.info.stride))
         else:
             raise ConfigError(
                 f"cannot convert block of type {type(block).__name__}"

@@ -2,7 +2,7 @@
 
 A module owns named parameters (trainable) and named buffers (state carried
 across steps, e.g. BN running statistics). Parameter names are hierarchical
-("stage1.block0.conv3.weight") and are the keys used by checkpoints and by the
+("blocks.0.conv3.weight") and are the keys used by checkpoints and by the
 gradient-multiplier optimizer.
 """
 
@@ -90,9 +90,9 @@ class Module:
 
 
 class Conv2d(Module):
-    """Convolution layer; paper-style models use k in {1, 3} and no bias."""
+    """Bias-free convolution layer; deploy-form biases come from folding BN."""
 
-    def __init__(self, c_in, c_out, k, stride=1, padding=0, bias=False,
+    def __init__(self, c_in, c_out, k, stride=1, padding=0,
                  rng: Rng | None = None, weight: np.ndarray | None = None):
         self.c_in, self.c_out, self.k = c_in, c_out, k
         self.stride, self.padding = stride, padding
@@ -107,11 +107,9 @@ class Conv2d(Module):
         else:
             w = np.zeros((c_out, c_in, k, k))
         self.weight = Parameter(w, name="weight")
-        self.bias = Parameter(np.zeros(c_out), name="bias") if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.conv2d(x, self.weight, stride=self.stride, padding=self.padding,
-                          bias=self.bias)
+        return ops.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
 
 
 class BatchNorm2d(Module):

@@ -168,38 +168,6 @@ def equivalent_init(w_s: np.ndarray, w_t: np.ndarray, s, t,
 # update rules
 # ---------------------------------------------------------------------------
 
-def gr_step(params: dict, grads: dict, grad_mults: dict, velocities: dict, *,
-            lr: float, momentum: float = 0.0, weight_decay: float = 0.0,
-            managed=()) -> None:
-    """One SGD step with per-parameter gradient multipliers, in place.
-
-    Order per parameter: g = mult * grad, then g += weight_decay * theta, then
-    v = momentum * v + g, then theta -= lr * v. Parameters without an entry in
-    ``grad_mults`` use multiplier 1; every name in ``managed`` must have one.
-    """
-    for name in managed:
-        if name not in grad_mults:
-            raise UsageError(f"managed parameter {name!r} has no gradient multiplier")
-    for name, theta in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        mult = grad_mults.get(name)
-        g = g * mult if mult is not None else np.array(g, copy=True)
-        if weight_decay:
-            g += weight_decay * theta
-        v = velocities.get(name)
-        if v is None:
-            v = np.zeros_like(theta)
-            velocities[name] = v
-        if momentum:
-            v *= momentum
-            v += g
-        else:
-            v[...] = g
-        theta -= lr * v
-
-
 class MultiplierSgd:
     """SGD with momentum, L2 decay and optional per-parameter multipliers.
 
@@ -213,8 +181,7 @@ class MultiplierSgd:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.multipliers = dict(multipliers or {})
-        self.managed = tuple(managed)
-        for name in self.managed:
+        for name in managed:
             if name not in self.params:
                 raise UsageError(f"managed name {name!r} is not a model parameter")
             if name not in self.multipliers:
@@ -231,11 +198,28 @@ class MultiplierSgd:
         self.velocities: dict[str, np.ndarray] = {}
 
     def step(self, lr: float) -> None:
-        datas = {n: p.data for n, p in self.params.items()}
-        grads = {n: p.grad for n, p in self.params.items() if p.grad is not None}
-        gr_step(datas, grads, self.multipliers, self.velocities, lr=lr,
-                momentum=self.momentum, weight_decay=self.weight_decay,
-                managed=self.managed)
+        """One SGD step over the parameters that have a gradient, in place.
+
+        Order per parameter: g = mult * grad, then g += weight_decay * theta,
+        then v = momentum * v + g, then theta -= lr * v. Parameters without a
+        multiplier use multiplier 1.
+        """
+        for name, p in self.params.items():
+            if p.grad is None:
+                continue
+            mult = self.multipliers.get(name)
+            g = p.grad * mult if mult is not None else np.array(p.grad, copy=True)
+            if self.weight_decay:
+                g += self.weight_decay * p.data
+            v = self.velocities.get(name)
+            if v is None:
+                v = self.velocities[name] = np.zeros_like(p.data)
+            if self.momentum:
+                v *= self.momentum
+                v += g
+            else:
+                v[...] = g
+            p.data -= lr * v
 
     def state_arrays(self) -> dict:
         return {f"velocity.{n}": v for n, v in sorted(self.velocities.items())}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equivlab import InferenceModel
+from .equivlab import FusedConv, InferenceModel
 from .errors import ConfigError, ShapeError
 
 SCALE_FLOOR = 1e-12
@@ -22,8 +22,6 @@ SCALE_FLOOR = 1e-12
 @dataclass(frozen=True)
 class QuantParams:
     scale: float
-    zero_point: int = 0
-    bits: int = 8
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -68,36 +66,20 @@ def kernel_position_stats(kernel: np.ndarray) -> KernelStats:
                        float(surrounding.std()))
 
 
-class QuantizedModel:
-    """Deploy model with int8 weights and per-layer activation fake-quant."""
+class QuantizedModel(InferenceModel):
+    """The weight-quantized deploy model with its input and every activation
+    fake-quantized at their calibrated scales."""
 
-    def __init__(self, model: InferenceModel, act_scales: list, input_scale: float,
-                 weight_params: list, fc_weight_params: QuantParams):
-        self.base = model
+    def __init__(self, weights: InferenceModel, act_scales: list, input_scale: float):
+        super().__init__(weights.convs, weights.fc_weight, weights.fc_bias, weights.spec)
         self.input_scale = input_scale
         self.act_scales = act_scales  # one per conv output (= next layer's input)
-        self.conv_weights = []  # (dequantized kernel, bias, stride, padding)
-        self.weight_params = weight_params
-        for conv, params in zip(model.convs, weight_params):
-            q, _ = quantize_int8(conv.kernel)
-            self.conv_weights.append(
-                (dequantize(q, params), conv.bias, conv.stride, conv.padding)
-            )
-        q_fc, _ = quantize_int8(model.fc_weight)
-        self.fc_weight = dequantize(q_fc, fc_weight_params)
-        self.fc_weight_params = fc_weight_params
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        from .equivlab import FusedConv
-
+    def features(self, x: np.ndarray):
         h = fake_quantize(np.asarray(x, dtype=np.float64), self.input_scale)
-        for (kernel, bias, stride, padding), scale in zip(self.conv_weights,
-                                                          self.act_scales):
-            h = FusedConv(kernel, bias, stride, padding).forward(h)
-            h = np.maximum(h, 0.0)
-            h = fake_quantize(h, scale)
-        pooled = h.mean(axis=(2, 3))
-        return pooled @ self.fc_weight.T + self.base.fc_bias
+        for conv, scale in zip(self.convs, self.act_scales):
+            h = fake_quantize(np.maximum(conv.forward(h), 0.0), scale)
+            yield h
 
 
 def ptq_model(model: InferenceModel, calibration: np.ndarray,
@@ -117,24 +99,16 @@ def ptq_model(model: InferenceModel, calibration: np.ndarray,
         input_amax = max(input_amax, float(np.abs(batch).max()))
         for i, act in enumerate(model.features(batch)):
             act_amax[i] = max(act_amax[i], float(np.abs(act).max()))
-    input_scale = max(input_amax / 127.0, SCALE_FLOOR)
-    act_scales = [max(a / 127.0, SCALE_FLOOR) for a in act_amax]
-    weight_params = [quantize_int8(conv.kernel)[1] for conv in model.convs]
-    fc_params = quantize_int8(model.fc_weight)[1]
-    return QuantizedModel(model, act_scales, input_scale, weight_params, fc_params)
+    return QuantizedModel(quantize_weights_only(model),
+                          [max(a / 127.0, SCALE_FLOOR) for a in act_amax],
+                          max(input_amax / 127.0, SCALE_FLOOR))
 
 
 def quantize_weights_only(model: InferenceModel) -> InferenceModel:
     """Round-trip every weight tensor through int8; activations stay float."""
-    from .equivlab import FusedConv
-
-    convs = []
-    for conv in model.convs:
-        q, params = quantize_int8(conv.kernel)
-        convs.append(FusedConv(dequantize(q, params), conv.bias.copy(),
-                               conv.stride, conv.padding))
-    q_fc, fc_params = quantize_int8(model.fc_weight)
-    return InferenceModel(convs, dequantize(q_fc, fc_params),
+    convs = [FusedConv(dequantize(*quantize_int8(conv.kernel)), conv.bias.copy(),
+                       conv.stride, conv.padding) for conv in model.convs]
+    return InferenceModel(convs, dequantize(*quantize_int8(model.fc_weight)),
                           model.fc_bias.copy(), spec=model.spec)
 
 

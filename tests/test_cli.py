@@ -136,8 +136,11 @@ class TestHyperSearchCli:
 
 class TestTrainCli:
     def test_repopt_without_scales_is_usage_error(self, tmp_path):
-        assert run_cli("train", "--optimizer", "repopt",
-                       "--out", str(tmp_path / "x")) == 2
+        # the multiplier-rule flags are on only with --scales; without it
+        # each one is refused instead of being dropped
+        for flags in (["--no-reinit"], ["--no-gradmult"], ["--ablation-matrix"],
+                      ["--scales-mode", "all-ones"]):
+            assert run_cli("train", *flags, "--out", str(tmp_path / "x")) == 2, flags
 
     def test_sgd_run_writes_reports(self, tmp_path):
         out = str(tmp_path / "sgd")
@@ -150,7 +153,7 @@ class TestTrainCli:
 
     def test_repopt_run_and_determinism(self, tmp_path, scales_file):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        argv = ["train", *TINY, "--optimizer", "repopt", "--scales", scales_file,
+        argv = ["train", *TINY, "--scales", scales_file,
                 "--dump-mults", "--seed", "4"]
         assert run_cli(*argv, "--out", a) == 0
         assert run_cli(*argv, "--out", b) == 0
@@ -161,14 +164,23 @@ class TestTrainCli:
 
     def test_scales_mode_flag(self, tmp_path, scales_file):
         out = str(tmp_path / "m")
-        assert run_cli("train", *TINY, "--optimizer", "repopt", "--scales",
+        assert run_cli("train", *TINY, "--scales",
                        scales_file, "--scales-mode", "all-ones", "--out", out) == 0
         assert read_json(os.path.join(out, "summary.json"))["scales_mode"] == "all-ones"
 
+    def test_scales_turn_on_the_rules(self, tmp_path, scales_file):
+        out = str(tmp_path / "noiter")
+        assert run_cli("train", *TINY, "--scales", scales_file, "--scales-mode",
+                       "all-ones", "--no-gradmult", "--out", out) == 0
+        summary = read_json(os.path.join(out, "summary.json"))
+        assert summary["optimizer"] == "repopt"
+        assert summary["rule_of_initialization"] is True
+        assert summary["rule_of_iteration"] is False
+
     def test_ablation_matrix_six_rows(self, tmp_path, scales_file):
         out = str(tmp_path / "matrix")
-        assert run_cli("train", *TINY, "--set", "opt.epochs=1", "--optimizer",
-                       "repopt", "--scales", scales_file, "--ablation-matrix",
+        assert run_cli("train", *TINY, "--set", "opt.epochs=1",
+                       "--scales", scales_file, "--ablation-matrix",
                        "--out", out) == 0
         lines = open(os.path.join(out, "ablation_matrix.csv")).read().splitlines()
         assert len(lines) == 7  # header + six rows
@@ -177,7 +189,7 @@ class TestTrainCli:
     def test_repvgg_arch_trains(self, tmp_path):
         out = str(tmp_path / "rv")
         assert run_cli("train", *TINY, "--arch", "repvgg", "--out", out) == 0
-        assert run_cli("train", *TINY, "--arch", "repvgg", "--optimizer", "repopt",
+        assert run_cli("train", *TINY, "--arch", "repvgg",
                        "--scales", "whatever.json",
                        "--out", str(tmp_path / "rv2")) == 2
 

@@ -5,7 +5,6 @@ from gradrep import ops
 from gradrep.autodiff import Tensor
 from gradrep.data import gen_synthetic
 from gradrep.equivlab import (
-    BNState,
     convert_model,
     convert_repvgg_block,
     fuse_bn,
@@ -193,19 +192,27 @@ class TestWholeNetworkCounterpart:
             assert self.kernel_gap(ablated, csla, scales) > 1e-4, ablation
 
 
+def eval_bn(gamma, beta, mean, var, eps=1e-5):
+    """A BatchNorm2d holding the given affine parameters and running stats."""
+    bn = BatchNorm2d(len(gamma), eps=eps)
+    bn.gamma.data, bn.beta.data = np.asarray(gamma), np.asarray(beta)
+    bn.running_mean, bn.running_var = np.asarray(mean), np.asarray(var)
+    return bn
+
+
 class TestBnFusion:
     def test_identity_bn_keeps_kernel(self):
         kernel = np.random.default_rng(0).normal(size=(4, 4, 3, 3))
         eps = 1e-5
-        bn = BNState(np.ones(4), np.zeros(4), np.zeros(4), np.full(4, 1.0 - eps), eps)
-        fused = fuse_bn(kernel, None, bn)
+        bn = eval_bn(np.ones(4), np.zeros(4), np.zeros(4), np.full(4, 1.0 - eps), eps)
+        fused = fuse_bn(kernel, bn)
         np.testing.assert_allclose(fused.kernel, kernel, atol=1e-15)
         np.testing.assert_allclose(fused.bias, 0.0, atol=1e-15)
 
     def test_zero_gamma_zeroes_kernel(self):
         kernel = np.ones((3, 2, 3, 3))
-        bn = BNState(np.zeros(3), np.array([1.0, 2.0, 3.0]), np.zeros(3), np.ones(3))
-        fused = fuse_bn(kernel, None, bn)
+        bn = eval_bn(np.zeros(3), np.array([1.0, 2.0, 3.0]), np.zeros(3), np.ones(3))
+        fused = fuse_bn(kernel, bn)
         assert np.all(fused.kernel == 0.0)
         np.testing.assert_array_equal(fused.bias, [1.0, 2.0, 3.0])
 
@@ -221,8 +228,7 @@ class TestBnFusion:
         direct = bn.forward(
             ops.conv2d(Tensor(x), Tensor(kernel), 1, 1), training=False
         ).data
-        fused = fuse_bn(kernel, None, bn)
-        fused.stride, fused.padding = 1, 1
+        fused = fuse_bn(kernel, bn)
         np.testing.assert_allclose(fused.forward(x), direct, atol=1e-12, rtol=0)
 
     def test_pad_1x1_embeds_center(self):
@@ -268,9 +274,28 @@ class TestBlockConversion:
         block.bnid.beta.data[:] = 0.0
         block.bnid.running_mean[:] = 0.0
         merged = convert_repvgg_block(block)
-        only3 = fuse_bn(block.conv3.weight.data, None, block.bn3)
+        only3 = fuse_bn(block.conv3.weight.data, block.bn3)
         np.testing.assert_allclose(merged.kernel, only3.kernel, atol=1e-14)
         np.testing.assert_allclose(merged.bias, only3.bias, atol=1e-14)
+
+    @pytest.mark.parametrize("info", [BlockInfo(0, "b", 6, 6, 1, True, 1),
+                                      BlockInfo(0, "b", 4, 8, 2, False, 1)])
+    def test_merge_equals_per_branch_fusion(self, info):
+        # oracle: fuse each branch's BN on its own, embed the 1x1 kernel, give
+        # the identity a BN-fused dirac kernel, then sum 3x3, 1x1, identity
+        block = _trained_repvgg_block(info, seed=13)
+        merged = convert_repvgg_block(block)
+        f3 = fuse_bn(block.conv3.weight.data, block.bn3)
+        f1 = fuse_bn(block.conv1.weight.data, block.bn1)
+        kernel = f3.kernel + embed_kernel(f1.kernel, 3)
+        bias = f3.bias + f1.bias
+        if info.has_identity:
+            fid = fuse_bn(dirac_kernel(info.c_out, 3), block.bnid)
+            kernel = kernel + fid.kernel
+            bias = bias + fid.bias
+        np.testing.assert_array_equal(merged.kernel, kernel)
+        np.testing.assert_array_equal(merged.bias, bias)
+        assert merged.stride == info.stride
 
     def test_eval_equivalence_over_100_inputs(self):
         info = BlockInfo(0, "b", 6, 6, 1, True, 1)

@@ -10,7 +10,6 @@ from gradrep.optim import (
     equivalent_init,
     equivalent_kernel,
     grad_mult,
-    gr_step,
     lr_schedule,
 )
 
@@ -190,36 +189,32 @@ class TestMultiplierChainRuleOracle:
         np.testing.assert_allclose(combined, masked, atol=1e-10, rtol=0)
 
 
-class TestGrStep:
+def sgd_param(values, grad):
+    p = Parameter(np.array(values), name="w")
+    p.grad = np.array(grad)
+    return p
+
+
+class TestMultiplierSgdStep:
     def test_all_ones_plain_sgd(self):
-        theta = np.array([1.0, 2.0])
-        params = {"w": theta}
-        grads = {"w": np.array([0.5, -1.0])}
-        gr_step(params, grads, {"w": np.ones(2)}, {}, lr=0.1, momentum=0.0,
-                weight_decay=0.0)
-        np.testing.assert_allclose(theta, [1.0 - 0.05, 2.0 + 0.1])
+        p = sgd_param([1.0, 2.0], [0.5, -1.0])
+        MultiplierSgd({"w": p}, multipliers={"w": np.ones(2)}).step(0.1)
+        np.testing.assert_allclose(p.data, [1.0 - 0.05, 2.0 + 0.1])
 
     def test_multiplier_applied_before_decay(self):
-        theta = np.array([2.0])
-        vel = {}
-        gr_step({"w": theta}, {"w": np.array([1.0])}, {"w": np.array([3.0])}, vel,
-                lr=1.0, momentum=0.0, weight_decay=0.1)
+        p = sgd_param([2.0], [1.0])
+        MultiplierSgd({"w": p}, weight_decay=0.1,
+                      multipliers={"w": np.array([3.0])}).step(1.0)
         # g = 3*1 + 0.1*2 = 3.2, theta = 2 - 3.2
-        np.testing.assert_allclose(theta, [-1.2])
+        np.testing.assert_allclose(p.data, [-1.2])
 
     def test_momentum_accumulates(self):
-        theta = np.array([0.0])
-        vel = {}
+        p = sgd_param([0.0], [1.0])
+        opt = MultiplierSgd({"w": p}, momentum=0.5)
         for _ in range(2):
-            gr_step({"w": theta}, {"w": np.array([1.0])}, {}, vel, lr=1.0,
-                    momentum=0.5, weight_decay=0.0)
+            opt.step(1.0)
         # v1 = 1, theta -> -1; v2 = 0.5 + 1 = 1.5, theta -> -2.5
-        np.testing.assert_allclose(theta, [-2.5])
-
-    def test_managed_without_multiplier_errors(self):
-        with pytest.raises(UsageError):
-            gr_step({"w": np.zeros(1)}, {"w": np.ones(1)}, {}, {}, lr=0.1,
-                    managed=("w",))
+        np.testing.assert_allclose(p.data, [-2.5])
 
     def test_sgd_class_validates_names_and_shapes(self):
         p = Parameter(np.zeros((2, 2)), name="w")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gradrep import ops
+from gradrep.autodiff import Tensor
 from gradrep.data import gen_synthetic
 from gradrep.equivlab import FusedConv, InferenceModel, convert_model
 from gradrep.errors import ConfigError, ShapeError
@@ -10,6 +12,7 @@ from gradrep.quantize import (
     QuantParams,
     SCALE_FLOOR,
     dequantize,
+    fake_quantize,
     kernel_position_stats,
     model_accuracy,
     position_stats_report,
@@ -119,6 +122,27 @@ class TestPtq:
         want = model.forward(x)
         bound = 3.0 * max(quant.act_scales + [quant.input_scale])
         assert np.abs(got - want).max() <= bound
+
+    def test_forward_matches_hand_written_loop(self):
+        # oracle: fake-quant the input; per layer, conv with the dequantized
+        # int8 kernel plus bias, ReLU, fake-quant; then GAP and the
+        # dequantized FC
+        rng = Rng(4)
+        convs = [FusedConv(0.4 * rng.gaussian((6, 3, 3, 3)), 0.1 * rng.gaussian(6), 2, 1),
+                 FusedConv(0.3 * rng.gaussian((6, 6, 3, 3)), 0.1 * rng.gaussian(6), 1, 1),
+                 FusedConv(0.3 * rng.gaussian((8, 6, 3, 3)), 0.1 * rng.gaussian(8), 2, 1)]
+        model = InferenceModel(convs, 0.5 * rng.gaussian((4, 8)), 0.1 * rng.gaussian(4))
+        quant = ptq_model(model, rng.gaussian((20, 3, 12, 12)), batch_size=8)
+        x = rng.gaussian((5, 3, 12, 12))
+        h = fake_quantize(x, quant.input_scale)
+        for conv, scale in zip(convs, quant.act_scales):
+            kernel = dequantize(*quantize_int8(conv.kernel))
+            h = ops.conv2d(Tensor(h), Tensor(kernel), conv.stride, conv.padding,
+                           bias=Tensor(conv.bias)).data
+            h = fake_quantize(np.maximum(h, 0.0), scale)
+        fc = dequantize(*quantize_int8(model.fc_weight))
+        want = h.mean(axis=(2, 3)) @ fc.T + model.fc_bias
+        np.testing.assert_array_equal(quant.forward(x), want)
 
     def test_empty_calibration_rejected(self):
         model = identity_inference_model()
