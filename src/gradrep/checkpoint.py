@@ -26,7 +26,6 @@ from .models import (
     block_infos,
     build_csla,
     build_hypersearch,
-    build_repghost_variant,
     build_repvgg,
     build_target,
 )
@@ -188,8 +187,6 @@ def restore_model(ckpt: Checkpoint) -> Model:
             model = build_hypersearch(spec, seed=0)
     elif ckpt.model_kind == "repvgg":
         model = build_repvgg(spec, seed=0)
-    elif ckpt.model_kind == "repghost":
-        model = build_repghost_variant(spec, seed=0)
     else:
         raise DataFormatError(f"cannot restore model kind {ckpt.model_kind!r}")
     model.load_arrays(ckpt.params, ckpt.buffers)

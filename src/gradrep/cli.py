@@ -27,7 +27,7 @@ from .checkpoint import (
 )
 from .config import RunConfig, load_config
 from .data import gen_synthetic, load_cifar, write_cifar10
-from .equivlab import convert_model, identity_variance_ratio, verify_csla_gr
+from .equivlab import convert_model, identity_variance_ratio, spearman, verify_csla_gr
 from .errors import ConfigError, GradrepError, UsageError
 from .hypersearch import degrade_scales, export_scales, import_scales, run_hyper_search
 from .models import (
@@ -317,8 +317,6 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
                    {"from_kind": from_kind, "layers": len(rows)})
         return 0
     if what == "variance-ratio":
-        from scipy import stats
-
         stage_blocks = [int(v) for v in cfg["analyze.stage_blocks"].split(",")]
         data = Rng(cfg["seed"]).gaussian(
             (cfg["analyze.batch"], 3, cfg["data.resolution"], cfg["data.resolution"]))
@@ -341,8 +339,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
         longest = max(set(b.split("b")[0] for b in ids),
                       key=lambda st: sum(1 for b in ids if b.startswith(st)))
         depth_idx = [i for i, b in enumerate(ids) if b.startswith(longest)]
-        corr = float(stats.spearmanr(np.arange(len(depth_idx)),
-                                     mean[depth_idx]).statistic)
+        corr = spearman(np.arange(len(depth_idx)), mean[depth_idx])
         write_json(os.path.join(args.out, "summary.json"), {
             "arch": arch,
             "seeds": cfg["analyze.seeds"],

@@ -256,47 +256,6 @@ def convert_model(model: Model) -> InferenceModel:
                           model.fc.bias.data.copy(), spec=model.spec)
 
 
-def training_divergence_after_conversion(info_block, steps, lr, seed, *,
-                                         batch=4, hw=8) -> list:
-    """Train the original three-branch block and its converted single conv
-    with plain SGD on one stream; probe eval-mode outputs after each step.
-    Inference equivalence holds at step 0 and is expected to break once
-    training starts (the structures have different dynamics)."""
-    block = info_block
-    fused = convert_repvgg_block(block)
-    w = Parameter(fused.kernel.copy(), name="w")
-    b = Parameter(fused.bias.copy(), name="b")
-    stream = Rng(seed)
-    probe = stream.gaussian((batch, block.info.c_in, hw, hw))
-    branched_params = dict(block.named_parameters())
-    opt_a = MultiplierSgd(branched_params)
-    opt_b = MultiplierSgd({"w": w, "b": b})
-    divergences = []
-
-    def probe_divergence():
-        ya = block.forward(Tensor(probe), training=False)
-        yb = ops.conv2d(Tensor(probe), Tensor(w.data), block.info.stride, 1,
-                        bias=Tensor(b.data))
-        return float(np.abs(ya.data - ops.relu(yb).data).max())
-
-    divergences.append(probe_divergence())
-    for _ in range(steps):
-        x = Tensor(stream.gaussian((batch, block.info.c_in, hw, hw)))
-        ya = block.forward(x, training=True)
-        target = stream.gaussian(ya.data.shape)
-        for p in branched_params.values():
-            p.grad = None
-        ops.mse_loss(ya, target).backward()
-        opt_a.step(lr)
-        yb = ops.relu(ops.conv2d(x, w, block.info.stride, 1, bias=b))
-        w.grad = None
-        b.grad = None
-        ops.mse_loss(yb, target).backward()
-        opt_b.step(lr)
-        divergences.append(probe_divergence())
-    return divergences
-
-
 # ---------------------------------------------------------------------------
 # identity variance ratio
 # ---------------------------------------------------------------------------
@@ -322,3 +281,13 @@ def identity_variance_ratio(model_factory, data: np.ndarray, num_seeds: int,
         ratios = [float(np.var(b.last_identity) / np.var(b.last_sum)) for b in blocks]
         rows.append(ratios)
     return ids, np.array(rows), np.array(rows).mean(axis=0)
+
+
+def spearman(x, y) -> float:
+    """Spearman rank correlation: the Pearson correlation of the average ranks
+    (tied values share the mean of the ranks they span)."""
+    def ranks(v):
+        _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+        return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+    return float(np.corrcoef(ranks(x), ranks(y))[1, 0])

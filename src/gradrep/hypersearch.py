@@ -1,18 +1,26 @@
 """Hyper-search: train the trainable-scales model on a small dataset, harvest
 the converged scale vectors, and persist them for the multiplier optimizer.
 
-The scales file is JSON with every float stored in C hex-float form
-(``float.hex()``), so export/import round-trips are bit-exact. Only the branch
-scales s and t are exported; the trained identity-branch gamma is dropped on
-purpose because the target side fixes the identity scale convention at 1 (the
-bare +1 in both the multiplier and the equivalent-init formulas).
+A block's scales are its branch list: one (k, scales) pair per k x k branch,
+in the block's branch order. The scales file (format 2) is JSON holding one
+record per block::
+
+    {"block_id": "s1b1", "c_out": 8, "has_identity": true, "depth_l": 1,
+     "branches": [{"k": 3, "scales_hex": [...]}, {"k": 1, "scales_hex": [...]}]}
+
+with every float stored in C hex-float form (``float.hex()``), so export/import
+round-trips are bit-exact. Only the branch scales are exported; the trained
+identity-branch gamma is dropped on purpose because the target side fixes the
+identity scale convention at 1 (the bare +1 in both the multiplier and the
+equivalent-kernel formulas). A malformed file raises ``DataFormatError`` and a
+file of another format version ``FormatVersionError``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,73 +32,62 @@ from .rng import Rng
 from .reports import write_csv
 from .train import TrainResult, train_model
 
-SCALES_FORMAT_VERSION = 1
+SCALES_FORMAT_VERSION = 2
 
 DEGRADE_MODES = ("all_ones", "hs_init", "channel_mean")
 
 
 @dataclass
 class ScaleRecord:
+    """One block's scales: ``branches`` holds a (k, scales) pair per k x k
+    branch, in the block's branch order, each scale vector of length c_out."""
+
     block_id: str
     c_out: int
     has_identity: bool
     depth_l: int
-    s: np.ndarray
-    t: np.ndarray
+    branches: tuple
+
+    @property
+    def s(self) -> np.ndarray:
+        """Scales of the first branch."""
+        return self.branches[0][1]
+
+    @property
+    def t(self) -> np.ndarray:
+        """Scales of the second branch."""
+        return self.branches[1][1]
+
+
+def _record_key(r: ScaleRecord) -> tuple:
+    """Everything a record holds, with its scales as raw bytes (bit-exact)."""
+    return (r.block_id, r.c_out, r.has_identity, r.depth_l,
+            tuple((k, np.asarray(s).tobytes()) for k, s in r.branches))
 
 
 @dataclass
 class ScalesFile:
     records: list
     provenance: dict = field(default_factory=dict)
-    format_version: int = SCALES_FORMAT_VERSION
-
-    def record(self, block_id: str) -> ScaleRecord:
-        for r in self.records:
-            if r.block_id == block_id:
-                return r
-        raise ConfigError(f"scales file has no record for block {block_id!r}")
 
     def __eq__(self, other):
         if not isinstance(other, ScalesFile):
             return NotImplemented
-        if self.format_version != other.format_version:
-            return False
-        if self.provenance != other.provenance:
-            return False
-        if len(self.records) != len(other.records):
-            return False
-        for a, b in zip(self.records, other.records):
-            if (a.block_id, a.c_out, a.has_identity, a.depth_l) != \
-               (b.block_id, b.c_out, b.has_identity, b.depth_l):
-                return False
-            if a.s.tobytes() != b.s.tobytes() or a.t.tobytes() != b.t.tobytes():
-                return False
-        return True
-
-
-def _hex_list(arr: np.ndarray) -> list:
-    return [float(v).hex() for v in arr]
-
-
-def _from_hex_list(values, what: str) -> np.ndarray:
-    try:
-        return np.array([float.fromhex(v) for v in values], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"bad hex float in {what}: {exc}") from exc
+        return self.provenance == other.provenance and \
+            [_record_key(r) for r in self.records] == [_record_key(r) for r in other.records]
 
 
 def export_scales(scales: ScalesFile, path: str) -> None:
     doc = {
-        "format_version": scales.format_version,
+        "format_version": SCALES_FORMAT_VERSION,
         "records": [
             {
                 "block_id": r.block_id,
                 "c_out": r.c_out,
                 "has_identity": r.has_identity,
                 "depth_l": r.depth_l,
-                "s_hex": _hex_list(r.s),
-                "t_hex": _hex_list(r.t),
+                "branches": [{"k": int(k), "scales_hex": [float(v).hex() for v in s]}
+                             for k, s in r.branches],
             }
             for r in scales.records
         ],
@@ -102,79 +99,109 @@ def export_scales(scales: ScalesFile, path: str) -> None:
         fh.write("\n")
 
 
+def _positive_int(value, what: str) -> int:
+    """A JSON integer >= 1 (booleans excluded)."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _branch(doc, c_out: int, block_id: str) -> tuple:
+    """(k, scales) of one branch entry of a record."""
+    doc = _object(doc, f"block {block_id}: branch")
+    k, values = _positive_int(doc["k"], f"block {block_id}: k"), doc["scales_hex"]
+    if k % 2 == 0:
+        raise ValueError(f"block {block_id}: branch size k must be odd, got {k}")
+    if not isinstance(values, list) or len(values) != c_out:
+        raise ValueError(f"block {block_id}: the {k}x{k} branch needs a list of "
+                         f"c_out={c_out} scales, got {values!r}")
+    scales = np.array([float.fromhex(v) for v in values], dtype=np.float64)
+    if not np.isfinite(scales).all():
+        raise ValueError(f"block {block_id}: non-finite {k}x{k} branch scales")
+    return k, scales
+
+
+def _record(doc) -> ScaleRecord:
+    doc = _object(doc, "record")
+    block_id, has_identity = doc["block_id"], doc["has_identity"]
+    if not isinstance(block_id, str) or type(has_identity) is not bool:
+        raise ValueError(f"record needs a string block_id and a boolean has_identity, "
+                         f"got {block_id!r}, {has_identity!r}")
+    c_out = _positive_int(doc["c_out"], f"block {block_id}: c_out")
+    depth_l = _positive_int(doc["depth_l"], f"block {block_id}: depth_l")
+    if not isinstance(doc["branches"], list) or not doc["branches"]:
+        raise ValueError(f"block {block_id}: branches must be a non-empty list")
+    branches = tuple(_branch(b, c_out, block_id) for b in doc["branches"])
+    sizes = [k for k, _ in branches]
+    if len(set(sizes)) != len(sizes):
+        raise ValueError(f"block {block_id}: duplicate branch sizes {sizes}")
+    return ScaleRecord(block_id, c_out, has_identity, depth_l, branches)
+
+
 def import_scales(path: str) -> ScalesFile:
+    """Read a format-2 scales file; any malformed content raises
+    :class:`DataFormatError`, another format version :class:`FormatVersionError`."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+        doc = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
+        raise DataFormatError(f"{path}: not valid UTF-8 JSON: {exc!r}") from exc
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise DataFormatError(f"{path}: missing format_version header")
     if doc["format_version"] != SCALES_FORMAT_VERSION:
         raise FormatVersionError(
-            f"{path}: format_version {doc['format_version']} unsupported "
+            f"{path}: format_version {doc['format_version']!r} unsupported "
             f"(this build reads {SCALES_FORMAT_VERSION})"
         )
-    records = []
     try:
-        for rec in doc["records"]:
-            s = _from_hex_list(rec["s_hex"], f"block {rec['block_id']} s")
-            t = _from_hex_list(rec["t_hex"], f"block {rec['block_id']} t")
-            if len(s) != rec["c_out"] or len(t) != rec["c_out"]:
-                raise DataFormatError(
-                    f"{path}: block {rec['block_id']} declares c_out={rec['c_out']} "
-                    f"but has {len(s)}/{len(t)} scale entries"
-                )
-            records.append(ScaleRecord(rec["block_id"], int(rec["c_out"]),
-                                       bool(rec["has_identity"]), int(rec["depth_l"]),
-                                       s, t))
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: record missing key {exc}") from exc
-    return ScalesFile(records, dict(doc.get("provenance", {})))
+        if not isinstance(doc["records"], list):
+            raise ValueError(f"records must be a list, got {doc['records']!r}")
+        records = [_record(r) for r in doc["records"]]
+        provenance = _object(doc.get("provenance", {}), "provenance")
+        ids = [r.block_id for r in records]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate block ids in {ids}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # a missing key, a value of the wrong type or range, or a bad hex float
+        raise DataFormatError(f"{path}: malformed scales file: {exc!r}") from exc
+    return ScalesFile(records, dict(provenance))
 
 
 def scales_from_model(model: Model, provenance: dict | None = None) -> ScalesFile:
-    """Harvest the current s/t vectors from a trainable-scales model."""
-    records = []
-    for block in model.blocks:
-        info = block.info
-        records.append(ScaleRecord(info.block_id, info.c_out, info.has_identity,
-                                   info.depth_l, block.scale3.values.copy(),
-                                   block.scale1.values.copy()))
+    """Harvest the current branch scales from a trainable-scales model."""
+    records = [ScaleRecord(b.info.block_id, b.info.c_out, b.info.has_identity,
+                           b.info.depth_l, tuple((k, s.copy()) for k, s in b.branches))
+               for b in model.blocks]
     return ScalesFile(records, dict(provenance or {}))
 
 
 def init_scales(spec: ModelSpec, mode: str = "hs_init") -> ScalesFile:
-    """Scale vectors at their initialization values, without any training."""
-    from .models import block_infos
-
-    records = []
-    for info in block_infos(spec):
-        v = hs_init_value(info.depth_l) if mode == "hs_init" else 1.0
-        vec = np.full(info.c_out, v)
-        records.append(ScaleRecord(info.block_id, info.c_out, info.has_identity,
-                                   info.depth_l, vec.copy(), vec.copy()))
-    return ScalesFile(records, {"source": f"init:{mode}"})
+    """Branch scales at their initialization values, without any training."""
+    return scales_from_model(build_hypersearch(spec, init=mode), {"source": f"init:{mode}"})
 
 
 def degrade_scales(scales: ScalesFile, mode: str) -> ScalesFile:
-    """Ablation transforms: all_ones, hs_init (sqrt(2/l)), channel_mean."""
+    """Ablation transforms of every branch: all_ones, hs_init (sqrt(2/l)),
+    channel_mean."""
     mode = mode.replace("-", "_")
     if mode not in DEGRADE_MODES:
         raise ConfigError(f"unknown degrade mode {mode!r}; want one of {DEGRADE_MODES}")
-    records = []
-    for r in scales.records:
+
+    def fill(s, depth_l) -> float:
         if mode == "all_ones":
-            s = np.ones(r.c_out)
-            t = np.ones(r.c_out)
-        elif mode == "hs_init":
-            v = hs_init_value(r.depth_l)
-            s = np.full(r.c_out, v)
-            t = np.full(r.c_out, v)
-        else:  # channel_mean
-            s = np.full(r.c_out, float(r.s.mean()))
-            t = np.full(r.c_out, float(r.t.mean()))
-        records.append(ScaleRecord(r.block_id, r.c_out, r.has_identity, r.depth_l, s, t))
+            return 1.0
+        return hs_init_value(depth_l) if mode == "hs_init" else float(s.mean())
+
+    records = [replace(r, branches=tuple((k, np.full(len(s), fill(s, r.depth_l)))
+                                         for k, s in r.branches))
+               for r in scales.records]
     prov = dict(scales.provenance)
     prov["degraded"] = mode
     return ScalesFile(records, prov)
@@ -182,21 +209,23 @@ def degrade_scales(scales: ScalesFile, mode: str) -> ScalesFile:
 
 @dataclass
 class ScaleTrajectory:
-    """Per-epoch mean of s, t, gamma per block (gamma empty where no identity)."""
+    """Per-epoch mean of every branch's scales and of gamma per block (gamma
+    empty where no identity). Branch columns are named by position: mean_s
+    for the first branch, mean_t for the second, and on through the alphabet."""
 
-    rows: list = field(default_factory=list)  # (epoch, block_id, s, t, gamma|None)
+    rows: list = field(default_factory=list)  # (epoch, block_id, *branch means, gamma|None)
 
     def append_epoch(self, epoch: int, model: Model) -> None:
         for block in model.blocks:
             gamma = (float(block.gamma.values.mean())
                      if block.info.has_identity else None)
             self.rows.append((epoch, block.info.block_id,
-                              float(block.scale3.values.mean()),
-                              float(block.scale1.values.mean()), gamma))
+                              *(float(s.mean()) for _, s in block.branches), gamma))
 
     def write_csv(self, path: str) -> None:
-        write_csv(path, ["epoch", "block_id", "mean_s", "mean_t", "mean_gamma"],
-                  self.rows)
+        width = max((len(row) - 3 for row in self.rows), default=0)
+        means = [f"mean_{chr(ord('s') + i)}" for i in range(width)]
+        write_csv(path, ["epoch", "block_id", *means, "mean_gamma"], self.rows)
 
 
 def run_hyper_search(spec: ModelSpec, dataset: DatasetHandle, cfg: OptimizerConfig,
@@ -225,6 +254,6 @@ def run_hyper_search(spec: ModelSpec, dataset: DatasetHandle, cfg: OptimizerConf
     }
     scales = scales_from_model(model, provenance)
     for r in scales.records:
-        if not (np.all(np.isfinite(r.s)) and np.all(np.isfinite(r.t))):
+        if not all(np.isfinite(s).all() for _, s in r.branches):
             raise DataFormatError(f"block {r.block_id}: non-finite searched scales")
     return scales, trajectory, result

@@ -92,20 +92,11 @@ class Module:
 class Conv2d(Module):
     """Bias-free convolution layer; deploy-form biases come from folding BN."""
 
-    def __init__(self, c_in, c_out, k, stride=1, padding=0,
-                 rng: Rng | None = None, weight: np.ndarray | None = None):
+    def __init__(self, c_in, c_out, k, stride=1, padding=0, rng: Rng | None = None):
         self.c_in, self.c_out, self.k = c_in, c_out, k
         self.stride, self.padding = stride, padding
-        if weight is not None:
-            if weight.shape != (c_out, c_in, k, k):
-                raise ShapeError(
-                    f"conv weight shape {weight.shape} vs declared ({c_out}, {c_in}, {k}, {k})"
-                )
-            w = np.asarray(weight, dtype=np.float64)
-        elif rng is not None:
-            w = msra_init((c_out, c_in, k, k), rng=rng)
-        else:
-            w = np.zeros((c_out, c_in, k, k))
+        w = (msra_init((c_out, c_in, k, k), rng=rng) if rng is not None
+             else np.zeros((c_out, c_in, k, k)))
         self.weight = Parameter(w, name="weight")
 
     def forward(self, x: Tensor) -> Tensor:

@@ -1,7 +1,10 @@
 """Model families: plain target nets, branched linear-addition (CSLA) nets,
-their hyper-search variants, three-branch conversion baselines, the two-branch
-1x1 ("ghost") variant, and a residual reference, plus parameter/FLOPs
-accounting.
+their hyper-search variants, three-branch conversion baselines, and a residual
+reference, plus parameter/FLOPs accounting.
+
+A branched block's scales are its branch list, ``((k, scales), ...)``: the
+builders take them per block from a scales file, or from the shorthand mapping
+block_id -> (s, t) for the paper's (3x3, 1x1) block.
 
 All builders share one stem / blocks / head skeleton (:func:`_assemble`): a
 stride-2 3x3 stem conv with BN+ReLU, stages whose first block has stride 2,
@@ -152,10 +155,9 @@ def block_infos(spec: ModelSpec) -> list[BlockInfo]:
 class PlainBlock(Module):
     """Single 3x3 conv -> BN -> ReLU."""
 
-    def __init__(self, info: BlockInfo, rng=None, weight=None):
+    def __init__(self, info: BlockInfo, rng=None):
         self.info = info
-        self.conv = Conv2d(info.c_in, info.c_out, 3, info.stride, 1, rng=rng,
-                           weight=weight)
+        self.conv = Conv2d(info.c_in, info.c_out, 3, info.stride, 1, rng=rng)
         self.bn = BatchNorm2d(info.c_out)
 
     def forward(self, x, training):
@@ -168,8 +170,7 @@ class CslaBlock(Module):
     sizes; branch k owns ``conv{k}`` and ``scale{k}``. Scales are constants in
     the branched counterpart and trainable in the hyper-search variant; gamma
     is always trainable. The identity branch exists iff ``info.has_identity``.
-    The paper's block has branches ((3, s), (1, t)); the ghost variant has
-    ((1, t),) plus the identity."""
+    The paper's block has branches ((3, s), (1, t))."""
 
     def __init__(self, info: BlockInfo, branches, trainable_scales, rng=None):
         self.info = info
@@ -196,6 +197,11 @@ class CslaBlock(Module):
         self.capture = False
         self.last_identity = None
         self.last_sum = None
+
+    @property
+    def branches(self) -> tuple:
+        """The (k, current scale values) pair of every branch, in branch order."""
+        return tuple((k, getattr(self, f"scale{k}").values) for k in self.sizes)
 
     def forward(self, x, training):
         z = None
@@ -302,26 +308,28 @@ def _assemble(kind, spec: ModelSpec, seed, rng: Rng | None, make_block) -> Model
 
 
 def _scales_lookup(scales) -> dict:
-    """Accept a ScalesFile-like object (with .records) or a plain mapping
-    block_id -> (s, t)."""
+    """block_id -> branch list, from a ScalesFile-like object (records with
+    ``.branches``) or from the mapping shorthand block_id -> (s, t) of the
+    (3x3, 1x1) block."""
     if scales is None:
         return {}
     if hasattr(scales, "records"):
-        return {r.block_id: (np.asarray(r.s), np.asarray(r.t)) for r in scales.records}
-    return {k: (np.asarray(v[0]), np.asarray(v[1])) for k, v in scales.items()}
+        return {r.block_id: r.branches for r in scales.records}
+    return {b: ((3, v[0]), (1, v[1])) for b, v in scales.items()}
 
 
 def _block_branches(info, lookup) -> tuple:
-    """The (3x3, 1x1) branches of one block, with its scales from ``lookup``."""
+    """The branch list of one block from ``lookup``, scales as float64 arrays."""
     if info.block_id not in lookup:
         raise ConfigError(f"scales file has no record for block {info.block_id!r}")
-    s, t = lookup[info.block_id]
-    if s.shape != (info.c_out,) or t.shape != (info.c_out,):
-        raise ShapeError(
-            f"block {info.block_id}: scales of shape s{s.shape}/t{t.shape} do not "
-            f"match {info.c_out} output channels"
-        )
-    return (3, s), (1, t)
+    branches = tuple((k, np.asarray(s, dtype=np.float64)) for k, s in lookup[info.block_id])
+    for k, s in branches:
+        if s.shape != (info.c_out,):
+            raise ShapeError(
+                f"block {info.block_id}: {k}x{k} branch scales of shape {s.shape} do "
+                f"not match {info.c_out} output channels"
+            )
+    return branches
 
 
 def build_target(spec: ModelSpec, seed=None, rng: Rng | None = None) -> Model:
@@ -335,9 +343,9 @@ def build_target_equivalent_init(spec: ModelSpec, scales, seed=None,
     """Plain stack whose kernels are the equivalent single-operator form of a
     freshly initialized branched counterpart with the given constant scales.
 
-    Draws the same random stream as :func:`build_csla` (stem, then per block a
-    3x3 kernel followed by a 1x1 kernel, then the head), so with the same seed
-    the two models are exact training counterparts.
+    Draws the same random stream as :func:`build_csla` (stem, then per block
+    one kernel per branch in branch order, then the head), so with the same
+    seed the two models are exact training counterparts.
     """
     lookup = _scales_lookup(scales)
 
@@ -345,7 +353,13 @@ def build_target_equivalent_init(spec: ModelSpec, scales, seed=None,
         branches = _block_branches(info, lookup)
         kernels = [msra_init((info.c_out, info.c_in, k, k), rng=rng) for k, _ in branches]
         gamma = np.ones(info.c_out) if info.has_identity else None
-        return PlainBlock(info, weight=equivalent_kernel(branches, kernels, gamma))
+        plain = PlainBlock(info)
+        w = equivalent_kernel(branches, kernels, gamma)
+        if w.shape != plain.conv.weight.data.shape:
+            raise ShapeError(f"block {info.block_id}: branches of sizes "
+                             f"{[k for k, _ in branches]} do not fold into a 3x3 kernel")
+        plain.conv.weight.data = w
+        return plain
 
     return _assemble("target", spec, seed, rng, block)
 
@@ -385,23 +399,6 @@ def build_hypersearch(spec: ModelSpec, seed=None, rng: Rng | None = None,
 def build_repvgg(spec: ModelSpec, seed=None, rng: Rng | None = None) -> Model:
     return _assemble("repvgg", spec, seed, rng,
                      lambda info, rng: RepVggStyleBlock(info, rng=rng))
-
-
-def build_repghost_variant(spec: ModelSpec, t_scales=None, seed=None,
-                           rng: Rng | None = None) -> Model:
-    """Stages of two-branch 1x1 blocks behind a strided plain adapter block.
-
-    ``t_scales``: mapping block_id -> vector for the constant 1x1-branch
-    scales; defaults to all ones.
-    """
-    def block(info, rng):
-        if not info.has_identity:
-            return PlainBlock(info, rng=rng)
-        t = (np.ones(info.c_out) if t_scales is None
-             else np.asarray(t_scales[info.block_id]))
-        return CslaBlock(info, ((1, t),), trainable_scales=False, rng=rng)
-
-    return _assemble("repghost", spec, seed, rng, block)
 
 
 def build_resnet_reference(stage_blocks, channels=None, num_classes=10,
@@ -483,7 +480,7 @@ def count_built_params(model: Model) -> int:
 
 def build_multipliers(model: Model, scales) -> dict:
     """Multiplier tensors for every managed block kernel of a plain target
-    model, derived on demand from a scales file (or block_id -> (s, t) map)."""
+    model, derived on demand from a scales file (or the (s, t) shorthand)."""
     lookup = _scales_lookup(scales)
     return {f"blocks.{i}.conv.weight": grad_mult(_block_branches(b.info, lookup),
                                                  b.info.has_identity, c_in=b.info.c_in)

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -130,8 +131,8 @@ class TestHyperSearchCli:
         for name in ("scales.json", "trajectory.csv", "metrics.csv", "summary.json"):
             assert os.path.exists(os.path.join(out, name))
         doc = json.load(open(scales_file))
-        assert doc["format_version"] == 1
-        assert len(doc["records"]) == 2
+        assert doc["format_version"] == 2
+        assert [[b["k"] for b in r["branches"]] for r in doc["records"]] == [[3, 1]] * 2
 
 
 class TestTrainCli:
@@ -161,6 +162,17 @@ class TestTrainCli:
         summary = read_json(os.path.join(a, "summary.json"))
         assert summary["rule_of_initialization"] is True
         assert summary["rule_of_iteration"] is True
+
+    def test_malformed_scales_file_exits_1(self, tmp_path, scales_file):
+        raw = open(scales_file, "rb").read()
+        doc = json.loads(raw)
+        bad = tmp_path / "bad.json"
+        for content in (raw[:40] + b"\xff\xfe" + raw[42:],
+                        json.dumps({**doc, "records": {}}).encode(),
+                        json.dumps({**doc, "provenance": "x"}).encode()):
+            bad.write_bytes(content)
+            assert run_cli("train", *TINY, "--scales", str(bad),
+                           "--out", str(tmp_path / "x")) == 1
 
     def test_scales_mode_flag(self, tmp_path, scales_file):
         out = str(tmp_path / "m")
@@ -233,7 +245,9 @@ class TestConvertQuantizeAnalyze:
         assert lines[0] == "layer,std_overall,std_central,std_surrounding"
         assert len(lines) > 1
 
-    def test_analyze_variance_ratio(self, tmp_path):
+    def test_analyze_variance_ratio(self, tmp_path, monkeypatch):
+        # runs on numpy alone: importing scipy fails while the job runs
+        monkeypatch.setitem(sys.modules, "scipy", None)
         out = str(tmp_path / "vr")
         assert run_cli("analyze", "--set", "analyze.what=variance-ratio",
                        "--set", "analyze.stage_blocks=1,6", "--set", "analyze.seeds=2",

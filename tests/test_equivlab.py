@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from gradrep import ops
-from gradrep.autodiff import Tensor
+from gradrep.autodiff import Parameter, Tensor
 from gradrep.data import gen_synthetic
 from gradrep.equivlab import (
     convert_model,
     convert_repvgg_block,
     fuse_bn,
     identity_variance_ratio,
-    training_divergence_after_conversion,
+    spearman,
     verify_csla_gr,
 )
 from gradrep.errors import ConfigError, ShapeError
@@ -262,6 +262,46 @@ def _trained_repvgg_block(info, seed, steps=5):
     return block
 
 
+def _training_divergence_after_conversion(block, steps, lr, seed, *,
+                                          batch=4, hw=8) -> list:
+    """Train the original three-branch block and its converted single conv
+    with plain SGD on one stream; probe eval-mode outputs after each step.
+    Inference equivalence holds at step 0 and is expected to break once
+    training starts (the structures have different dynamics)."""
+    fused = convert_repvgg_block(block)
+    w = Parameter(fused.kernel.copy(), name="w")
+    b = Parameter(fused.bias.copy(), name="b")
+    stream = Rng(seed)
+    probe = stream.gaussian((batch, block.info.c_in, hw, hw))
+    branched_params = dict(block.named_parameters())
+    opt_a = MultiplierSgd(branched_params)
+    opt_b = MultiplierSgd({"w": w, "b": b})
+    divergences = []
+
+    def probe_divergence():
+        ya = block.forward(Tensor(probe), training=False)
+        yb = ops.conv2d(Tensor(probe), Tensor(w.data), block.info.stride, 1,
+                        bias=Tensor(b.data))
+        return float(np.abs(ya.data - ops.relu(yb).data).max())
+
+    divergences.append(probe_divergence())
+    for _ in range(steps):
+        x = Tensor(stream.gaussian((batch, block.info.c_in, hw, hw)))
+        ya = block.forward(x, training=True)
+        target = stream.gaussian(ya.data.shape)
+        for p in branched_params.values():
+            p.grad = None
+        ops.mse_loss(ya, target).backward()
+        opt_a.step(lr)
+        yb = ops.relu(ops.conv2d(x, w, block.info.stride, 1, bias=b))
+        w.grad = None
+        b.grad = None
+        ops.mse_loss(yb, target).backward()
+        opt_b.step(lr)
+        divergences.append(probe_divergence())
+    return divergences
+
+
 class TestBlockConversion:
     def test_zeroed_extras_reduce_to_fused_3x3(self):
         info = BlockInfo(0, "b", 4, 4, 1, True, 1)
@@ -323,7 +363,7 @@ class TestBlockConversion:
     def test_training_breaks_equivalence_within_10_steps(self):
         info = BlockInfo(0, "b", 4, 4, 1, True, 1)
         block = _trained_repvgg_block(info, seed=21)
-        div = training_divergence_after_conversion(block, steps=10, lr=0.05, seed=33)
+        div = _training_divergence_after_conversion(block, steps=10, lr=0.05, seed=33)
         assert div[0] <= 1e-10  # inference-equivalent before any update
         assert max(div[1:]) > 1e-3  # not training-equivalent
 
@@ -349,6 +389,15 @@ class TestBlockConversion:
 
 
 class TestVarianceRatio:
+    def test_spearman_closed_form(self):
+        x = np.arange(6.0)
+        assert spearman(x, np.exp(x)) == 1.0  # any increasing map
+        assert spearman(x, -x ** 3) == -1.0
+        # ties share the mean rank: ranks (1, 2, 3, 4) vs (1, 2.5, 2.5, 4)
+        # give r = 4.5 / sqrt(5 * 4.5) = sqrt(0.9)
+        assert spearman([1, 2, 3, 4], [0.1, 7.0, 7.0, 9.0]) == pytest.approx(
+            np.sqrt(0.9), rel=1e-15)
+
     def test_resnet_ratio_increases_with_depth(self):
         data = Rng(123).gaussian((64, 3, 32, 32))
 

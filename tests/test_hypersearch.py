@@ -1,3 +1,6 @@
+import copy
+import json
+
 import numpy as np
 import pytest
 
@@ -12,8 +15,17 @@ from gradrep.hypersearch import (
     init_scales,
     run_hyper_search,
 )
-from gradrep.models import PRESETS, ModelSpec, block_infos, build_target, hs_init_value
-from gradrep.optim import MultiplierSgd, OptimizerConfig
+from gradrep.models import (
+    PRESETS,
+    ModelSpec,
+    block_infos,
+    build_csla,
+    build_multipliers,
+    build_target,
+    build_target_equivalent_init,
+    hs_init_value,
+)
+from gradrep.optim import MultiplierSgd, OptimizerConfig, equivalent_kernel
 from gradrep.rng import Rng
 from gradrep.train import train_model
 
@@ -101,29 +113,133 @@ class TestScalesIO:
         path.write_text('{"format_version": 9, "records": []}')
         with pytest.raises(FormatVersionError):
             import_scales(str(path))
+        # format 1 (one s/t pair per block) is not read
+        path.write_text('{"format_version": 1, "provenance": {}, "records": ['
+                        '{"block_id": "s1b0", "c_out": 1, "has_identity": false, '
+                        '"depth_l": 1, "s_hex": ["0x1p+0"], "t_hex": ["0x1p+0"]}]}')
+        with pytest.raises(FormatVersionError):
+            import_scales(str(path))
 
-    def test_length_mismatch_detected(self, tmp_path):
-        doc = ('{"format_version": 1, "provenance": {}, "records": ['
-               '{"block_id": "s1b0", "c_out": 3, "has_identity": false, '
-               '"depth_l": 1, "s_hex": ["0x1p+0"], "t_hex": ["0x1p+0"]}]}')
-        path = tmp_path / "short.json"
-        path.write_text(doc)
+    @staticmethod
+    def record(**changes):
+        rec = {"block_id": "s1b0", "c_out": 2, "has_identity": False, "depth_l": 1,
+               "branches": [{"k": 3, "scales_hex": ["0x1p+0", "0x1.8p+0"]},
+                            {"k": 1, "scales_hex": ["0x1p-1", "0x1p+0"]}]}
+        rec.update(changes)
+        return rec
+
+    @pytest.mark.parametrize("doc", [
+        {"records": {"s1b0": None}},
+        {"records": ["s1b0"]},
+        {"records": [], "provenance": ["seed"]},
+        {"records": [{"block_id": "s1b0"}]},
+        {"records": [record(c_out=True)]},
+        {"records": [record(depth_l=0)]},
+        {"records": [record(has_identity="no")]},
+        {"records": [record(branches=[])]},
+        {"records": [record(branches=[{"k": 2, "scales_hex": ["0x1p+0"] * 2}])]},
+        {"records": [record(branches=[{"k": "3", "scales_hex": ["0x1p+0"] * 2}])]},
+        {"records": [record(branches=[{"k": 3, "scales_hex": ["0x1p+0"] * 2}] * 2)]},
+        {"records": [record(branches=[{"k": 3, "scales_hex": ["0x1p+0", 1.0]}])]},
+        {"records": [record(branches=[{"k": 3, "scales_hex": ["0x1p+0", "one"]}])]},
+        {"records": [record(branches=[{"k": 3, "scales_hex": ["0x1p+0", "inf"]}])]},
+        {"records": [record(branches=[{"k": 3, "scales_hex": ["0x1p+0", "0x1p+2000"]}])]},
+        {"records": [record(), record()]},  # duplicate block id
+    ])
+    def test_malformed_content_is_a_data_format_error(self, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"format_version": 2, **doc}))
         with pytest.raises(DataFormatError):
             import_scales(str(path))
 
+    def test_length_mismatch_detected(self, tmp_path):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"format_version": 2, "records": [self.record(c_out=3)]}))
+        with pytest.raises(DataFormatError) as err:
+            import_scales(str(path))
+        assert "c_out=3" in str(err.value)
+
+    @pytest.mark.parametrize("raw", [
+        b'{"format_version": 2, "records": [], "provenance": {"\xff": 1}}',  # not UTF-8
+        b'{"format_version": 2, "records": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+    ])
+    def test_undecodable_bytes(self, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        with pytest.raises(DataFormatError):
+            import_scales(str(path))
+
+    def test_fuzzed_desk4_files(self, tmp_path):
+        # truncations, byte flips, dropped keys and wrong-typed values of a
+        # desk4 scales file: each either still parses or raises DataFormatError
+        src = tmp_path / "scales.json"
+        export_scales(init_scales(PRESETS["desk4"]), str(src))
+        raw = src.read_bytes()
+        path = tmp_path / "fuzzed.json"
+
+        def parses(data: bytes) -> bool:
+            path.write_bytes(data)
+            try:
+                import_scales(str(path))
+            except DataFormatError:
+                return False
+            return True
+
+        rng = np.random.default_rng(2024)
+        for cut in rng.integers(0, len(raw.rstrip()), 100):
+            assert not parses(raw[:cut]), cut
+        for _ in range(300):
+            data = bytearray(raw)
+            for pos in rng.integers(0, len(raw), 3):
+                data[pos] = rng.integers(0, 256)
+            parses(bytes(data))
+        doc = json.loads(raw)
+        for where, value in _json_locations(doc):
+            if where and where[0] == "provenance":
+                continue  # free-form
+            if where and isinstance(where[-1], str):
+                dropped = copy.deepcopy(doc)
+                _parent(dropped, where).pop(where[-1])
+                assert not parses(json.dumps(dropped).encode()), where
+            for wrong in (None, "x", [], {}, True, 1.5):
+                if type(wrong) is not type(value):
+                    changed = copy.deepcopy(doc)
+                    if where:
+                        _parent(changed, where)[where[-1]] = wrong
+                    else:
+                        changed = wrong
+                    assert not parses(json.dumps(changed).encode()), (where, wrong)
+
     def test_missing_record_lookup(self):
-        sf = init_scales(SPEC)
-        with pytest.raises(ConfigError):
-            sf.record("nope")
+        partial = ScalesFile(init_scales(SPEC).records[1:])
+        with pytest.raises(ConfigError) as err:
+            build_multipliers(build_target(SPEC, seed=0), partial)
+        assert "s1b0" in str(err.value)
+
+
+def _json_locations(doc, where=()):
+    """(path, value) of every node of a JSON document, the root first."""
+    yield where, doc
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _json_locations(value, where + (key,))
+
+
+def _parent(doc, where):
+    for key in where[:-1]:
+        doc = doc[key]
+    return doc
 
 
 class TestDegradeScales:
     def make(self):
         rng = np.random.default_rng(0)
         return ScalesFile([
-            ScaleRecord("s1b0", 4, False, 1, rng.uniform(0.2, 2, 4), rng.uniform(0.2, 2, 4)),
-            ScaleRecord("s1b1", 4, True, 1, rng.uniform(0.2, 2, 4), rng.uniform(0.2, 2, 4)),
-            ScaleRecord("s1b2", 4, True, 2, rng.uniform(0.2, 2, 4), rng.uniform(0.2, 2, 4)),
+            ScaleRecord(block_id, 4, has_id, depth_l,
+                        ((3, rng.uniform(0.2, 2, 4)), (1, rng.uniform(0.2, 2, 4))))
+            for block_id, has_id, depth_l in (("s1b0", False, 1), ("s1b1", True, 1),
+                                              ("s1b2", True, 2))
         ])
 
     def test_all_ones(self):
@@ -152,6 +268,72 @@ class TestDegradeScales:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             degrade_scales(self.make(), "searched")
+
+
+class TestMixedBranchScales:
+    """A hand-built format-2 file whose blocks mix ((3, s),) and
+    ((3, s), (1, t)), with and without the identity."""
+
+    SPEC = PRESETS["desk4"]
+
+    def make(self):
+        draws = Rng(8)
+        records = []
+        for i in block_infos(self.SPEC):  # s1b0, s1b1 (identity), s2b0, s2b1 (identity)
+            sizes = (3,) if i.index in (1, 2) else (3, 1)
+            records.append(ScaleRecord(i.block_id, i.c_out, i.has_identity, i.depth_l,
+                                       tuple((k, 0.4 + draws.uniform(i.c_out))
+                                             for k in sizes)))
+        return ScalesFile(records, {"source": "hand-built"})
+
+    def test_roundtrip_bit_exact(self, tmp_path):
+        scales = self.make()
+        path = tmp_path / "mixed.json"
+        export_scales(scales, str(path))
+        assert import_scales(str(path)) == scales
+        doc = json.loads(path.read_text())
+        assert doc["format_version"] == 2
+        assert [[b["k"] for b in r["branches"]] for r in doc["records"]] == \
+            [[3, 1], [3], [3], [3, 1]]
+
+    def test_degrade_per_branch(self):
+        scales = self.make()
+        for mode in ("all_ones", "hs_init", "channel_mean"):
+            for r_in, r_out in zip(scales.records, degrade_scales(scales, mode).records):
+                assert [k for k, _ in r_out.branches] == [k for k, _ in r_in.branches]
+                for (_, s_in), (_, s_out) in zip(r_in.branches, r_out.branches):
+                    want = {"all_ones": 1.0, "hs_init": hs_init_value(r_in.depth_l),
+                            "channel_mean": float(s_in.mean())}[mode]
+                    np.testing.assert_array_equal(s_out, np.full(r_in.c_out, want))
+
+    def test_repopt_and_csla_stay_counterparts(self):
+        scales = self.make()
+        train_set = gen_synthetic(256, 32, 10, seed=4)
+        cfg = OptimizerConfig(base_lr=0.05, momentum=0.9, weight_decay=4e-5,
+                              warmup_epochs=0, total_epochs=1, label_smoothing=0.1,
+                              batch_size=64)
+        models, losses = {}, {}
+        for family in ("csla", "repopt"):
+            rng, stream = Rng.spawn(3, 2)  # same kernel and data streams per family
+            if family == "csla":
+                model, mults, managed = build_csla(self.SPEC, scales, rng=rng), {}, ()
+            else:
+                model = build_target_equivalent_init(self.SPEC, scales, rng=rng)
+                mults = build_multipliers(model, scales)
+                managed = tuple(model.gr_managed_params())
+            opt = MultiplierSgd(dict(model.named_parameters()), momentum=0.9,
+                                weight_decay=4e-5, multipliers=mults, managed=managed)
+            result = train_model(model, opt, train_set, None, cfg, stream,
+                                 eval_each_epoch=False)
+            models[family], losses[family] = model, result.train_loss
+        np.testing.assert_allclose(losses["repopt"], losses["csla"], rtol=1e-10, atol=0)
+        for pb, cb, r in zip(models["repopt"].blocks, models["csla"].blocks,
+                             scales.records):
+            assert cb.sizes == tuple(k for k, _ in r.branches)
+            gamma = cb.gamma.values if cb.info.has_identity else None
+            kernels = [getattr(cb, f"conv{k}").weight.data for k in cb.sizes]
+            gap = np.abs(equivalent_kernel(r.branches, kernels, gamma) - pb.conv.weight.data)
+            assert gap.max() <= 1e-10, r.block_id
 
 
 class TestTrainLoop:
