@@ -42,10 +42,6 @@ def set_checked(flag: bool) -> None:
     _CHECKED = bool(flag)
 
 
-def checked() -> bool:
-    return _CHECKED
-
-
 def grad_enabled() -> bool:
     """False inside :func:`no_grad`, where ops record no tape."""
     return _GRAD_ENABLED

@@ -1,16 +1,19 @@
 """Versioned binary checkpoints.
 
-Layout: an 8-byte magic (``GRCP`` + format version word), a little-endian
-uint64 header length, a JSON header, then the raw bytes of every array in the
-order the header lists them (sorted by section and name; float64 throughout).
-The header carries the model kind and spec echo, epoch/step counters and the
-data-stream RNG state, so loading a checkpoint reproduces the run exactly:
-``load(save(x))`` is bit-identical and resuming continues an interrupted run
-on the same trajectory as the uninterrupted one.
+Layout: a 48-byte prefix, then a JSON header, then the raw bytes of every
+array in the order the header lists them (sorted by section and name; float64
+throughout). The prefix is ``GRCP``, the little-endian uint32 format version,
+the uint64 header length and the sha256 digest of everything after the prefix
+(header and arrays), so a flipped or missing byte anywhere in the file raises
+``DataFormatError``. The header carries the model kind and spec echo,
+epoch/step counters and the data-stream RNG state, so loading a checkpoint
+reproduces the run exactly: ``load(save(x))`` is bit-identical and resuming
+continues an interrupted run on the same trajectory as the uninterrupted one.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -21,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError, FormatVersionError
 from .models import (
+    BLOCK_RECIPE,
     Model,
     ModelSpec,
     block_infos,
@@ -31,7 +35,8 @@ from .models import (
 )
 
 MAGIC = b"GRCP"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+PREFIX_LEN = 48  # magic, version, header length, sha256 digest
 
 
 @dataclass
@@ -80,10 +85,12 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         "arrays": entries,
     }
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    digest = hashlib.sha256(raw)
+    for blob in blobs:
+        digest.update(blob)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(raw)))
+        fh.write(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(raw)) + digest.digest())
         fh.write(raw)
         for blob in blobs:
             fh.write(blob)
@@ -92,7 +99,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 16 or data[:4] != MAGIC:
+    if len(data) < 8 or data[:4] != MAGIC:
         raise DataFormatError(f"{path}: not a checkpoint (bad magic)")
     version = struct.unpack("<I", data[4:8])[0]
     if version != FORMAT_VERSION:
@@ -100,12 +107,16 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"{path}: checkpoint format {version} unsupported (this build reads "
             f"{FORMAT_VERSION})"
         )
+    if len(data) < PREFIX_LEN:
+        raise DataFormatError(f"{path}: truncated in the {PREFIX_LEN}-byte prefix")
+    if hashlib.sha256(memoryview(data)[PREFIX_LEN:]).digest() != data[16:PREFIX_LEN]:
+        raise DataFormatError(f"{path}: digest mismatch (corrupt or truncated)")
     header_len = struct.unpack("<Q", data[8:16])[0]
     try:
-        header = json.loads(data[16:16 + header_len].decode("utf-8"))
+        header = json.loads(data[PREFIX_LEN:PREFIX_LEN + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: corrupt header: {exc}") from exc
-    offset = 16 + header_len
+    offset = PREFIX_LEN + header_len
     try:
         entries = [_array_entry(e) for e in header["arrays"]]
         kind = header["model"]["kind"]
@@ -178,13 +189,11 @@ def restore_model(ckpt: Checkpoint) -> Model:
     spec = ckpt.spec
     if ckpt.model_kind == "target":
         model = build_target(spec, seed=0)
-    elif ckpt.model_kind in ("csla", "hs"):
-        ones = {i.block_id: (np.ones(i.c_out), np.ones(i.c_out))
-                for i in block_infos(spec)}
-        if ckpt.model_kind == "csla":
-            model = build_csla(spec, ones, seed=0)
-        else:
-            model = build_hypersearch(spec, seed=0)
+    elif ckpt.model_kind == "csla":  # the constants are overwritten from the buffers
+        ones = {i.block_id: [np.ones(i.c_out)] * len(BLOCK_RECIPE) for i in block_infos(spec)}
+        model = build_csla(spec, ones, seed=0)
+    elif ckpt.model_kind == "hs":
+        model = build_hypersearch(spec, seed=0)
     elif ckpt.model_kind == "repvgg":
         model = build_repvgg(spec, seed=0)
     else:

@@ -48,7 +48,6 @@ class DatasetHandle:
     images: np.ndarray
     labels: np.ndarray
     num_classes: int
-    split: str = "train"
     norm_mean: tuple = field(default=None)
     norm_std: tuple = field(default=None)
 
@@ -91,7 +90,7 @@ class DatasetHandle:
             raise ConfigError(f"subset [{offset}:{offset + n}] exceeds {len(self)} records")
         return DatasetHandle(self.source, self.images[offset:offset + n],
                              self.labels[offset:offset + n], self.num_classes,
-                             self.split, self.norm_mean, self.norm_std)
+                             self.norm_mean, self.norm_std)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +160,7 @@ def load_cifar(path: str, variant: str = "cifar10", split: str = "train") -> Dat
         im, lab = load_cifar_file(f, variant)
         images.append(im)
         labels.append(lab)
-    return DatasetHandle(variant, np.concatenate(images), np.concatenate(labels),
-                         classes, split)
+    return DatasetHandle(variant, np.concatenate(images), np.concatenate(labels), classes)
 
 
 def write_cifar10(handle: DatasetHandle, path: str) -> None:

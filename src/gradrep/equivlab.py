@@ -13,6 +13,7 @@ initialization or the gradient multiplier is expected to break them fast.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from . import ops
 from .autodiff import Parameter, Tensor
 from .errors import ConfigError
 from .layers import BatchNorm2d
-from .models import CslaBlockSpec, Model
+from .models import CslaBlockSpec, Model, PlainBlock, RepVggStyleBlock
 from .optim import MultiplierSgd, OptimizerConfig, equivalent_kernel, grad_mult
 from .reports import write_csv, write_json
 from .rng import Rng, msra_init
@@ -197,21 +198,18 @@ def fuse_bn(kernel: np.ndarray, bn: BatchNorm2d, stride: int = 1) -> FusedConv:
 
 
 def convert_repvgg_block(block) -> FusedConv:
-    """Merge a three-branch block into one biased 3x3 conv. Each branch's BN
+    """Merge a three-branch block into one biased conv. Each branch's BN
     scale is its branch scale in the branch algebra, so the kernel is the
-    equivalent kernel of the (3x3, 1x1) branches with the identity BN scale as
-    gamma; the bias sums the BN shifts in the order 3x3, 1x1, identity."""
-    info = block.info
-    a3, shift3 = _bn_fold(block.bn3)
-    a1, shift1 = _bn_fold(block.bn1)
-    bias = shift3 + shift1
-    a_id = None
-    if info.has_identity:
-        a_id, shift_id = _bn_fold(block.bnid)
-        bias = bias + shift_id
-    kernel = equivalent_kernel(((3, a3), (1, a1)),
-                               (block.conv3.weight.data, block.conv1.weight.data), a_id)
-    return FusedConv(kernel, bias, info.stride)
+    equivalent kernel of the conv branches with the identity BN scale as
+    gamma; the bias sums the BN shifts in branch order, then the identity's."""
+    bns = [getattr(block, f"bn{k}") for k in block.sizes]
+    if block.info.has_identity:
+        bns.append(block.bnid)
+    scales, shifts = zip(*map(_bn_fold, bns))
+    kernel = equivalent_kernel(tuple(zip(block.sizes, scales)),
+                               [getattr(block, f"conv{k}").weight.data for k in block.sizes],
+                               scales[-1] if block.info.has_identity else None)
+    return FusedConv(kernel, reduce(np.add, shifts), block.info.stride)
 
 
 class InferenceModel:
@@ -244,9 +242,9 @@ def convert_model(model: Model) -> InferenceModel:
     three-branch blocks are merged; the stem folds like a plain block."""
     convs = [fuse_bn(model.stem_conv.weight.data, model.stem_bn, model.stem_conv.stride)]
     for block in model.blocks:
-        if hasattr(block, "bn3"):
+        if isinstance(block, RepVggStyleBlock):
             convs.append(convert_repvgg_block(block))
-        elif hasattr(block, "conv") and hasattr(block, "bn"):
+        elif isinstance(block, PlainBlock):
             convs.append(fuse_bn(block.conv.weight.data, block.bn, block.info.stride))
         else:
             raise ConfigError(

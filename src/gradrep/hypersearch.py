@@ -182,11 +182,6 @@ def scales_from_model(model: Model, provenance: dict | None = None) -> ScalesFil
     return ScalesFile(records, dict(provenance or {}))
 
 
-def init_scales(spec: ModelSpec, mode: str = "hs_init") -> ScalesFile:
-    """Branch scales at their initialization values, without any training."""
-    return scales_from_model(build_hypersearch(spec, init=mode), {"source": f"init:{mode}"})
-
-
 def degrade_scales(scales: ScalesFile, mode: str) -> ScalesFile:
     """Ablation transforms of every branch: all_ones, hs_init (sqrt(2/l)),
     channel_mean."""

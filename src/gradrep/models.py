@@ -2,9 +2,11 @@
 their hyper-search variants, three-branch conversion baselines, and a residual
 reference, plus parameter/FLOPs accounting.
 
-A branched block's scales are its branch list, ``((k, scales), ...)``: the
-builders take them per block from a scales file, or from the shorthand mapping
-block_id -> (s, t) for the paper's (3x3, 1x1) block.
+:data:`BLOCK_RECIPE` is the paper's block: the kernel sizes of its branches
+(3x3, 1x1), plus an identity wherever a block keeps its shape. A branched
+block's scales are its branch list, ``((k, scales), ...)``: the builders take
+them per block from a scales file, or from the shorthand mapping block_id ->
+one scale vector per recipe branch.
 
 All builders share one stem / blocks / head skeleton (:func:`_assemble`): a
 stride-2 3x3 stem conv with BN+ReLU, stages whose first block has stride 2,
@@ -71,6 +73,9 @@ PRESETS = {
     "desk9": ModelSpec(8, ((3, 8), (3, 16), (3, 32)), 10, 32),
     "desk4": ModelSpec(8, ((2, 8), (2, 16)), 10, 32),
 }
+
+#: kernel sizes of the branches of the hyper-search and three-branch blocks
+BLOCK_RECIPE = (3, 1)
 
 
 @dataclass(frozen=True)
@@ -170,9 +175,9 @@ class CslaBlock(Module):
     sizes; branch k owns ``conv{k}`` and ``scale{k}``. Scales are constants in
     the branched counterpart and trainable in the hyper-search variant; gamma
     is always trainable. The identity branch exists iff ``info.has_identity``.
-    The paper's block has branches ((3, s), (1, t))."""
+    The hyper-search model builds the :data:`BLOCK_RECIPE` branches."""
 
-    def __init__(self, info: BlockInfo, branches, trainable_scales, rng=None):
+    def __init__(self, info: BlockInfo, branches, trainable, rng=None):
         self.info = info
         self.sizes = tuple(k for k, _ in branches)
         if len(set(self.sizes)) != len(self.sizes):
@@ -190,7 +195,7 @@ class CslaBlock(Module):
             setattr(self, f"conv{k}", Conv2d(info.c_in, info.c_out, k, info.stride,
                                              k // 2, rng=rng))
         for k, s in branches:
-            setattr(self, f"scale{k}", ChannelScale(s, trainable_scales))
+            setattr(self, f"scale{k}", ChannelScale(s, trainable))
         if info.has_identity:
             self.gamma = ChannelScale(np.ones(info.c_out), trainable=True)
         self.bn = BatchNorm2d(info.c_out)
@@ -218,21 +223,24 @@ class CslaBlock(Module):
 
 
 class RepVggStyleBlock(Module):
-    """Three branches with per-branch BN (3x3+BN, 1x1+BN, identity BN),
-    summed then ReLU; the conversion/quantization baseline."""
+    """A ``conv{k}`` + ``bn{k}`` pair per :data:`BLOCK_RECIPE` branch k and an
+    identity BN, summed then ReLU; the conversion/quantization baseline."""
 
     def __init__(self, info: BlockInfo, rng=None):
         self.info = info
-        self.conv3 = Conv2d(info.c_in, info.c_out, 3, info.stride, 1, rng=rng)
-        self.bn3 = BatchNorm2d(info.c_out)
-        self.conv1 = Conv2d(info.c_in, info.c_out, 1, info.stride, 0, rng=rng)
-        self.bn1 = BatchNorm2d(info.c_out)
+        self.sizes = BLOCK_RECIPE
+        for k in self.sizes:
+            setattr(self, f"conv{k}", Conv2d(info.c_in, info.c_out, k, info.stride,
+                                             k // 2, rng=rng))
+            setattr(self, f"bn{k}", BatchNorm2d(info.c_out))
         if info.has_identity:
             self.bnid = BatchNorm2d(info.c_out)
 
     def forward(self, x, training):
-        z = ops.add(self.bn3.forward(self.conv3.forward(x), training),
-                    self.bn1.forward(self.conv1.forward(x), training))
+        z = None
+        for k in self.sizes:
+            y = getattr(self, f"bn{k}").forward(getattr(self, f"conv{k}").forward(x), training)
+            z = y if z is None else ops.add(z, y)
         if self.info.has_identity:
             z = ops.add(z, self.bnid.forward(x, training))
         return ops.relu(z)
@@ -309,13 +317,13 @@ def _assemble(kind, spec: ModelSpec, seed, rng: Rng | None, make_block) -> Model
 
 def _scales_lookup(scales) -> dict:
     """block_id -> branch list, from a ScalesFile-like object (records with
-    ``.branches``) or from the mapping shorthand block_id -> (s, t) of the
-    (3x3, 1x1) block."""
+    ``.branches``) or from the mapping shorthand block_id -> one scale vector
+    per :data:`BLOCK_RECIPE` branch."""
     if scales is None:
         return {}
     if hasattr(scales, "records"):
         return {r.block_id: r.branches for r in scales.records}
-    return {b: ((3, v[0]), (1, v[1])) for b, v in scales.items()}
+    return {b: tuple(zip(BLOCK_RECIPE, v, strict=True)) for b, v in scales.items()}
 
 
 def _block_branches(info, lookup) -> tuple:
@@ -364,13 +372,12 @@ def build_target_equivalent_init(spec: ModelSpec, scales, seed=None,
     return _assemble("target", spec, seed, rng, block)
 
 
-def build_csla(spec: ModelSpec, scales, seed=None, rng: Rng | None = None,
-               trainable_scales=False) -> Model:
+def build_csla(spec: ModelSpec, scales, seed=None, rng: Rng | None = None) -> Model:
     """The branched constant-scale counterpart (never trained in production;
     exists so its dynamics can be verified against the multiplier optimizer)."""
     lookup = _scales_lookup(scales)
     return _assemble("csla", spec, seed, rng, lambda info, rng: CslaBlock(
-        info, _block_branches(info, lookup), trainable_scales, rng=rng))
+        info, _block_branches(info, lookup), False, rng=rng))
 
 
 def hs_init_value(depth_l: int) -> float:
@@ -380,20 +387,22 @@ def hs_init_value(depth_l: int) -> float:
     return float(np.sqrt(2.0 / depth_l))
 
 
-def build_hypersearch(spec: ModelSpec, seed=None, rng: Rng | None = None,
-                      init: str = "hs_init") -> Model:
-    """Branched model with trainable scales and identity scales at 1. With
-    ``init="hs_init"`` s = t = sqrt(2/l) at init; ``init="all_ones"`` sets
-    them to 1 (the control arm of the init study)."""
+def hs_branches(info: BlockInfo, init: str) -> tuple:
+    """The :data:`BLOCK_RECIPE` branches of one block at their hyper-search
+    init: every scale sqrt(2/l) with ``init="hs_init"``, or 1 with
+    ``init="all_ones"`` (the control arm of the init study)."""
     if init not in ("hs_init", "all_ones"):
         raise ConfigError(f"init must be hs_init or all_ones, got {init!r}")
+    vec = np.full(info.c_out, hs_init_value(info.depth_l) if init == "hs_init" else 1.0)
+    return tuple((k, vec) for k in BLOCK_RECIPE)
 
-    def block(info, rng):
-        v = hs_init_value(info.depth_l) if init == "hs_init" else 1.0
-        vec = np.full(info.c_out, v)
-        return CslaBlock(info, ((3, vec), (1, vec)), trainable_scales=True, rng=rng)
 
-    return _assemble("hs", spec, seed, rng, block)
+def build_hypersearch(spec: ModelSpec, seed=None, rng: Rng | None = None,
+                      init: str = "hs_init") -> Model:
+    """Branched model with trainable scales at :func:`hs_branches` and
+    identity scales at 1."""
+    return _assemble("hs", spec, seed, rng, lambda info, rng: CslaBlock(
+        info, hs_branches(info, init), trainable=True, rng=rng))
 
 
 def build_repvgg(spec: ModelSpec, seed=None, rng: Rng | None = None) -> Model:
@@ -430,22 +439,18 @@ def count_params_inference(spec: ModelSpec) -> int:
 
 
 def count_params_train(spec: ModelSpec, kind: str) -> int:
-    """Trainable parameters of the built training-time graph."""
+    """Trainable parameters of the built training-time graph of the plain
+    target (``"target"``) or the three-branch baseline (``"repvgg"``)."""
+    if kind not in ("target", "repvgg"):
+        raise ConfigError(f"unknown model kind {kind!r}")
     total = spec.stem_channels * 27 + 2 * spec.stem_channels  # stem conv + BN
     for info in block_infos(spec):
-        k3 = info.c_out * info.c_in * 9
-        k1 = info.c_out * info.c_in
         bn = 2 * info.c_out
         if kind == "target":
-            total += k3 + bn
-        elif kind == "csla":
-            total += k3 + k1 + bn + (info.c_out if info.has_identity else 0)
-        elif kind == "hs":
-            total += k3 + k1 + bn + 2 * info.c_out + (info.c_out if info.has_identity else 0)
-        elif kind == "repvgg":
-            total += k3 + k1 + 2 * bn + (bn if info.has_identity else 0)
+            total += info.c_out * info.c_in * 9 + bn
         else:
-            raise ConfigError(f"unknown model kind {kind!r}")
+            total += sum(info.c_out * info.c_in * k * k + bn for k in BLOCK_RECIPE)
+            total += bn if info.has_identity else 0
     total += spec.num_classes * spec.stages[-1][1] + spec.num_classes
     return total
 

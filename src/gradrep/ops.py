@@ -396,30 +396,3 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
         pred.accumulate_grad(g * 2.0 * diff / diff.size)
 
     return Tensor(out_data, parents=(pred,), backward=backward)
-
-
-def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:
-    """Scalar sum(x * weights) for a constant weight array."""
-    weights = np.asarray(weights, dtype=x.data.dtype)
-    if weights.shape != x.data.shape:
-        raise ShapeError(f"weighted_sum shape mismatch: {x.data.shape} vs {weights.shape}")
-    out_data = (x.data * weights).sum()
-    if not _needs(x):
-        return Tensor(out_data)
-
-    def backward(g):
-        x.accumulate_grad(g * weights)
-
-    return Tensor(out_data, parents=(x,), backward=backward)
-
-
-def tsum(x: Tensor) -> Tensor:
-    """Scalar sum of all elements."""
-    out_data = x.data.sum()
-    if not _needs(x):
-        return Tensor(out_data)
-
-    def backward(g):
-        x.accumulate_grad(np.broadcast_to(g, x.data.shape).copy())
-
-    return Tensor(out_data, parents=(x,), backward=backward)

@@ -19,30 +19,18 @@ from .errors import ConfigError, ShapeError
 SCALE_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class QuantParams:
-    scale: float
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
-
-
-def quantize_int8(arr: np.ndarray) -> tuple[np.ndarray, QuantParams]:
-    """Symmetric per-tensor quantization to int8 in [-127, 127]."""
-    arr = np.asarray(arr, dtype=np.float64)
-    amax = float(np.abs(arr).max()) if arr.size else 0.0
-    scale = max(amax / 127.0, SCALE_FLOOR)
-    q = np.clip(np.rint(arr / scale), -127, 127).astype(np.int8)
-    return q, QuantParams(scale)
-
-
-def dequantize(q: np.ndarray, params: QuantParams) -> np.ndarray:
-    return q.astype(np.float64) * params.scale
+def int8_scale(amax: float) -> float:
+    """The symmetric int8 scale of a tensor whose largest magnitude is amax."""
+    return max(amax / 127.0, SCALE_FLOOR)
 
 
 def fake_quantize(arr: np.ndarray, scale: float) -> np.ndarray:
+    """Round to the int8 grid of ``scale``, clamp to [-127, 127], scale back."""
     return np.clip(np.rint(arr / scale), -127, 127) * scale
+
+
+def _quantize_weight(w: np.ndarray) -> np.ndarray:
+    return fake_quantize(w, int8_scale(float(np.abs(w).max())))
 
 
 @dataclass(frozen=True)
@@ -99,16 +87,15 @@ def ptq_model(model: InferenceModel, calibration: np.ndarray,
         input_amax = max(input_amax, float(np.abs(batch).max()))
         for i, act in enumerate(model.features(batch)):
             act_amax[i] = max(act_amax[i], float(np.abs(act).max()))
-    return QuantizedModel(quantize_weights_only(model),
-                          [max(a / 127.0, SCALE_FLOOR) for a in act_amax],
-                          max(input_amax / 127.0, SCALE_FLOOR))
+    return QuantizedModel(quantize_weights_only(model), [int8_scale(a) for a in act_amax],
+                          int8_scale(input_amax))
 
 
 def quantize_weights_only(model: InferenceModel) -> InferenceModel:
     """Round-trip every weight tensor through int8; activations stay float."""
-    convs = [FusedConv(dequantize(*quantize_int8(conv.kernel)), conv.bias.copy(),
+    convs = [FusedConv(_quantize_weight(conv.kernel), conv.bias.copy(),
                        conv.stride, conv.padding) for conv in model.convs]
-    return InferenceModel(convs, dequantize(*quantize_int8(model.fc_weight)),
+    return InferenceModel(convs, _quantize_weight(model.fc_weight),
                           model.fc_bias.copy(), spec=model.spec)
 
 

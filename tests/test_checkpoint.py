@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -5,6 +6,9 @@ import numpy as np
 import pytest
 
 from gradrep.checkpoint import (
+    FORMAT_VERSION,
+    MAGIC,
+    PREFIX_LEN,
     Checkpoint,
     load_checkpoint,
     optimizer_arrays,
@@ -18,16 +22,37 @@ from gradrep.cli import main
 from gradrep.data import gen_synthetic
 from gradrep.equivlab import convert_model
 from gradrep.errors import DataFormatError, FormatVersionError
-from gradrep.hypersearch import init_scales
-from gradrep.models import ModelSpec, build_csla, build_target
+from gradrep.models import (
+    ModelSpec,
+    block_infos,
+    build_csla,
+    build_hypersearch,
+    build_repvgg,
+    build_target,
+)
 from gradrep.optim import MultiplierSgd, OptimizerConfig
 from gradrep.rng import Rng
 from gradrep.train import train_model
+from helpers import init_scales
 
 SPEC = ModelSpec(4, ((1, 4), (2, 8)), 10, 16)
 CFG = OptimizerConfig(base_lr=0.05, momentum=0.9, weight_decay=1e-4,
                       warmup_epochs=1, total_epochs=4, label_smoothing=0.1,
                       batch_size=32)
+
+
+def signed(header: bytes, payload: bytes = b"", version: int = FORMAT_VERSION) -> bytes:
+    """Checkpoint bytes around a hand-edited header, with a matching digest."""
+    body = header + payload
+    return (MAGIC + struct.pack("<IQ", version, len(header))
+            + hashlib.sha256(body).digest() + body)
+
+
+def split_saved(data: bytes) -> tuple:
+    """(header dict, array bytes) of a saved checkpoint."""
+    header_len = struct.unpack("<Q", data[8:16])[0]
+    return (json.loads(data[PREFIX_LEN:PREFIX_LEN + header_len]),
+            data[PREFIX_LEN + header_len:])
 
 
 def assert_same_arrays(a: dict, b: dict):
@@ -55,9 +80,20 @@ class TestRoundTrip:
         assert_same_arrays(back.buffers, ckpt.buffers)
         assert back.rng_state == ckpt.rng_state
 
-    def test_restored_model_reproduces_outputs(self, tmp_path):
-        model = build_target(SPEC, seed=3)
-        x = np.random.default_rng(0).normal(size=(2, 3, 16, 16))
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: build_target(SPEC, seed=3), id="target"),
+        pytest.param(lambda: build_csla(SPEC, init_scales(SPEC), seed=3), id="csla"),
+        pytest.param(lambda: build_hypersearch(SPEC, seed=3), id="hs"),
+        pytest.param(lambda: build_repvgg(SPEC, seed=3), id="repvgg"),
+    ])
+    def test_restored_model_reproduces_outputs(self, tmp_path, build):
+        model = build()
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(2, 3, 16, 16))
+        # move every parameter and BN statistic away from its built value
+        for p in model.parameters():
+            p.data = p.data + 0.1 * rng.normal(size=p.data.shape)
+        model.forward(x, training=True)
         want = model.forward(x, training=False).data
         path = tmp_path / "m.ckpt"
         save_checkpoint(str(path), snapshot_model(model))
@@ -69,7 +105,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(1)
         scales = {i.block_id: (rng.uniform(0.3, 1.7, i.c_out),
                                rng.uniform(0.3, 1.7, i.c_out))
-                  for i in __import__("gradrep.models", fromlist=["block_infos"]).block_infos(SPEC)}
+                  for i in block_infos(SPEC)}
         model = build_csla(SPEC, scales, seed=4)
         x = np.random.default_rng(2).normal(size=(2, 3, 16, 16))
         want = model.forward(x, training=False).data
@@ -94,9 +130,46 @@ class TestRoundTrip:
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v9.ckpt"
-        path.write_bytes(b"GRCP" + (9).to_bytes(4, "little") + b"\x00" * 8)
+        path.write_bytes(signed(b"{}", version=9))
         with pytest.raises(FormatVersionError):
             load_checkpoint(str(path))
+
+    def test_format_1_rejected(self, tmp_path):
+        # the format-1 layout: magic, version, header length, header, arrays
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), snapshot_model(build_target(SPEC, seed=3)))
+        header, payload = split_saved(path.read_bytes())
+        header["format_version"] = 1
+        raw = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(MAGIC + struct.pack("<IQ", 1, len(raw)) + raw + payload)
+        with pytest.raises(FormatVersionError):
+            load_checkpoint(str(path))
+        assert main(["convert", "--checkpoint", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+
+    def test_fuzzed_bytes(self, tmp_path):
+        # truncations, every one-bit flip of the prefix, and one- and two-bit
+        # flips anywhere: each raises DataFormatError and convert exits 1
+        src = tmp_path / "m.ckpt"
+        save_checkpoint(str(src), snapshot_model(build_target(SPEC, seed=3)))
+        data = src.read_bytes()
+        rng = np.random.default_rng(11)
+        cases = [data[:cut] for cut in rng.integers(0, len(data), 40)]
+        flips = [[bit] for bit in range(PREFIX_LEN * 8)]
+        flips += [rng.choice(len(data) * 8, size=n, replace=False) for n in [1, 2] * 60]
+        for bits in flips:
+            buf = bytearray(data)
+            for bit in bits:
+                buf[bit // 8] ^= 1 << (bit % 8)
+            cases.append(bytes(buf))
+        path = tmp_path / "fuzzed.ckpt"
+        for i, case in enumerate(cases):
+            path.write_bytes(case)
+            with pytest.raises(DataFormatError):
+                load_checkpoint(str(path))
+            if i % 8 == 0:
+                assert main(["convert", "--checkpoint", str(path),
+                             "--out", str(tmp_path / "out")]) == 1
 
     def test_truncated_arrays(self, tmp_path):
         model = build_target(SPEC, seed=3)
@@ -128,23 +201,18 @@ class TestRoundTrip:
     def test_malformed_header(self, tmp_path, edit):
         path = tmp_path / "m.ckpt"
         save_checkpoint(str(path), snapshot_model(build_target(SPEC, seed=3)))
-        data = path.read_bytes()
-        header_len = struct.unpack("<Q", data[8:16])[0]
-        header = json.loads(data[16:16 + header_len])
+        header, payload = split_saved(path.read_bytes())
         edit(header)
-        raw = json.dumps(header).encode()
-        path.write_bytes(data[:8] + struct.pack("<Q", len(raw)) + raw
-                         + data[16 + header_len:])
-        with pytest.raises(DataFormatError):
+        path.write_bytes(signed(json.dumps(header).encode(), payload))
+        with pytest.raises(DataFormatError, match="malformed header"):
             load_checkpoint(str(path))
         assert main(["convert", "--checkpoint", str(path),
                      "--out", str(tmp_path / "out")]) == 1
 
     def test_header_not_an_object(self, tmp_path):
-        raw = b"[]"
         path = tmp_path / "m.ckpt"
-        path.write_bytes(b"GRCP" + struct.pack("<I", 1) + struct.pack("<Q", len(raw)) + raw)
-        with pytest.raises(DataFormatError):
+        path.write_bytes(signed(b"[]"))
+        with pytest.raises(DataFormatError, match="malformed header"):
             load_checkpoint(str(path))
 
     def test_cli_reports_unreadable_checkpoint(self, tmp_path):
@@ -196,13 +264,16 @@ class TestRoundTrip:
 
 
 class TestResume:
-    def test_resume_reproduces_uninterrupted_run(self, tmp_path):
+    # the two kinds gradrep train writes
+    @pytest.mark.parametrize("builder", [build_target, build_repvgg],
+                             ids=["target", "repvgg"])
+    def test_resume_reproduces_uninterrupted_run(self, tmp_path, builder):
         pool = gen_synthetic(320, 16, 10, seed=7)
         train, test = pool.subset(256), pool.subset(64, offset=256)
 
         def fresh():
             model_rng, data_rng = Rng.spawn(9, 2)
-            model = build_target(SPEC, rng=model_rng)
+            model = builder(SPEC, rng=model_rng)
             opt = MultiplierSgd(dict(model.named_parameters()), momentum=CFG.momentum,
                                 weight_decay=CFG.weight_decay)
             return model, opt, data_rng

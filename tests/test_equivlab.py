@@ -387,6 +387,14 @@ class TestBlockConversion:
             got = fused.forward(x)
             np.testing.assert_allclose(got, want, atol=1e-10, rtol=0)
 
+    def test_branched_and_residual_models_not_convertible(self):
+        spec = ModelSpec(4, ((2, 4),), 10, 16)
+        ones = {i.block_id: (np.ones(4), np.ones(4)) for i in block_infos(spec)}
+        for model in (build_csla(spec, ones, seed=0),
+                      build_resnet_reference([2], channels=[4], seed=0)):
+            with pytest.raises(ConfigError):
+                convert_model(model)
+
 
 class TestVarianceRatio:
     def test_spearman_closed_form(self):

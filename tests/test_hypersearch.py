@@ -12,14 +12,15 @@ from gradrep.hypersearch import (
     degrade_scales,
     export_scales,
     import_scales,
-    init_scales,
     run_hyper_search,
+    scales_from_model,
 )
 from gradrep.models import (
     PRESETS,
     ModelSpec,
     block_infos,
     build_csla,
+    build_hypersearch,
     build_multipliers,
     build_target,
     build_target_equivalent_init,
@@ -28,6 +29,7 @@ from gradrep.models import (
 from gradrep.optim import MultiplierSgd, OptimizerConfig, equivalent_kernel
 from gradrep.rng import Rng
 from gradrep.train import train_model
+from helpers import init_scales
 
 SPEC = ModelSpec(4, ((2, 4), (1, 8)), 10, 16)
 CFG = OptimizerConfig(base_lr=0.05, momentum=0.9, weight_decay=1e-4,
@@ -230,6 +232,14 @@ def _parent(doc, where):
     for key in where[:-1]:
         doc = doc[key]
     return doc
+
+
+@pytest.mark.parametrize("mode", ["hs_init", "all_ones"])
+def test_init_scales_helper_matches_built_model(mode):
+    # the helper reads the recipe's initial scales without building a model
+    spec = PRESETS["desk6"]
+    want = scales_from_model(build_hypersearch(spec, init=mode), {"source": f"init:{mode}"})
+    assert init_scales(spec, mode) == want
 
 
 class TestDegradeScales:

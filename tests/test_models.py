@@ -6,6 +6,7 @@ from gradrep.autodiff import Tensor
 from gradrep.errors import ConfigError, ShapeError
 from gradrep.layers import BatchNorm2d, Conv2d
 from gradrep.models import (
+    BLOCK_RECIPE,
     PRESETS,
     CslaBlock,
     BlockInfo,
@@ -26,6 +27,7 @@ from gradrep.models import (
     count_params_train,
     hs_init_value,
 )
+from helpers import init_scales
 
 TINY = ModelSpec(stem_channels=3, stages=((1, 4), (1, 8)), num_classes=10, input_hw=32)
 SMALL = ModelSpec(stem_channels=4, stages=((2, 4), (2, 8)), num_classes=10, input_hw=16)
@@ -96,21 +98,15 @@ class TestAccounting:
 
     @pytest.mark.parametrize("kind,builder", [
         ("target", lambda: build_target(SMALL, seed=0)),
-        ("csla", lambda: build_csla(SMALL, ones_scales(SMALL), seed=0)),
-        ("hs", lambda: build_hypersearch(SMALL, seed=0)),
         ("repvgg", lambda: build_repvgg(SMALL, seed=0)),
     ])
     def test_built_models_match_closed_form(self, kind, builder):
         assert count_built_params(builder()) == count_params_train(SMALL, kind)
 
-    def test_branch_overhead_is_closed_form(self):
-        infos = block_infos(SMALL)
-        extra_csla = sum(i.c_out * i.c_in for i in infos) \
-            + sum(i.c_out for i in infos if i.has_identity)
-        extra_hs = extra_csla + 2 * sum(i.c_out for i in infos)
-        base = count_params_train(SMALL, "target")
-        assert count_params_train(SMALL, "csla") == base + extra_csla
-        assert count_params_train(SMALL, "hs") == base + extra_hs
+    def test_only_trained_kinds_are_counted(self):
+        # gradrep train builds only these two kinds
+        with pytest.raises(ConfigError):
+            count_params_train(SMALL, "csla")
 
 
 class TestBuilders:
@@ -144,8 +140,6 @@ class TestBuilders:
         assert "s1b0" in str(err.value)
 
     def test_equivalent_init_rejects_branches_wider_than_the_plain_kernel(self):
-        from gradrep.hypersearch import init_scales
-
         scales = init_scales(SMALL)
         scales.records[0].branches = ((5, np.ones(scales.records[0].c_out)),)
         with pytest.raises(ShapeError) as err:
@@ -163,6 +157,15 @@ class TestBuilders:
             np.testing.assert_allclose(block.scale1.values, want)
             if block.info.has_identity:
                 np.testing.assert_allclose(block.gamma.values, 1.0)
+
+    def test_recipe_blocks(self):
+        # the hyper-search and three-branch blocks both follow BLOCK_RECIPE;
+        # the baseline's names and their order are those its checkpoints hold
+        assert all(b.sizes == BLOCK_RECIPE for b in build_hypersearch(SMALL, seed=0).blocks)
+        block = RepVggStyleBlock(BlockInfo(0, "b", 4, 4, 1, True, 1))
+        assert [n for n, _ in block.named_parameters()] == [
+            "conv3.weight", "bn3.gamma", "bn3.beta", "conv1.weight", "bn1.gamma",
+            "bn1.beta", "bnid.gamma", "bnid.beta"]
 
     def test_hs_all_ones_init(self):
         model = build_hypersearch(SMALL, seed=0, init="all_ones")

@@ -10,6 +10,7 @@ from gradrep.data import gen_synthetic
 from gradrep.errors import ShapeError, UsageError
 from gradrep.models import ModelSpec, build_hypersearch
 from gradrep.train import evaluate
+from helpers import tsum, weighted_sum
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +176,7 @@ class TestBackward:
         x = Tensor(np.ones((1, 1, 4, 4)))
         w = Parameter(np.zeros((1, 1, 3, 3)), name="w")
         out = ops.conv2d(x, w, stride=1, padding=0)
-        ops.tsum(out).backward()
+        tsum(out).backward()
         # 4x4 input, 3x3 kernel, no padding: every tap sees all 2x2=4 positions.
         np.testing.assert_array_equal(w.grad, np.full((1, 1, 3, 3), 4.0))
 
@@ -183,7 +184,7 @@ class TestBackward:
         x = Tensor(np.ones((1, 1, 3, 3)))
         w = Parameter(np.zeros((1, 1, 3, 3)), name="w")
         out = ops.conv2d(x, w, stride=1, padding=1)
-        ops.tsum(out).backward()
+        tsum(out).backward()
         # 3x3 output grid with zero padding: the center tap always sees real
         # pixels (9), corner taps see a 2x2 window shifted inside (4), edges 6.
         np.testing.assert_array_equal(
@@ -194,14 +195,14 @@ class TestBackward:
         x = Tensor(np.ones((1, 1, 4, 4)))
         w = Parameter(np.ones((1, 1, 3, 3)), name="used")
         w2 = Parameter(np.ones((1, 1, 3, 3)), name="unused")
-        ops.tsum(ops.conv2d(x, w)).backward()
+        tsum(ops.conv2d(x, w)).backward()
         assert w2.grad is None  # treated as exactly zero downstream
 
     def test_zero_weighted_branch_gradient_is_exact_zero(self):
         x = Tensor(np.random.default_rng(0).normal(size=(1, 2, 4, 4)))
         w = Parameter(np.random.default_rng(1).normal(size=(2, 2, 3, 3)))
         out = ops.conv2d(x, w, padding=1)
-        loss = ops.weighted_sum(out, np.zeros_like(out.data))
+        loss = weighted_sum(out, np.zeros_like(out.data))
         loss.backward()
         assert np.all(w.grad == 0.0)
 
@@ -221,7 +222,7 @@ class TestBackward:
         def run():
             w = Parameter(wd.copy())
             x = Tensor(xd)
-            ops.weighted_sum(ops.conv2d(x, w, padding=1), r).backward()
+            weighted_sum(ops.conv2d(x, w, padding=1), r).backward()
             return w.grad
 
         assert run().tobytes() == run().tobytes()
@@ -230,14 +231,14 @@ class TestBackward:
         x = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
         w = Parameter(np.ones((1, 1, 3, 3)))
         hidden = ops.conv2d(x, w, padding=1)
-        loss = ops.tsum(ops.relu(hidden))
+        loss = tsum(ops.relu(hidden))
         loss.backward()
         want_w, want_x = w.grad.copy(), x.grad.copy()
         with pytest.raises(UsageError):
             loss.backward()
         # a new loss on a freed node cannot route a gradient through it
         with pytest.raises(UsageError):
-            ops.tsum(hidden).backward()
+            tsum(hidden).backward()
         # the failed pass added nothing to the leaves
         assert w.grad.tobytes() == want_w.tobytes()
         assert x.grad.tobytes() == want_x.tobytes()
@@ -265,7 +266,7 @@ class TestFiniteDifferences:
             # keep activations away from the relu kink so finite differences
             # stay valid
             out = ops.relu(out)
-            return ops.weighted_sum(out, proj), (w, g, b)
+            return weighted_sum(out, proj), (w, g, b)
 
         loss, (w, g, b) = build(True)
         inner = interior_nodes(loss)
@@ -312,7 +313,7 @@ class TestFiniteDifferences:
             s = Parameter(sd) if with_grads else Tensor(sd)
             out = ops.conv2d(Tensor(xd), w, stride=2, padding=1)
             out = ops.channel_scale(out, s)
-            return ops.weighted_sum(out, proj), (w, s)
+            return weighted_sum(out, proj), (w, s)
 
         loss, (w, s) = build(True)
         loss.backward()
@@ -353,12 +354,12 @@ class TestFiniteDifferences:
         proj = rng.normal(size=(batch, 2) + out_hw)
 
         def loss_value():
-            return ops.weighted_sum(
+            return weighted_sum(
                 ops.conv2d(Tensor(xd), Tensor(wd), stride=stride, padding=padding), proj
             ).item()
 
         x = Tensor(xd.copy(), requires_grad=True)
-        ops.weighted_sum(ops.conv2d(x, Tensor(wd), stride=stride, padding=padding),
+        weighted_sum(ops.conv2d(x, Tensor(wd), stride=stride, padding=padding),
                          proj).backward()
         assert_grad_close(x.grad, numerical_grad(loss_value, xd))
 

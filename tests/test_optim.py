@@ -12,6 +12,7 @@ from gradrep.optim import (
     grad_mult,
     lr_schedule,
 )
+from helpers import weighted_sum
 
 
 def block_mult(s, t, has_identity, c_in=None):
@@ -171,7 +172,7 @@ class TestMultiplierChainRuleOracle:
         )
         if has_identity:
             z = ops.add(z, ops.channel_scale(Tensor(x), gamma))
-        ops.weighted_sum(z, proj).backward()
+        weighted_sum(z, proj).backward()
 
         combined = s[:, None, None, None] * w_s.grad
         combined[:, :, 1, 1] += t[:, None] * w_t.grad[:, :, 0, 0]
@@ -184,7 +185,7 @@ class TestMultiplierChainRuleOracle:
         )
         z2 = ops.conv2d(Tensor(x), w_prime, stride=1, padding=1)
         np.testing.assert_allclose(z2.data, z.data, atol=1e-12, rtol=0)
-        ops.weighted_sum(z2, proj).backward()
+        weighted_sum(z2, proj).backward()
         masked = block_mult(s, t, has_identity) * w_prime.grad
         np.testing.assert_allclose(combined, masked, atol=1e-10, rtol=0)
 

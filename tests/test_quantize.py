@@ -9,15 +9,13 @@ from gradrep.errors import ConfigError, ShapeError
 from gradrep.models import BlockInfo, RepVggStyleBlock
 from gradrep.quantize import (
     KernelStats,
-    QuantParams,
     SCALE_FLOOR,
-    dequantize,
     fake_quantize,
+    int8_scale,
     kernel_position_stats,
     model_accuracy,
     position_stats_report,
     ptq_model,
-    quantize_int8,
     quantize_weights_only,
 )
 from gradrep.rng import Rng
@@ -45,34 +43,46 @@ def std_oracle(kernel):
     return pstd(allv), pstd(central), pstd(surrounding)
 
 
+def int8_round_trip(arr):
+    """Oracle: quantize to an int8 array at scale max|x| / 127 and back."""
+    scale = max(np.abs(arr).max() / 127.0, SCALE_FLOOR)
+    q = np.clip(np.rint(arr / scale), -127, 127).astype(np.int8)
+    return q.astype(np.float64) * scale
+
+
+def round_trip(arr):
+    scale = int8_scale(float(np.abs(arr).max()))
+    return fake_quantize(arr, scale), scale
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(8))
     def test_error_bounded_by_half_scale(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(scale=rng.uniform(0.01, 10.0), size=(64, 33))
-        q, params = quantize_int8(x)
-        err = np.abs(dequantize(q, params) - x)
-        assert err.max() <= params.scale / 2 + 1e-15
+        got, scale = round_trip(x)
+        assert np.abs(got - x).max() <= scale / 2 + 1e-15
 
     def test_all_zero_tensor_uses_floor(self):
-        q, params = quantize_int8(np.zeros((4, 4)))
-        assert params.scale == SCALE_FLOOR
-        assert np.all(q == 0)
+        got, scale = round_trip(np.zeros((4, 4)))
+        assert scale == SCALE_FLOOR
+        assert np.all(got == 0)
 
     def test_plus_minus_one(self):
-        q, params = quantize_int8(np.array([-1.0, 1.0]))
-        assert params.scale == pytest.approx(1.0 / 127.0)
-        err = np.abs(dequantize(q, params) - np.array([-1.0, 1.0]))
-        assert err.max() <= 1.0 / 254.0 + 1e-15
+        got, scale = round_trip(np.array([-1.0, 1.0]))
+        assert scale == pytest.approx(1.0 / 127.0)
+        assert got.tolist() == [-1.0, 1.0]
 
     def test_quantized_range(self):
-        q, _ = quantize_int8(np.random.default_rng(0).normal(size=1000))
-        assert q.dtype == np.int8
-        assert q.min() >= -127 and q.max() <= 127
+        x = np.random.default_rng(0).normal(size=1000)
+        got, scale = round_trip(x)
+        assert np.abs(got).max() <= 127 * scale
+        steps = got / scale
+        assert np.abs(steps - np.rint(steps)).max() < 1e-9
 
-    def test_params_validation(self):
-        with pytest.raises(ConfigError):
-            QuantParams(scale=0.0)
+    def test_matches_int8_oracle(self):
+        x = np.random.default_rng(1).normal(size=(8, 4, 3, 3))
+        np.testing.assert_array_equal(round_trip(x)[0], int8_round_trip(x))
 
 
 class TestPositionStats:
@@ -136,11 +146,11 @@ class TestPtq:
         x = rng.gaussian((5, 3, 12, 12))
         h = fake_quantize(x, quant.input_scale)
         for conv, scale in zip(convs, quant.act_scales):
-            kernel = dequantize(*quantize_int8(conv.kernel))
+            kernel = int8_round_trip(conv.kernel)
             h = ops.conv2d(Tensor(h), Tensor(kernel), conv.stride, conv.padding,
                            bias=Tensor(conv.bias)).data
             h = fake_quantize(np.maximum(h, 0.0), scale)
-        fc = dequantize(*quantize_int8(model.fc_weight))
+        fc = int8_round_trip(model.fc_weight)
         want = h.mean(axis=(2, 3)) @ fc.T + model.fc_bias
         np.testing.assert_array_equal(quant.forward(x), want)
 
@@ -157,8 +167,8 @@ class TestPtq:
         fused = convert_repvgg_block(block)
         model = InferenceModel([fused], np.eye(4), np.zeros(4))
         wq = quantize_weights_only(model)
-        _, params = quantize_int8(fused.kernel)
-        assert np.abs(wq.convs[0].kernel - fused.kernel).max() <= params.scale / 2
+        scale = int8_scale(float(np.abs(fused.kernel).max()))
+        assert np.abs(wq.convs[0].kernel - fused.kernel).max() <= scale / 2
 
     def test_prediction_flips_bounded_by_logit_margin(self):
         # weights-only PTQ: accuracy change is bounded by the share of samples
