@@ -13,6 +13,17 @@ with the flipped, transposed kernel, and again one matmul. Strided convs with
 k > 1 map column gradients back to the input (col2im) by the adjoint gather:
 each input position takes the few taps that read it and sums them.
 
+The lowering walks the batch in even sample chunks of at most
+``_CHUNK_ELEMS`` column elements, about half an L2 cache, and every product
+above runs chunk by chunk into one preallocated output. Only a conv whose
+columns fit in one chunk keeps them for backward; any other rebuilds each
+chunk's columns from its input for the kernel gradient, so no column array
+outlives the op. That relies on the input array being unchanged between
+forward and backward: ops never write their inputs in place, and the
+optimizer updates ``Parameter.data`` only after backward. The kernel gradient
+sums its per-sample products in sample order across chunks, so chunking
+changes no bit.
+
 Every reduction runs in a fixed order, so repeated runs on the same machine
 are bit-identical. Forward outputs, kernel gradients and strided input
 gradients equal those of the earlier slice-loop im2col and scatter-add col2im
@@ -39,6 +50,11 @@ def _needs(*tensors) -> bool:
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
+
+#: most im2col column elements one chunk of samples gathers at a time: 1 MiB
+#: of float64, half the 2 MiB per-core L2 cache of the machine it was tuned on
+_CHUNK_ELEMS = 2**17
+
 
 def conv_output_hw(h: int, w: int, k_h: int, k_w: int, stride: int, padding: int):
     out_h = (h + 2 * padding - k_h) // stride + 1
@@ -119,6 +135,14 @@ def _col2im(dcols, c, h, w, k_h, k_w, stride, padding):
     return dx.reshape(n, c, h, w)
 
 
+def _chunks(n: int, cols_per_sample: int):
+    """Split n samples into even slices of at most _CHUNK_ELEMS column
+    elements each (one sample at least); also returns the longest length."""
+    parts = -(-n * cols_per_sample // _CHUNK_ELEMS)
+    step = -(-n // parts)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)], step
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
            bias: Tensor | None = None) -> Tensor:
     """2-D convolution (cross-correlation) with zero padding.
@@ -147,41 +171,63 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
         )
 
     pointwise = k_h == k_w == 1 and padding == 0
+    xd = x.data
     if pointwise:
         # a 1x1 kernel's columns are x itself, subsampled at stride > 1
-        cols = x.data[:, :, ::stride, ::stride].reshape(n, c_in, out_h * out_w)
+        def columns(s):
+            return xd[s, :, ::stride, ::stride].reshape(-1, c_in, out_h * out_w)
     else:
-        cols = _im2col(x.data, k_h, k_w, stride, padding, padding)
+        def columns(s):
+            return _im2col(xd[s], k_h, k_w, stride, padding, padding)
+    chunks, step = _chunks(n, c_in * k_h * k_w * out_h * out_w)
     w2 = w.data.reshape(c_out, c_in * k_h * k_w)
-    out2 = np.matmul(w2, cols)  # (n, c_out, out_h*out_w)
-    out_data = out2.reshape(n, c_out, out_h, out_w)
+    out2 = np.empty((n, c_out, out_h * out_w), dtype=np.result_type(w2, xd))
+    for s in chunks:
+        cols = columns(s)
+        np.matmul(w2, cols, out=out2[s])
     if bias is not None:
-        out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
+        out2 += bias.data.reshape(1, c_out, 1)
+    out_data = out2.reshape(n, c_out, out_h, out_w)
 
     parents = (x, w) if bias is None else (x, w, bias)
     if not _needs(*parents):
         return Tensor(out_data)
+    if len(chunks) == 1:  # columns that fit one chunk are kept, not rebuilt
+        kept = cols
+        columns = lambda s: kept
 
     def backward(g):
         g2 = g.reshape(n, c_out, out_h * out_w)
         if w.requires_grad or w._parents:
-            dw2 = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
-            w.accumulate_grad(dw2.reshape(w.data.shape))
+            # row 0 carries the sum so far (none before the first chunk), so
+            # the batch sum runs in sample order, as one sum over all would
+            buf = np.empty((step + 1,) + w2.shape, dtype=np.result_type(g2, xd))
+            lo = 1
+            for s in chunks:
+                m = s.stop - s.start
+                np.matmul(g2[s], columns(s).transpose(0, 2, 1), out=buf[1:m + 1])
+                buf[0] = buf[lo:m + 1].sum(axis=0)
+                lo = 0
+            w.accumulate_grad(buf[0].reshape(w.data.shape))
         if x.requires_grad or x._parents:
-            if pointwise:
-                dx = np.matmul(w2.T, g2).reshape(n, c_in, out_h, out_w)
-                if stride > 1:
-                    full = np.zeros(x.data.shape, dtype=dx.dtype)
-                    full[:, :, ::stride, ::stride] = dx
-                    dx = full
-            elif stride == 1:
+            dx = (np.zeros if pointwise and stride > 1 else np.empty)(
+                xd.shape, dtype=np.result_type(w2, g2))
+            dx3 = dx.reshape(n, c_in, h * wd)
+            if not pointwise and stride == 1:
                 # full correlation of g with the flipped, transposed kernel
                 wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-                gcols = _im2col(g, k_h, k_w, 1, k_h - 1 - padding, k_w - 1 - padding)
-                dx = np.matmul(wt, gcols).reshape(x.data.shape)
-            else:
-                dcols = np.matmul(w2.T, g2)
-                dx = _col2im(dcols, c_in, h, wd, k_h, k_w, stride, padding)
+            for s in chunks:
+                if pointwise and stride == 1:
+                    np.matmul(w2.T, g2[s], out=dx3[s])
+                elif pointwise:
+                    dx[s, :, ::stride, ::stride] = np.matmul(w2.T, g2[s]).reshape(
+                        -1, c_in, out_h, out_w)
+                elif stride == 1:
+                    gcols = _im2col(g[s], k_h, k_w, 1, k_h - 1 - padding, k_w - 1 - padding)
+                    np.matmul(wt, gcols, out=dx3[s])
+                else:
+                    dx[s] = _col2im(np.matmul(w2.T, g2[s]), c_in, h, wd, k_h, k_w,
+                                    stride, padding)
             x.accumulate_grad(dx)
         if bias is not None and (bias.requires_grad or bias._parents):
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
@@ -214,10 +260,9 @@ def relu(x: Tensor) -> Tensor:
     if not _needs(x):
         return Tensor(out_data)
 
-    mask = x.data > 0
-
     def backward(g):
-        x.accumulate_grad(g * mask)
+        # max(x, 0) > 0 exactly where x > 0, so no mask is kept from forward
+        x.accumulate_grad(g * (out_data > 0))
 
     return Tensor(out_data, parents=(x,), backward=backward)
 

@@ -1,6 +1,8 @@
 """Core op tests: direct-convolution and finite-difference oracles come first,
 then the tape is checked against them."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,7 +110,7 @@ class TestConvForward:
         want = conv2d_reference(x, w, stride=stride, padding=padding)
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
-    def test_gather_plans_keyed_by_shape_not_batch(self):
+    def test_gather_plans_keyed_by_shape_not_batch(self, monkeypatch):
         # (5, 7) and (7, 5) share every other key part; each must get its own
         # plan, and a new batch size must reuse the plan of its shape
         ops._gather_index.cache_clear()
@@ -119,6 +121,14 @@ class TestConvForward:
             got = ops.conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
             np.testing.assert_allclose(got, conv2d_reference(x, w, 1, 1), atol=1e-12, rtol=0)
         assert ops._gather_index.cache_info().currsize == 2
+        # training on a batch of 5 in chunks of 2, 2 and 1 adds only the
+        # backward gather of g per shape, none for the chunk sizes
+        monkeypatch.setattr(ops, "_CHUNK_ELEMS", 2 * 2 * 9 * 35)
+        for hw in ((5, 7), (7, 5)):
+            x = Tensor(rng.normal(size=(5, 2) + hw), requires_grad=True)
+            tsum(ops.conv2d(x, Parameter(w.copy()), stride=1, padding=1)).backward()
+        assert [s.stop - s.start for s in ops._chunks(5, 2 * 9 * 35)[0]] == [2, 2, 1]
+        assert ops._gather_index.cache_info().currsize == 4
 
     def test_output_shape_formula(self):
         x = Tensor(np.zeros((1, 4, 11, 9)))
@@ -242,6 +252,54 @@ class TestBackward:
         # the failed pass added nothing to the leaves
         assert w.grad.tobytes() == want_w.tobytes()
         assert x.grad.tobytes() == want_x.tobytes()
+
+
+class TestConvChunks:
+    """conv2d walks the batch in sample chunks; the chunking must not show."""
+
+    # (samples, samples per chunk): chunks of one, even chunks of two, and
+    # chunks of two with a short last one
+    @pytest.mark.parametrize("n,per_chunk,sizes",
+                             [(5, 1, [1] * 5), (6, 2, [2, 2, 2]), (5, 2, [2, 2, 1])])
+    @pytest.mark.parametrize("k,stride,padding", LOWERINGS + [(3, 2, 0), (1, 1, 1)])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_chunked_bytes_equal_one_chunk(self, monkeypatch, n, per_chunk, sizes,
+                                           k, stride, padding, with_bias):
+        rng = np.random.default_rng(23)
+        xd = rng.normal(size=(n, 3, 5, 7))
+        wd = rng.normal(size=(4, 3, k, k))
+        bd = rng.normal(size=4)
+        out_h, out_w = ops.conv_output_hw(5, 7, k, k, stride, padding)
+        proj = rng.normal(size=(n, 4, out_h, out_w))
+        per_sample = 3 * k * k * out_h * out_w
+
+        def run(budget, chunk_sizes):
+            monkeypatch.setattr(ops, "_CHUNK_ELEMS", budget)
+            assert [s.stop - s.start for s in ops._chunks(n, per_sample)[0]] == chunk_sizes
+            x = Tensor(xd.copy(), requires_grad=True)
+            w = Parameter(wd.copy())
+            b = Parameter(bd.copy()) if with_bias else None
+            out = ops.conv2d(x, w, stride=stride, padding=padding, bias=b)
+            weighted_sum(out, proj).backward()
+            grads = (w.grad, x.grad) + ((b.grad,) if with_bias else ())
+            return [a.tobytes() for a in (out.data,) + grads]
+
+        assert run(per_chunk * per_sample, sizes) == run(n * per_sample, [n])
+
+    def test_tape_holds_no_columns(self):
+        # 128 x (8*9) x (8*8) columns span 5 chunks: 4.7 MB, none kept
+        rng = np.random.default_rng(29)
+        x = Tensor(rng.normal(size=(128, 8, 16, 16)), requires_grad=True)
+        w = Parameter(rng.normal(size=(8, 8, 3, 3)))
+        assert len(ops._chunks(128, 8 * 9 * 64)[0]) == 5
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ops.conv2d(x, w, stride=2, padding=1)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= out.data.nbytes + 64 * 2**10
 
 
 class TestFiniteDifferences:
