@@ -9,6 +9,15 @@ the uint64 header length and the sha256 digest of everything after the prefix
 epoch/step counters and the data-stream RNG state, so loading a checkpoint
 reproduces the run exactly: ``load(save(x))`` is bit-identical and resuming
 continues an interrupted run on the same trajectory as the uninterrupted one.
+
+Restoring builds the skeleton the header describes and fills it through one
+fit rule (:func:`_fill`): the stored param/buffer arrays must match the
+skeleton's slots one to one, name and shape, or the restore raises one
+``DataFormatError`` naming every missing, unknown and wrongly shaped array.
+A trained model's slots come from :meth:`Module.state_slots`. A fused
+(deploy-form) model's layout follows its spec: a stride-2 3x3 stem conv, one
+3x3 conv per block at that block's stride, then the FC head; its arrays are
+``conv{i}.kernel``, ``conv{i}.bias``, ``fc.weight`` and ``fc.bias``.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .equivlab import FusedConv, InferenceModel
 from .errors import ConfigError, DataFormatError, FormatVersionError
 from .models import (
     BLOCK_RECIPE,
@@ -137,6 +147,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise DataFormatError(f"{path}: malformed header: {exc!r}") from exc
     sections = {"param": {}, "buffer": {}, "opt": {}}
     for section, name, shape in entries:
+        if name in sections[section]:
+            raise DataFormatError(f"{path}: {section} array {name!r} is listed twice")
         count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(data):
@@ -183,6 +195,24 @@ def snapshot_model(model: Model, optimizer=None, data_rng=None, epoch=0, step=0,
                       epoch, step, dict(extra or {}))
 
 
+def _fill(slots: dict, ckpt: Checkpoint) -> None:
+    """Write a float64 copy of every stored param/buffer array into its slot,
+    (section, name) -> (holder, attribute), or raise one DataFormatError that
+    names every array missing, unknown or wrongly shaped (None: absent)."""
+    stored = {(s, n): a for s, n, a in _array_sections(ckpt) if s != "opt"}
+    misfits = []
+    for key in sorted(stored.keys() | slots.keys()):
+        have = np.shape(stored[key]) if key in stored else None
+        want = getattr(*slots[key]).shape if key in slots else None
+        if have != want:
+            misfits.append(f"{' '.join(key)}: stored {have}, model {want}")
+    if misfits:
+        raise DataFormatError(f"stored arrays do not fit this {ckpt.model_kind} model: "
+                              f"{misfits}")
+    for key, (holder, attribute) in slots.items():
+        setattr(holder, attribute, np.array(stored[key], dtype=np.float64))
+
+
 def restore_model(ckpt: Checkpoint) -> Model:
     """Rebuild the model skeleton for the stored kind and overwrite every
     parameter and buffer with the stored values."""
@@ -198,7 +228,7 @@ def restore_model(ckpt: Checkpoint) -> Model:
         model = build_repvgg(spec, seed=0)
     else:
         raise DataFormatError(f"cannot restore model kind {ckpt.model_kind!r}")
-    model.load_arrays(ckpt.params, ckpt.buffers)
+    _fill({(s, n): (h, a) for s, n, h, a in model.state_slots()}, ckpt)
     return model
 
 
@@ -207,31 +237,33 @@ def optimizer_arrays(ckpt: Checkpoint) -> dict:
     return {k: v for k, v in ckpt.opt_state.items() if not k.startswith("mult.")}
 
 
-def snapshot_fused(model, spec: ModelSpec, extra=None) -> Checkpoint:
-    """Checkpoint for a deploy-form model (fused biased convs + FC)."""
-    params = {"fc.weight": model.fc_weight.copy(), "fc.bias": model.fc_bias.copy()}
-    strides, paddings = [], []
+def _fused_slots(model: InferenceModel) -> dict:
+    """(section, name) -> (holder, attribute) of a deploy-form model's arrays."""
+    slots = {("param", "fc.weight"): (model, "fc_weight"),
+             ("param", "fc.bias"): (model, "fc_bias")}
     for i, conv in enumerate(model.convs):
-        params[f"conv{i}.kernel"] = conv.kernel.copy()
-        params[f"conv{i}.bias"] = conv.bias.copy()
-        strides.append(conv.stride)
-        paddings.append(conv.padding)
-    meta = dict(extra or {})
-    meta.update({"num_convs": len(model.convs), "strides": strides,
-                 "paddings": paddings})
-    return Checkpoint("fused", spec, params, {}, {}, None, 0, 0, meta)
+        slots["param", f"conv{i}.kernel"] = (conv, "kernel")
+        slots["param", f"conv{i}.bias"] = (conv, "bias")
+    return slots
 
 
-def restore_fused(ckpt: Checkpoint):
-    from .equivlab import FusedConv, InferenceModel
+def snapshot_fused(model: InferenceModel, spec: ModelSpec, extra=None) -> Checkpoint:
+    """Checkpoint for a deploy-form model (fused biased convs + FC)."""
+    params = {name: getattr(holder, attribute).copy()
+              for (_, name), (holder, attribute) in _fused_slots(model).items()}
+    return Checkpoint("fused", spec, params, {}, {}, None, 0, 0, dict(extra or {}))
 
+
+def restore_fused(ckpt: Checkpoint) -> InferenceModel:
+    """Build the deploy form the spec lays out and fill it from the stored
+    arrays; layout keys that older files carry in ``extra`` are not read."""
     if ckpt.model_kind != "fused":
         raise DataFormatError(f"checkpoint kind {ckpt.model_kind!r} is not fused")
-    try:
-        convs = [FusedConv(ckpt.params[f"conv{i}.kernel"], ckpt.params[f"conv{i}.bias"],
-                           ckpt.extra["strides"][i], ckpt.extra["paddings"][i])
-                 for i in range(ckpt.extra["num_convs"])]
-        fc_weight, fc_bias = ckpt.params["fc.weight"], ckpt.params["fc.bias"]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise DataFormatError(f"fused checkpoint lacks an entry: {exc!r}") from exc
-    return InferenceModel(convs, fc_weight, fc_bias, spec=ckpt.spec)
+    spec = ckpt.spec
+    convs = [FusedConv(np.zeros((c_out, c_in, 3, 3)), np.zeros(c_out), stride)
+             for c_in, c_out, stride in [(3, spec.stem_channels, 2)]
+             + [(i.c_in, i.c_out, i.stride) for i in block_infos(spec)]]
+    model = InferenceModel(convs, np.zeros((spec.num_classes, spec.stages[-1][1])),
+                           np.zeros(spec.num_classes), spec=spec)
+    _fill(_fused_slots(model), ckpt)
+    return model

@@ -158,7 +158,8 @@ def _train_arm(cfg, spec, arch, scales, reinit, gradmult, train, test):
 def cmd_train(args, cfg: RunConfig) -> int:
     rule_flags = {"--no-reinit": args.no_reinit, "--no-gradmult": args.no_gradmult,
                   "--ablation-matrix": args.ablation_matrix,
-                  "--scales-mode": args.scales_mode != "searched"}
+                  "--scales-mode": args.scales_mode != "searched",
+                  "--dump-mults": args.dump_mults}
     given = [flag for flag, on in rule_flags.items() if on]
     if given and not args.scales:
         raise UsageError(f"{', '.join(given)} given without --scales <file>; the "
@@ -284,6 +285,12 @@ def _deploy_model_from_checkpoint(path: str):
 def cmd_quantize(args, cfg: RunConfig) -> int:
     deploy, from_kind = _deploy_model_from_checkpoint(args.checkpoint)
     train, test = _load_datasets(cfg)
+    if (train.num_classes, train.resolution) != (deploy.spec.num_classes,
+                                                  deploy.spec.input_hw):
+        raise ConfigError(
+            f"data has {train.num_classes} classes at {train.resolution}px; the "
+            f"checkpoint was built for {deploy.spec.num_classes} classes at "
+            f"{deploy.spec.input_hw}px")
     calib = train.normalized(np.arange(min(cfg["quant.calib_n"], len(train))))
     quantized = quantmod.ptq_model(deploy, calib)
     weights_only = quantmod.quantize_weights_only(deploy)
@@ -317,7 +324,10 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
                    {"from_kind": from_kind, "layers": len(rows)})
         return 0
     if what == "variance-ratio":
-        stage_blocks = [int(v) for v in cfg["analyze.stage_blocks"].split(",")]
+        try:
+            stage_blocks = [int(v) for v in cfg["analyze.stage_blocks"].split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"bad analyze.stage_blocks: {exc}") from exc
         data = Rng(cfg["seed"]).gaussian(
             (cfg["analyze.batch"], 3, cfg["data.resolution"], cfg["data.resolution"]))
         arch = cfg["analyze.arch"]

@@ -24,6 +24,13 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise ValueError(f"want a positive integer, got {value}")
+    return value
+
+
 #: key -> (parser, default)
 SCHEMA = {
     "seed": (int, 0),
@@ -48,7 +55,7 @@ SCHEMA = {
     "data.seed": (int, 0),
     "data.augment": (_bool, True),
     "eq.case": (str, "block"),
-    "eq.steps": (int, 100),
+    "eq.steps": (_positive_int, 100),
     "eq.channels": (int, 8),
     "eq.hw": (int, 16),
     "eq.batch": (int, 4),
@@ -62,8 +69,8 @@ SCHEMA = {
     "analyze.what": (str, "kernel-stats"),
     "analyze.arch": (str, "resnet"),
     "analyze.stage_blocks": (str, "2,16"),
-    "analyze.seeds": (int, 10),
-    "analyze.batch": (int, 64),
+    "analyze.seeds": (_positive_int, 10),
+    "analyze.batch": (_positive_int, 64),
 }
 
 

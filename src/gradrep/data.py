@@ -169,8 +169,9 @@ def write_cifar10(handle: DatasetHandle, path: str) -> None:
         raise ConfigError(
             f"CIFAR-10 layout is fixed at 32x32, dataset is {handle.resolution}"
         )
-    if handle.num_classes > 256:
-        raise ConfigError("CIFAR-10 layout stores labels in one byte")
+    if handle.num_classes > 10:
+        raise ConfigError(f"CIFAR-10 layout holds 10 classes, dataset has "
+                          f"{handle.num_classes}")
     n = len(handle)
     out = np.empty((n, CIFAR10_RECORD), dtype=np.uint8)
     out[:, 0] = handle.labels.astype(np.uint8)

@@ -174,11 +174,10 @@ class FusedConv:
     kernel: np.ndarray
     bias: np.ndarray
     stride: int = 1
-    padding: int = 1
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = ops.conv2d(Tensor(x), Tensor(self.kernel), self.stride,
-                         self.padding, bias=Tensor(self.bias))
+                         self.kernel.shape[-1] // 2, bias=Tensor(self.bias))
         return out.data
 
 
@@ -276,6 +275,8 @@ def identity_variance_ratio(model_factory, data: np.ndarray, num_seeds: int,
         blocks = [b for b in model.blocks if getattr(b, "last_sum", None) is not None]
         if ids is None:
             ids = [b.info.block_id for b in blocks]
+            if not ids:
+                raise ConfigError("the model has no shape-preserving block to measure")
         ratios = [float(np.var(b.last_identity) / np.var(b.last_sum)) for b in blocks]
         rows.append(ratios)
     return ids, np.array(rows), np.array(rows).mean(axis=0)

@@ -4,6 +4,10 @@ A module owns named parameters (trainable) and named buffers (state carried
 across steps, e.g. BN running statistics). Parameter names are hierarchical
 ("blocks.0.conv3.weight") and are the keys used by checkpoints and by the
 gradient-multiplier optimizer.
+
+One walk, :meth:`Module.state_slots`, lists every stored array as a slot: its
+checkpoint section and name, and the holder attribute it lives in. Parameter
+and buffer listings filter that walk; a checkpoint restore fills its slots.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import numpy as np
 
 from . import ops
 from .autodiff import Parameter, Tensor
-from .errors import DataFormatError, ShapeError
 from .rng import Rng, msra_init
 
 BN_EPS = 1e-5
@@ -20,31 +23,37 @@ BN_MOMENTUM = 0.1
 
 
 class Module:
-    """Minimal module tree with named parameter/buffer traversal."""
+    """Minimal module tree with one walk over its stored arrays (its slots)."""
 
-    def named_parameters(self, prefix: str = ""):
+    _buffers = ()  # attribute names of this module's buffers
+
+    def state_slots(self, prefix: str = ""):
+        """Yield ``(section, name, holder, attribute)`` for every stored array:
+        ``("param", name, parameter, "data")`` per parameter and
+        ``("buffer", name, module, key)`` per buffer, children in attribute
+        order and a module's own buffers after them."""
         for key, val in vars(self).items():
             name = f"{prefix}{key}"
             if isinstance(val, Parameter):
-                yield name, val
+                yield "param", name, val, "data"
             elif isinstance(val, Module):
-                yield from val.named_parameters(f"{name}.")
+                yield from val.state_slots(f"{name}.")
             elif isinstance(val, (list, tuple)):
                 for i, item in enumerate(val):
                     if isinstance(item, Module):
-                        yield from item.named_parameters(f"{name}.{i}.")
+                        yield from item.state_slots(f"{name}.{i}.")
+        for key in self._buffers:
+            yield "buffer", f"{prefix}{key}", self, key
+
+    def named_parameters(self, prefix: str = ""):
+        for section, name, holder, _ in self.state_slots(prefix):
+            if section == "param":
+                yield name, holder
 
     def named_buffers(self, prefix: str = ""):
-        for key, val in vars(self).items():
-            name = f"{prefix}{key}"
-            if isinstance(val, Module):
-                yield from val.named_buffers(f"{name}.")
-            elif isinstance(val, (list, tuple)):
-                for i, item in enumerate(val):
-                    if isinstance(item, Module):
-                        yield from item.named_buffers(f"{name}.{i}.")
-        for key in getattr(self, "_buffers", ()):
-            yield f"{prefix}{key}", getattr(self, key)
+        for section, name, holder, key in self.state_slots(prefix):
+            if section == "buffer":
+                yield name, getattr(holder, key)
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
@@ -52,41 +61,6 @@ class Module:
     def zero_grad(self):
         for p in self.parameters():
             p.grad = None
-
-    def load_arrays(self, params: dict, buffers: dict, prefix: str = ""):
-        """Overwrite every parameter/buffer value in place from name->array
-        dicts; a name the dicts lack raises :class:`DataFormatError`."""
-        own = dict(self.named_parameters(prefix))
-        own_buf = dict(self.named_buffers(prefix))
-        missing = sorted(set(own) - set(params)) + sorted(set(own_buf) - set(buffers))
-        if missing:
-            raise DataFormatError(f"stored arrays lack {len(missing)} of this model's "
-                                  f"parameters and buffers: {missing}")
-        for name, arr in params.items():
-            if name not in own:
-                raise ShapeError(f"unknown parameter {name!r} for this model")
-            if own[name].data.shape != arr.shape:
-                raise ShapeError(
-                    f"parameter {name!r}: stored shape {arr.shape} vs model shape "
-                    f"{own[name].data.shape}"
-                )
-            own[name].data = np.array(arr, dtype=own[name].data.dtype)
-        for name, arr in buffers.items():
-            if name not in own_buf:
-                raise ShapeError(f"unknown buffer {name!r} for this model")
-            self._assign_buffer(name, arr, prefix)
-
-    def _assign_buffer(self, dotted: str, arr, prefix: str = ""):
-        if prefix and dotted.startswith(prefix):
-            dotted = dotted[len(prefix):]
-        parts = dotted.split(".")
-        obj = self
-        for part in parts[:-1]:
-            obj = obj[int(part)] if isinstance(obj, (list, tuple)) else getattr(obj, part)
-        if hasattr(obj, "_set_buffer"):
-            obj._set_buffer(parts[-1], arr)
-        else:
-            setattr(obj, parts[-1], np.array(arr, dtype=np.float64))
 
 
 class Conv2d(Module):
@@ -147,25 +121,17 @@ class ChannelScale(Module):
         if trainable:
             self.scale = Parameter(values.copy(), name="scale")
         else:
-            self.scale = Tensor(values.copy())
+            self.const_scale = values.copy()
             self._buffers = ("const_scale",)
         self.trainable = trainable
 
     @property
     def values(self) -> np.ndarray:
-        return self.scale.data
-
-    @property
-    def const_scale(self) -> np.ndarray:
-        return self.scale.data
-
-    def _set_buffer(self, key, arr):
-        if key != "const_scale":
-            raise ShapeError(f"unknown buffer {key!r} on ChannelScale")
-        self.scale.data = np.array(arr, dtype=np.float64)
+        return self.scale.data if self.trainable else self.const_scale
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.channel_scale(x, self.scale)
+        return ops.channel_scale(x, self.scale if self.trainable
+                                 else Tensor(self.const_scale))
 
 
 class Linear(Module):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, UsageError
+from .errors import ConfigError, DataFormatError, ShapeError, UsageError
 
 
 @dataclass(frozen=True)
@@ -225,11 +225,18 @@ class MultiplierSgd:
         return {f"velocity.{n}": v for n, v in sorted(self.velocities.items())}
 
     def load_state_arrays(self, arrays: dict) -> None:
-        self.velocities = {}
+        """Restore velocities; each entry must be ``velocity.<parameter>`` and
+        have that parameter's shape, or :class:`DataFormatError` is raised."""
+        velocities = {}
         for key, arr in arrays.items():
-            if not key.startswith("velocity."):
-                raise UsageError(f"unexpected optimizer state entry {key!r}")
-            self.velocities[key[len("velocity."):]] = np.array(arr, dtype=np.float64)
+            name = key.removeprefix("velocity.")
+            p = self.params.get(name) if name != key else None
+            if p is None or np.shape(arr) != p.data.shape:
+                raise DataFormatError(
+                    f"optimizer state entry {key!r} of shape {np.shape(arr)} is not "
+                    "the velocity of a parameter of that shape")
+            velocities[name] = np.array(arr, dtype=np.float64)
+        self.velocities = velocities
 
 
 def lr_schedule(cfg: OptimizerConfig, step: int, total_steps: int) -> float:

@@ -93,8 +93,8 @@ def ptq_model(model: InferenceModel, calibration: np.ndarray,
 
 def quantize_weights_only(model: InferenceModel) -> InferenceModel:
     """Round-trip every weight tensor through int8; activations stay float."""
-    convs = [FusedConv(_quantize_weight(conv.kernel), conv.bias.copy(),
-                       conv.stride, conv.padding) for conv in model.convs]
+    convs = [FusedConv(_quantize_weight(conv.kernel), conv.bias.copy(), conv.stride)
+             for conv in model.convs]
     return InferenceModel(convs, _quantize_weight(model.fc_weight),
                           model.fc_bias.copy(), spec=model.spec)
 

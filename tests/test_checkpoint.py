@@ -209,6 +209,17 @@ class TestRoundTrip:
         assert main(["convert", "--checkpoint", str(path),
                      "--out", str(tmp_path / "out")]) == 1
 
+    def test_array_listed_twice(self, tmp_path):
+        # a second fc.bias entry with its own bytes: not a silent overwrite
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), snapshot_model(build_target(SPEC, seed=3)))
+        header, payload = split_saved(path.read_bytes())
+        header["arrays"].append({"section": "param", "name": "fc.bias", "shape": [10]})
+        path.write_bytes(signed(json.dumps(header).encode(),
+                                payload + np.full(10, 7.0).tobytes()))
+        with pytest.raises(DataFormatError, match="twice"):
+            load_checkpoint(str(path))
+
     def test_header_not_an_object(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(signed(b"[]"))
@@ -220,12 +231,11 @@ class TestRoundTrip:
         assert main(["convert", "--checkpoint", str(tmp_path),
                      "--out", str(tmp_path / "out")]) == 1
 
-    @pytest.mark.parametrize("drop", ["num_convs", "strides", "conv0.kernel", "fc.bias"])
+    @pytest.mark.parametrize("drop", ["conv0.kernel", "fc.bias"])
     def test_fused_checkpoint_missing_entry(self, tmp_path, drop):
         fused = convert_model(build_target(SPEC, seed=3))
         ckpt = snapshot_fused(fused, SPEC)
-        ckpt.extra.pop(drop, None)
-        ckpt.params.pop(drop, None)
+        ckpt.params.pop(drop)
         path = tmp_path / "fused.ckpt"
         save_checkpoint(str(path), ckpt)
         with pytest.raises(DataFormatError):
@@ -249,6 +259,63 @@ class TestRoundTrip:
         assert name in str(err.value)
         assert main(["convert", "--checkpoint", str(path),
                      "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize("kind", ["target", "csla", "repvgg"])
+    @pytest.mark.parametrize("edit", ["unknown-param", "unknown-buffer", "param-shape",
+                                      "running-var-1"])
+    def test_misfit_model_array(self, tmp_path, kind, edit):
+        # one array that does not fit the skeleton: DataFormatError naming it
+        model = {"target": lambda: build_target(SPEC, seed=3),
+                 "csla": lambda: build_csla(SPEC, init_scales(SPEC), seed=3),
+                 "repvgg": lambda: build_repvgg(SPEC, seed=3)}[kind]()
+        ckpt = snapshot_model(model)
+        weight = next(n for n in sorted(ckpt.params) if n.endswith("weight"))
+        var = next(n for n in sorted(ckpt.buffers) if n.endswith("running_var"))
+        name, section, arr = {
+            "unknown-param": ("blocks.0.nope", ckpt.params, np.zeros(4)),
+            "unknown-buffer": ("blocks.0.running_nope", ckpt.buffers, np.zeros(4)),
+            "param-shape": (weight, ckpt.params, ckpt.params[weight][:1]),
+            "running-var-1": (var, ckpt.buffers, np.ones(1)),
+        }[edit]
+        section[name] = arr
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), ckpt)
+        with pytest.raises(DataFormatError) as err:
+            restore_model(load_checkpoint(str(path)))
+        assert name in str(err.value)
+        assert main(["convert", "--checkpoint", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize("name,arr", [
+        ("fc.bias", np.zeros(1)),
+        ("conv0.bias", np.zeros(1)),
+        ("conv9.kernel", np.zeros((8, 8, 3, 3))),
+        ("conv1.kernel", np.zeros((4, 36))),
+    ], ids=["fc-bias-1", "conv0-bias-1", "stray-conv9", "2d-kernel"])
+    def test_misfit_fused_array(self, tmp_path, name, arr):
+        ckpt = snapshot_fused(convert_model(build_target(SPEC, seed=3)), SPEC)
+        ckpt.params[name] = arr
+        path = tmp_path / "fused.ckpt"
+        save_checkpoint(str(path), ckpt)
+        with pytest.raises(DataFormatError) as err:
+            restore_fused(load_checkpoint(str(path)))
+        assert name in str(err.value)
+        assert main(["quantize", "--checkpoint", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+
+    def test_fused_layout_keys_of_older_files_ignored(self, tmp_path):
+        # files written before the layout followed the spec carry num_convs,
+        # strides and paddings in extra; they restore to the same outputs
+        fused = convert_model(build_target(SPEC, seed=3))
+        ckpt = snapshot_fused(fused, SPEC, {"from_kind": "target"})
+        ckpt.extra.update(num_convs=len(fused.convs), strides=[2, 2, 2, 1],
+                          paddings=[1] * len(fused.convs))
+        path = tmp_path / "fused.ckpt"
+        save_checkpoint(str(path), ckpt)
+        back = restore_fused(load_checkpoint(str(path)))
+        x = np.random.default_rng(3).normal(size=(2, 3, 16, 16))
+        assert back.forward(x).tobytes() == fused.forward(x).tobytes()
+        assert [c.stride for c in back.convs] == [c.stride for c in fused.convs]
 
     def test_multiplier_dump(self, tmp_path):
         from gradrep.models import build_multipliers
@@ -304,3 +371,20 @@ class TestResume:
         buf_a = {n: np.array(b) for n, b in model_a.named_buffers()}
         buf_c = {n: np.array(b) for n, b in model_c.named_buffers()}
         assert_same_arrays(buf_a, buf_c)
+
+    @pytest.mark.parametrize("key,arr", [
+        ("velocity.blocks.0.conv.weight", np.zeros(1)),
+        ("velocity.nope", np.zeros(1)),
+        ("momentum.fc.bias", np.zeros(10)),
+    ], ids=["wrong-shape", "unknown-parameter", "not-a-velocity"])
+    def test_resume_rejects_misfit_optimizer_state(self, tmp_path, key, arr):
+        model = build_target(SPEC, seed=3)
+        opt = MultiplierSgd(dict(model.named_parameters()), momentum=0.9)
+        ckpt = snapshot_model(model, opt)
+        ckpt.opt_state[key] = arr
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), ckpt)
+        ckpt = load_checkpoint(str(path))
+        opt = MultiplierSgd(dict(restore_model(ckpt).named_parameters()), momentum=0.9)
+        with pytest.raises(DataFormatError, match=key):
+            opt.load_state_arrays(optimizer_arrays(ckpt))

@@ -84,6 +84,11 @@ class TestGenData:
                        "--out", str(tmp_path / "x"))
         assert code == 2
 
+    def test_more_classes_than_the_layout_holds_rejected(self, tmp_path):
+        # the CIFAR-10 reader takes labels below 10 only
+        assert run_cli("gen-data", "--set", "data.classes=100", "--set", "data.n=8",
+                       "--set", "data.test_n=4", "--out", str(tmp_path / "x")) == 2
+
 
 class TestVerifyEquivalence:
     def test_default_block_run_passes_and_writes_report(self, tmp_path):
@@ -140,7 +145,7 @@ class TestTrainCli:
         # the multiplier-rule flags are on only with --scales; without it
         # each one is refused instead of being dropped
         for flags in (["--no-reinit"], ["--no-gradmult"], ["--ablation-matrix"],
-                      ["--scales-mode", "all-ones"]):
+                      ["--scales-mode", "all-ones"], ["--dump-mults"]):
             assert run_cli("train", *flags, "--out", str(tmp_path / "x")) == 2, flags
 
     def test_sgd_run_writes_reports(self, tmp_path):
@@ -244,6 +249,28 @@ class TestConvertQuantizeAnalyze:
         lines = open(os.path.join(out, "kernel_stats.csv")).read().splitlines()
         assert lines[0] == "layer,std_overall,std_central,std_surrounding"
         assert len(lines) > 1
+
+    @pytest.mark.parametrize("key", ["data.classes=5", "data.resolution=32"])
+    def test_quantize_rejects_data_that_does_not_fit_the_checkpoint(
+            self, tmp_path, repvgg_ckpt, key):
+        assert run_cli("quantize", "--checkpoint", repvgg_ckpt, *TINY_DATA,
+                       "--set", key, "--out", str(tmp_path / "q")) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-equivalence", "--set", "eq.steps=0"],
+        ["analyze", "--set", "analyze.seeds=0"],
+        ["analyze", "--set", "analyze.seeds=-1"],
+        ["analyze", "--set", "analyze.batch=0"],
+        ["analyze", "--set", "analyze.stage_blocks=1"],
+        ["analyze", "--set", "analyze.stage_blocks=1,x"],
+    ], ids=["eq-steps-0", "seeds-0", "seeds-neg", "batch-0", "no-identity-block",
+            "stage-blocks-text"])
+    def test_count_keys_exit_2(self, tmp_path, argv):
+        vr = ["--set", "analyze.what=variance-ratio", "--set", "analyze.seeds=1",
+              "--set", "analyze.batch=4", "--set", "data.resolution=16"]
+        if argv[0] == "analyze":
+            argv = argv[:1] + vr + argv[1:]
+        assert run_cli(*argv, "--out", str(tmp_path / "x")) == 2
 
     def test_analyze_variance_ratio(self, tmp_path, monkeypatch):
         # runs on numpy alone: importing scipy fails while the job runs

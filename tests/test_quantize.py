@@ -117,7 +117,7 @@ class TestPositionStats:
 def identity_inference_model(c=3, layers=2):
     from gradrep.optim import dirac_kernel
 
-    convs = [FusedConv(dirac_kernel(c, 3), np.zeros(c), 1, 1) for _ in range(layers)]
+    convs = [FusedConv(dirac_kernel(c, 3), np.zeros(c), 1) for _ in range(layers)]
     return InferenceModel(convs, np.eye(c), np.zeros(c))
 
 
@@ -138,16 +138,16 @@ class TestPtq:
         # int8 kernel plus bias, ReLU, fake-quant; then GAP and the
         # dequantized FC
         rng = Rng(4)
-        convs = [FusedConv(0.4 * rng.gaussian((6, 3, 3, 3)), 0.1 * rng.gaussian(6), 2, 1),
-                 FusedConv(0.3 * rng.gaussian((6, 6, 3, 3)), 0.1 * rng.gaussian(6), 1, 1),
-                 FusedConv(0.3 * rng.gaussian((8, 6, 3, 3)), 0.1 * rng.gaussian(8), 2, 1)]
+        convs = [FusedConv(0.4 * rng.gaussian((6, 3, 3, 3)), 0.1 * rng.gaussian(6), 2),
+                 FusedConv(0.3 * rng.gaussian((6, 6, 3, 3)), 0.1 * rng.gaussian(6), 1),
+                 FusedConv(0.3 * rng.gaussian((8, 6, 3, 3)), 0.1 * rng.gaussian(8), 2)]
         model = InferenceModel(convs, 0.5 * rng.gaussian((4, 8)), 0.1 * rng.gaussian(4))
         quant = ptq_model(model, rng.gaussian((20, 3, 12, 12)), batch_size=8)
         x = rng.gaussian((5, 3, 12, 12))
         h = fake_quantize(x, quant.input_scale)
         for conv, scale in zip(convs, quant.act_scales):
             kernel = int8_round_trip(conv.kernel)
-            h = ops.conv2d(Tensor(h), Tensor(kernel), conv.stride, conv.padding,
+            h = ops.conv2d(Tensor(h), Tensor(kernel), conv.stride, 1,
                            bias=Tensor(conv.bias)).data
             h = fake_quantize(np.maximum(h, 0.0), scale)
         fc = int8_round_trip(model.fc_weight)
@@ -175,7 +175,7 @@ class TestPtq:
         # whose fp logit margin is smaller than twice the measured logit shift
         ds = gen_synthetic(256, 16, 4, seed=5)
         rng = Rng(11)
-        convs = [FusedConv(0.3 * rng.gaussian((8, 3, 3, 3)), np.zeros(8), 2, 1)]
+        convs = [FusedConv(0.3 * rng.gaussian((8, 3, 3, 3)), np.zeros(8), 2)]
         model = InferenceModel(convs, 0.5 * rng.gaussian((4, 8)), np.zeros(4))
         wq = quantize_weights_only(model)
         x = ds.normalized()
