@@ -14,6 +14,12 @@ supports one backward pass; a second one that reaches a freed node, from the
 old loss or from a new one built on top of it, raises
 :class:`~gradrep.errors.UsageError`.
 
+Gradient arrays are handed over, not copied: the first array a tensor
+receives becomes its ``.grad``, and later ones are added into it. So an op
+hands each array it builds to one tensor only (``add`` gives its second
+parent a copy), and a backward closure owns the gradient it is called with:
+it may write to it in place and hand it on, as the batch-norm node does.
+
 Inside ``with no_grad():`` the ops record no tape at all: they return plain
 tensors without parents or closures, for forward passes that are never
 differentiated, such as evaluation.
@@ -96,8 +102,11 @@ class Tensor:
         return float(self.data)
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add ``g`` to ``.grad``. The first array is kept as ``.grad``
+        itself, so the op that hands it over must not hand it to any other
+        tensor or write to it afterwards."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            self.grad = g if g.dtype == self.data.dtype else g.astype(self.data.dtype)
         else:
             self.grad += g
 

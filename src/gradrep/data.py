@@ -34,7 +34,7 @@ NORMALIZATION = {
 }
 
 #: samples per noise draw in gen_synthetic; must stay even (see there)
-_SYNTH_CHUNK = 128
+_SYNTH_CHUNK = 16
 
 CIFAR10_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR10_TEST_FILES = ["test_batch.bin"]
@@ -225,9 +225,15 @@ def gen_synthetic(n: int, resolution: int, classes: int, seed: int, *,
         cx = pos[:, 1, None, None]
         sig = sigmas[start:stop, None, None]
         blob = np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sig ** 2)))
-        pixel_noise = rng.gaussian((stop - start, 3, resolution, resolution)) * noise
-        img = colors[lab][:, :, None, None] * blob[:, None] + 0.25 + pixel_noise
-        images[start:stop] = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+        pixel_noise = rng.gaussian((stop - start, 3, resolution, resolution))
+        pixel_noise *= noise
+        # color * blob + 0.25 + noise, evaluated left to right in one buffer
+        img = colors[lab][:, :, None, None] * blob[:, None]
+        img += 0.25
+        img += pixel_noise
+        img *= 255.0
+        np.rint(img, out=img)
+        images[start:stop] = np.clip(img, 0, 255, out=img)
     return DatasetHandle("synthetic", images, labels, classes)
 
 

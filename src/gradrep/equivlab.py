@@ -107,13 +107,13 @@ class _Pair:
         if self.gamma is not None:
             z = ops.add(z, ops.channel_scale(x, self.gamma))
         if self.post_bn:
-            z = ops.relu(self.bn_branched.forward(z, True))
+            z = self.bn_branched.forward(z, True, relu=True)
         return z
 
     def forward_single(self, x):
         z = ops.conv2d(x, self.w_prime, self.block.stride, self.k // 2)
         if self.post_bn:
-            z = ops.relu(self.bn_single.forward(z, True))
+            z = self.bn_single.forward(z, True, relu=True)
         return z
 
     def combined_kernel(self):
@@ -225,7 +225,8 @@ class InferenceModel:
         """Yield each post-ReLU activation in turn (the calibration taps)."""
         h = np.asarray(x, dtype=np.float64)
         for conv in self.convs:
-            h = np.maximum(conv.forward(h), 0.0)
+            h = conv.forward(h)
+            np.maximum(h, 0.0, out=h)
             yield h
 
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -96,17 +96,21 @@ class BatchNorm2d(Module):
         self.running_mean = np.zeros(c)
         self.running_var = np.ones(c)
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
+    def forward(self, x: Tensor, training: bool, relu: bool = False) -> Tensor:
+        """BN, then a ReLU when ``relu`` is set; in train mode the two are
+        one tape node."""
         if training:
-            out, mu, var = ops.batchnorm_train(x, self.gamma, self.beta, eps=self.eps)
+            out, mu, var = ops.batchnorm_train(x, self.gamma, self.beta, eps=self.eps,
+                                               relu=relu)
             n, _, h, w = x.data.shape
             m = n * h * w
             var_unbiased = var * (m / (m - 1.0))
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var_unbiased
             return out
-        return ops.batchnorm_eval(x, self.gamma, self.beta,
-                                  self.running_mean, self.running_var, eps=self.eps)
+        out = ops.batchnorm_eval(x, self.gamma, self.beta,
+                                 self.running_mean, self.running_var, eps=self.eps)
+        return ops.relu(out) if relu else out
 
 
 class ChannelScale(Module):

@@ -166,7 +166,7 @@ class PlainBlock(Module):
         self.bn = BatchNorm2d(info.c_out)
 
     def forward(self, x, training):
-        return ops.relu(self.bn.forward(self.conv.forward(x), training))
+        return self.bn.forward(self.conv.forward(x), training, relu=True)
 
 
 class CslaBlock(Module):
@@ -219,7 +219,7 @@ class CslaBlock(Module):
             if self.capture:
                 self.last_identity = idpath.data
                 self.last_sum = z.data
-        return ops.relu(self.bn.forward(z, training))
+        return self.bn.forward(z, training, relu=True)
 
 
 class RepVggStyleBlock(Module):
@@ -261,7 +261,7 @@ class ResidualBlock(Module):
         self.last_sum = None
 
     def forward(self, x, training):
-        h = ops.relu(self.bn_a.forward(self.conv_a.forward(x), training))
+        h = self.bn_a.forward(self.conv_a.forward(x), training, relu=True)
         h = self.bn_b.forward(self.conv_b.forward(h), training)
         z = ops.add(x, h)
         if self.capture:
@@ -287,7 +287,7 @@ class Model(Module):
 
     def forward(self, x, training=False):
         t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-        t = ops.relu(self.stem_bn.forward(self.stem_conv.forward(t), training))
+        t = self.stem_bn.forward(self.stem_conv.forward(t), training, relu=True)
         for block in self.blocks:
             t = block.forward(t, training)
         return self.fc.forward(ops.global_avg_pool(t))

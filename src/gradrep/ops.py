@@ -24,6 +24,15 @@ optimizer updates ``Parameter.data`` only after backward. The kernel gradient
 sums its per-sample products in sample order across chunks, so chunking
 changes no bit.
 
+Train-mode batch norm keeps no normalized input (x-hat) on the tape: it keeps
+the batch mean and inverse std, and backward re-derives x-hat from the input,
+which the tape already holds as the conv or add output. With ``relu=True``
+BN and the ReLU after it are one node whose ReLU runs in place on the BN
+output, so a conv->BN->ReLU stack stores two activations, the conv output and
+the node's output. Gradients are handed over, not copied (see
+:mod:`gradrep.autodiff`): each backward owns the gradient it is called with,
+so ``relu`` and batch norm mask it and build dx in that same buffer.
+
 Every reduction runs in a fixed order, so repeated runs on the same machine
 are bit-identical. Forward outputs, kernel gradients and strided input
 gradients equal those of the earlier slice-loop im2col and scatter-add col2im
@@ -208,7 +217,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
                 np.matmul(g2[s], columns(s).transpose(0, 2, 1), out=buf[1:m + 1])
                 buf[0] = buf[lo:m + 1].sum(axis=0)
                 lo = 0
-            w.accumulate_grad(buf[0].reshape(w.data.shape))
+            # a compact copy, so the chunk buffer does not outlive the step
+            w.accumulate_grad(buf[0].reshape(w.data.shape).copy())
         if x.requires_grad or x._parents:
             dx = (np.zeros if pointwise and stride > 1 else np.empty)(
                 xd.shape, dtype=np.result_type(w2, g2))
@@ -250,7 +260,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad or a._parents:
             a.accumulate_grad(g)
         if b.requires_grad or b._parents:
-            b.accumulate_grad(g)
+            # a's gradient may be g itself, which a's own backward may write
+            b.accumulate_grad(g.copy())
 
     return Tensor(out_data, parents=(a, b), backward=backward)
 
@@ -262,7 +273,8 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(g):
         # max(x, 0) > 0 exactly where x > 0, so no mask is kept from forward
-        x.accumulate_grad(g * (out_data > 0))
+        g *= out_data > 0
+        x.accumulate_grad(g)
 
     return Tensor(out_data, parents=(x,), backward=backward)
 
@@ -293,12 +305,17 @@ def channel_scale(x: Tensor, scale: Tensor) -> Tensor:
 # batch normalization
 # ---------------------------------------------------------------------------
 
-def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
-    """Train-mode BN over (n, h, w) per channel.
+def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
+                    relu: bool = False):
+    """Train-mode BN over (n, h, w) per channel, followed by a ReLU in place
+    when ``relu`` is set, as one tape node.
 
     Returns (out, batch_mean, batch_var_population); the caller updates its
     running statistics from the returned batch stats. Batches of fewer than
     two samples are rejected (batch variance is not meaningful there).
+
+    Backward re-derives x-hat from ``x`` by the same two expressions as
+    forward, so every bit is as if x-hat had been kept.
     """
     n, c, h, w = x.data.shape
     if n < 2:
@@ -306,19 +323,26 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     m = n * h * w
     x3 = x.data.reshape(n, c, h * w)
     mu = np.einsum("nck->c", x3) / m
-    xhat = x3 - mu[:, None]
-    var = np.einsum("nck,nck->c", xhat, xhat) / m
+    out3 = x3 - mu[:, None]
+    var = np.einsum("nck,nck->c", out3, out3) / m
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat *= inv_std[:, None]
-    out3 = xhat * gamma.data[:, None]
+    out3 *= inv_std[:, None]  # x-hat, turned into the output in place
+    out3 *= gamma.data[:, None]
     out3 += beta.data[:, None]
+    if relu:
+        np.maximum(out3, 0.0, out=out3)
     out_data = out3.reshape(n, c, h, w)
 
     if not _needs(x, gamma, beta):
         return Tensor(out_data), mu, var
 
     def backward(g):
+        if relu:
+            # max(y, 0) > 0 exactly where y > 0
+            g *= out_data > 0
         g3 = g.reshape(n, c, h * w)
+        xhat = x3 - mu[:, None]
+        xhat *= inv_std[:, None]
         sum_g = np.einsum("nck->c", g3)
         sum_gx = np.einsum("nck,nck->c", g3, xhat)
         if gamma.requires_grad or gamma._parents:
@@ -329,10 +353,11 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
             a = gamma.data * inv_std
             b = a * sum_gx / m
             c0 = a * sum_g / m
-            dx = g3 * a[:, None]
-            dx -= xhat * b[:, None]
-            dx -= c0[:, None]
-            x.accumulate_grad(dx.reshape(n, c, h, w))
+            g3 *= a[:, None]
+            xhat *= b[:, None]
+            g3 -= xhat
+            g3 -= c0[:, None]
+            x.accumulate_grad(g3.reshape(n, c, h, w))
 
     out = Tensor(out_data, parents=(x, gamma, beta), backward=backward)
     return out, mu, var

@@ -24,9 +24,15 @@ def int8_scale(amax: float) -> float:
     return max(amax / 127.0, SCALE_FLOOR)
 
 
-def fake_quantize(arr: np.ndarray, scale: float) -> np.ndarray:
-    """Round to the int8 grid of ``scale``, clamp to [-127, 127], scale back."""
-    return np.clip(np.rint(arr / scale), -127, 127) * scale
+def fake_quantize(arr: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Round to the int8 grid of ``scale``, clamp to [-127, 127], scale back;
+    into ``out`` when given (``arr`` itself for an in-place pass), else into
+    one new array."""
+    q = np.divide(arr, scale, out=out)
+    np.rint(q, out=q)
+    np.clip(q, -127, 127, out=q)
+    q *= scale
+    return q
 
 
 def _quantize_weight(w: np.ndarray) -> np.ndarray:
@@ -66,7 +72,9 @@ class QuantizedModel(InferenceModel):
     def features(self, x: np.ndarray):
         h = fake_quantize(np.asarray(x, dtype=np.float64), self.input_scale)
         for conv, scale in zip(self.convs, self.act_scales):
-            h = fake_quantize(np.maximum(conv.forward(h), 0.0), scale)
+            h = conv.forward(h)
+            np.maximum(h, 0.0, out=h)
+            fake_quantize(h, scale, out=h)
             yield h
 
 

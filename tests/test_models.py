@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -267,3 +269,23 @@ class TestBuilders:
         assert names == [f"blocks.{i}.conv.weight" for i in range(4)]
         all_names = dict(model.named_parameters())
         assert set(names) <= set(all_names)
+
+
+class TestTapeMemory:
+    def test_plain_block_forward_holds_two_activations(self):
+        # the tape keeps the conv output (BN's input) and the BN->ReLU output;
+        # x-hat, the pre-ReLU output and the conv columns are not kept. The
+        # 256 KiB slack covers the cached gather plan of a first call.
+        from gradrep.rng import Rng
+
+        block = PlainBlock(BlockInfo(0, "b", 8, 8, 1, True, 1), rng=Rng(3))
+        x = Tensor(np.random.default_rng(3).normal(size=(128, 8, 16, 16)),
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = block.forward(x, training=True)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 2 * out.data.nbytes + 256 * 2**10

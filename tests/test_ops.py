@@ -253,6 +253,43 @@ class TestBackward:
         assert w.grad.tobytes() == want_w.tobytes()
         assert x.grad.tobytes() == want_x.tobytes()
 
+    def test_add_hands_its_parents_separate_arrays(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        y = Tensor(np.ones((2, 3)), requires_grad=True)
+        weights = np.arange(6.0).reshape(2, 3)
+        weighted_sum(ops.add(x, y), weights).backward()
+        assert x.grad is not y.grad
+        np.testing.assert_array_equal(x.grad, weights)
+        np.testing.assert_array_equal(y.grad, weights)
+
+    def test_add_of_a_tensor_with_itself_sums_both_paths(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        weights = np.arange(6.0).reshape(2, 3)
+        weighted_sum(ops.add(x, x), weights).backward()
+        np.testing.assert_array_equal(x.grad, 2.0 * weights)
+
+    def test_add_next_to_a_bn_relu_node_keeps_its_sibling_gradient(self):
+        # the BN->ReLU node masks and overwrites the gradient it is handed;
+        # the add's other parent must not see that
+        rng = np.random.default_rng(17)
+        xd = rng.normal(size=(3, 2, 4, 4))
+        gd, bd = rng.normal(size=2) + 1.0, rng.normal(size=2)
+        proj = rng.normal(size=(3, 2, 4, 4))
+
+        def bn_relu(x):
+            return ops.batchnorm_train(x, Parameter(gd), Parameter(bd), relu=True)[0]
+
+        x = Tensor(xd, requires_grad=True)
+        sibling = Tensor(rng.normal(size=(3, 2, 4, 4)), requires_grad=True)
+        z = ops.add(bn_relu(x), sibling)
+        z_leaf = Tensor(z.data.copy(), requires_grad=True)
+        weighted_sum(bn_relu(z), proj).backward()
+        weighted_sum(bn_relu(z_leaf), proj).backward()
+        assert sibling.grad.tobytes() == z_leaf.grad.tobytes()
+        x_alone = Tensor(xd, requires_grad=True)
+        weighted_sum(bn_relu(x_alone), z_leaf.grad).backward()
+        assert x.grad.tobytes() == x_alone.grad.tobytes()
+
 
 class TestConvChunks:
     """conv2d walks the batch in sample chunks; the chunking must not show."""
@@ -314,28 +351,31 @@ class TestFiniteDifferences:
         bd = rng.normal(size=(3,)) * 0.1
         proj = rng.normal(size=(2, 3, 5, 5))
 
-        def build(with_grads):
+        def build(with_grads, fused):
             x = Tensor(xd)
             w = Parameter(wd) if with_grads else Tensor(wd)
             g = Parameter(gd) if with_grads else Tensor(gd)
             b = Parameter(bd) if with_grads else Tensor(bd)
             out = ops.conv2d(x, w, stride=1, padding=1)
-            out, _, _ = ops.batchnorm_train(out, g, b)
             # keep activations away from the relu kink so finite differences
             # stay valid
-            out = ops.relu(out)
+            if fused:  # BN and ReLU as one node
+                out, _, _ = ops.batchnorm_train(out, g, b, relu=True)
+            else:
+                out = ops.relu(ops.batchnorm_train(out, g, b)[0])
             return weighted_sum(out, proj), (w, g, b)
 
-        loss, (w, g, b) = build(True)
-        inner = interior_nodes(loss)
-        loss.backward()
-        # the walk freed the interior of the tape; the leaves keep .grad
-        for node in inner:
-            assert node.grad is None and node._parents == ()
-            assert node._backward.__closure__ is None
-        for param, arr in ((w, wd), (g, gd), (b, bd)):
-            num = numerical_grad(lambda: build(False)[0].item(), arr)
-            assert_grad_close(param.grad, num)
+        for fused in (False, True):
+            loss, (w, g, b) = build(True, fused)
+            inner = interior_nodes(loss)
+            loss.backward()
+            # the walk freed the interior of the tape; the leaves keep .grad
+            for node in inner:
+                assert node.grad is None and node._parents == ()
+                assert node._backward.__closure__ is None
+            for param, arr in ((w, wd), (g, gd), (b, bd)):
+                num = numerical_grad(lambda: build(False, fused)[0].item(), arr)
+                assert_grad_close(param.grad, num)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_head_composite(self, seed):
@@ -449,6 +489,29 @@ class TestPrimitives:
         assert np.allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
         assert np.allclose(out.data.std(axis=(0, 2, 3)), 1.0, atol=1e-4)
         np.testing.assert_allclose(mu, x.mean(axis=(0, 2, 3)))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 4), (5, 2, 3, 7), (3, 4, 1, 1),
+                                       (16, 8, 8, 8)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batchnorm_relu_node_bytes_equal_two_nodes(self, shape, seed):
+        rng = np.random.default_rng(400 + seed)
+        c = shape[1]
+        xd = rng.normal(size=shape) * 2.0 + 0.5
+        gd, bd = rng.normal(size=c) + 1.0, rng.normal(size=c)
+        proj = rng.normal(size=shape)
+
+        def run(fused):
+            x = Tensor(xd, requires_grad=True)
+            g, b = Parameter(gd), Parameter(bd)
+            if fused:
+                out, mu, var = ops.batchnorm_train(x, g, b, relu=True)
+            else:
+                out, mu, var = ops.batchnorm_train(x, g, b)
+                out = ops.relu(out)
+            weighted_sum(out, proj).backward()
+            return [a.tobytes() for a in (out.data, mu, var, x.grad, g.grad, b.grad)]
+
+        assert run(True) == run(False)
 
     def test_batchnorm_train_rejects_single_sample(self):
         with pytest.raises(UsageError):
