@@ -10,10 +10,11 @@ epoch/step counters and the data-stream RNG state, so loading a checkpoint
 reproduces the run exactly: ``load(save(x))`` is bit-identical and resuming
 continues an interrupted run on the same trajectory as the uninterrupted one.
 
-Restoring builds the skeleton the header describes and fills it through one
-fit rule (:func:`_fill`): the stored param/buffer arrays must match the
-skeleton's slots one to one, name and shape, or the restore raises one
-``DataFormatError`` naming every missing, unknown and wrongly shaped array.
+Restoring builds the zero skeleton the header describes (no random draws)
+and fills it through one fit rule (:func:`_fill`): the stored param/buffer
+arrays must match the skeleton's slots one to one, name and shape, or the
+restore raises one ``DataFormatError`` naming every missing, unknown and
+wrongly shaped array.
 A trained model's slots come from :meth:`Module.state_slots`. A fused
 (deploy-form) model's layout follows its spec: a stride-2 3x3 stem conv, one
 3x3 conv per block at that block's stride, then the FC head; its arrays are
@@ -214,18 +215,18 @@ def _fill(slots: dict, ckpt: Checkpoint) -> None:
 
 
 def restore_model(ckpt: Checkpoint) -> Model:
-    """Rebuild the model skeleton for the stored kind and overwrite every
-    parameter and buffer with the stored values."""
+    """Rebuild the model skeleton for the stored kind (zero kernels, no random
+    draws) and overwrite every parameter and buffer with the stored values."""
     spec = ckpt.spec
     if ckpt.model_kind == "target":
-        model = build_target(spec, seed=0)
+        model = build_target(spec)
     elif ckpt.model_kind == "csla":  # the constants are overwritten from the buffers
         ones = {i.block_id: [np.ones(i.c_out)] * len(BLOCK_RECIPE) for i in block_infos(spec)}
-        model = build_csla(spec, ones, seed=0)
+        model = build_csla(spec, ones)
     elif ckpt.model_kind == "hs":
-        model = build_hypersearch(spec, seed=0)
+        model = build_hypersearch(spec)
     elif ckpt.model_kind == "repvgg":
-        model = build_repvgg(spec, seed=0)
+        model = build_repvgg(spec)
     else:
         raise DataFormatError(f"cannot restore model kind {ckpt.model_kind!r}")
     _fill({(s, n): (h, a) for s, n, h, a in model.state_slots()}, ckpt)

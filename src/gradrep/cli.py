@@ -334,11 +334,11 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
 
         def factory(seed):
             if arch == "resnet":
-                return build_resnet_reference(stage_blocks, seed=seed,
+                return build_resnet_reference(stage_blocks, rng=Rng(seed),
                                               input_hw=cfg["data.resolution"])
             spec = cfg.model_spec(cfg["data.classes"], cfg["data.resolution"])
             if arch in ("hs", "hs-ones"):
-                return build_hypersearch(spec, seed=seed,
+                return build_hypersearch(spec, rng=Rng(seed),
                                          init="hs_init" if arch == "hs" else "all_ones")
             raise ConfigError(f"analyze.arch must be resnet|hs|hs-ones, got {arch!r}")
 
@@ -346,10 +346,11 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
             factory, data, cfg["analyze.seeds"], base_seed=cfg["seed"])
         write_csv(os.path.join(args.out, "variance_ratio.csv"),
                   ["block_id", "mean_ratio"], list(zip(ids, mean)))
-        longest = max(set(b.split("b")[0] for b in ids),
-                      key=lambda st: sum(1 for b in ids if b.startswith(st)))
-        depth_idx = [i for i, b in enumerate(ids) if b.startswith(longest)]
-        corr = spearman(np.arange(len(depth_idx)), mean[depth_idx])
+        stages = [b.split("b")[0] for b in ids]
+        longest = max(dict.fromkeys(stages), key=stages.count)  # the first on a tie
+        depth_idx = [i for i, st in enumerate(stages) if st == longest]
+        corr = (spearman(np.arange(len(depth_idx)), mean[depth_idx])
+                if len(depth_idx) >= 2 else None)
         write_json(os.path.join(args.out, "summary.json"), {
             "arch": arch,
             "seeds": cfg["analyze.seeds"],

@@ -10,10 +10,12 @@ one scale vector per recipe branch.
 
 All builders share one stem / blocks / head skeleton (:func:`_assemble`): a
 stride-2 3x3 stem conv with BN+ReLU, stages whose first block has stride 2,
-and a global-average-pool + FC head. Builders draw every kernel from one Rng
-stream in a fixed order (stem, blocks in sequence, head), which is what lets
-the branched model and its single-operator counterpart be initialized as
-exact counterparts.
+and a global-average-pool + FC head. A builder's one source of randomness is
+its ``rng``: it draws every kernel from that stream in a fixed order (stem,
+blocks in sequence, head), which is what lets the branched model and its
+single-operator counterpart be initialized as exact counterparts. Without an
+``rng`` a builder draws nothing and every kernel is zero: the skeleton that
+:func:`gradrep.checkpoint.restore_model` fills from stored arrays.
 """
 
 from __future__ import annotations
@@ -304,10 +306,9 @@ class Model(Module):
         return [f"blocks.{i}.conv.weight" for i in range(len(self.blocks))]
 
 
-def _assemble(kind, spec: ModelSpec, seed, rng: Rng | None, make_block) -> Model:
+def _assemble(kind, spec: ModelSpec, rng: Rng | None, make_block) -> Model:
     """The shared skeleton: stem conv + BN, ``make_block(info, rng)`` for every
-    block in order, FC head, all drawn from one stream."""
-    rng = rng if rng is not None else Rng(0 if seed is None else seed)
+    block in order, FC head, all drawn from one stream (all zero without one)."""
     stem_conv = Conv2d(3, spec.stem_channels, 3, 2, 1, rng=rng)
     stem_bn = BatchNorm2d(spec.stem_channels)
     blocks = [make_block(info, rng) for info in block_infos(spec)]
@@ -340,20 +341,19 @@ def _block_branches(info, lookup) -> tuple:
     return branches
 
 
-def build_target(spec: ModelSpec, seed=None, rng: Rng | None = None) -> Model:
+def build_target(spec: ModelSpec, rng: Rng | None = None) -> Model:
     """Plain stack: one 3x3 conv + BN + ReLU per block, MSRA init."""
-    return _assemble("target", spec, seed, rng,
+    return _assemble("target", spec, rng,
                      lambda info, rng: PlainBlock(info, rng=rng))
 
 
-def build_target_equivalent_init(spec: ModelSpec, scales, seed=None,
-                                 rng: Rng | None = None) -> Model:
+def build_target_equivalent_init(spec: ModelSpec, scales, rng: Rng) -> Model:
     """Plain stack whose kernels are the equivalent single-operator form of a
     freshly initialized branched counterpart with the given constant scales.
 
     Draws the same random stream as :func:`build_csla` (stem, then per block
-    one kernel per branch in branch order, then the head), so with the same
-    seed the two models are exact training counterparts.
+    one kernel per branch in branch order, then the head), so from equal
+    streams the two models are exact training counterparts.
     """
     lookup = _scales_lookup(scales)
 
@@ -369,14 +369,14 @@ def build_target_equivalent_init(spec: ModelSpec, scales, seed=None,
         plain.conv.weight.data = w
         return plain
 
-    return _assemble("target", spec, seed, rng, block)
+    return _assemble("target", spec, rng, block)
 
 
-def build_csla(spec: ModelSpec, scales, seed=None, rng: Rng | None = None) -> Model:
+def build_csla(spec: ModelSpec, scales, rng: Rng | None = None) -> Model:
     """The branched constant-scale counterpart (never trained in production;
     exists so its dynamics can be verified against the multiplier optimizer)."""
     lookup = _scales_lookup(scales)
-    return _assemble("csla", spec, seed, rng, lambda info, rng: CslaBlock(
+    return _assemble("csla", spec, rng, lambda info, rng: CslaBlock(
         info, _block_branches(info, lookup), False, rng=rng))
 
 
@@ -397,30 +397,29 @@ def hs_branches(info: BlockInfo, init: str) -> tuple:
     return tuple((k, vec) for k in BLOCK_RECIPE)
 
 
-def build_hypersearch(spec: ModelSpec, seed=None, rng: Rng | None = None,
+def build_hypersearch(spec: ModelSpec, rng: Rng | None = None,
                       init: str = "hs_init") -> Model:
     """Branched model with trainable scales at :func:`hs_branches` and
     identity scales at 1."""
-    return _assemble("hs", spec, seed, rng, lambda info, rng: CslaBlock(
+    return _assemble("hs", spec, rng, lambda info, rng: CslaBlock(
         info, hs_branches(info, init), trainable=True, rng=rng))
 
 
-def build_repvgg(spec: ModelSpec, seed=None, rng: Rng | None = None) -> Model:
-    return _assemble("repvgg", spec, seed, rng,
+def build_repvgg(spec: ModelSpec, rng: Rng | None = None) -> Model:
+    return _assemble("repvgg", spec, rng,
                      lambda info, rng: RepVggStyleBlock(info, rng=rng))
 
 
-def build_resnet_reference(stage_blocks, channels=None, num_classes=10,
-                           input_hw=32, stem_channels=None, seed=None,
+def build_resnet_reference(stage_blocks, channels=None, input_hw=32,
                            rng: Rng | None = None) -> Model:
     """Residual reference for the identity-variance study: each stage opens
-    with a strided plain block (no identity path) followed by residual blocks."""
+    with a strided plain block (no identity path) followed by residual blocks.
+    The stem is as wide as the first stage and the head has 10 classes."""
     if channels is None:
         channels = [8 * (2 ** i) for i in range(len(stage_blocks))]
-    spec = ModelSpec(stem_channels or channels[0],
-                     tuple((n, c) for n, c in zip(stage_blocks, channels)),
-                     num_classes, input_hw)
-    return _assemble("resnet", spec, seed, rng, lambda info, rng: (
+    spec = ModelSpec(channels[0], tuple((n, c) for n, c in zip(stage_blocks, channels)),
+                     10, input_hw)
+    return _assemble("resnet", spec, rng, lambda info, rng: (
         ResidualBlock(info, rng=rng) if info.has_identity else PlainBlock(info, rng=rng)))
 
 

@@ -366,26 +366,14 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
 def batchnorm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
                    running_mean: np.ndarray, running_var: np.ndarray,
                    eps: float = 1e-5) -> Tensor:
-    """Eval-mode BN: per-channel affine map from frozen running statistics."""
+    """Eval-mode BN: per-channel affine map from frozen running statistics.
+    Forward only: the result records no tape node, so no gradient flows back
+    through it (training runs BN in train mode)."""
     c = x.data.shape[1]
     inv_std = 1.0 / np.sqrt(running_var + eps)
     scale = (gamma.data * inv_std).reshape(1, c, 1, 1)
     shift = (beta.data - gamma.data * running_mean * inv_std).reshape(1, c, 1, 1)
-    out_data = x.data * scale + shift
-    if not _needs(x, gamma, beta):
-        return Tensor(out_data)
-
-    xhat = (x.data - running_mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
-
-    def backward(g):
-        if gamma.requires_grad or gamma._parents:
-            gamma.accumulate_grad((g * xhat).sum(axis=(0, 2, 3)))
-        if beta.requires_grad or beta._parents:
-            beta.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        if x.requires_grad or x._parents:
-            x.accumulate_grad(g * scale)
-
-    return Tensor(out_data, parents=(x, gamma, beta), backward=backward)
+    return Tensor(x.data * scale + shift)
 
 
 # ---------------------------------------------------------------------------

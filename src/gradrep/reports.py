@@ -13,8 +13,8 @@ import os
 def format_value(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, float):  # numpy floats too, written as plain Python floats
+        return repr(float(v))
     return str(v)
 
 

@@ -100,15 +100,8 @@ def msra_std(shape) -> float:
     return math.sqrt(2.0 / (c_in * k_h * k_w))
 
 
-def msra_init(shape, seed=None, rng: Rng | None = None, dtype=np.float64) -> np.ndarray:
-    """Zero-mean Gaussian kernel with std sqrt(2 / (c_in*k_h*k_w)).
-
-    Pass ``seed`` for a standalone draw or ``rng`` to consume an existing
-    stream (model builders draw all their kernels from one stream in a fixed
-    order).
-    """
-    if rng is None:
-        if seed is None:
-            raise ValueError("msra_init needs either a seed or an rng")
-        rng = Rng(seed)
-    return (msra_std(shape) * rng.gaussian(shape)).astype(dtype, copy=False)
+def msra_init(shape, rng: Rng) -> np.ndarray:
+    """Zero-mean float64 Gaussian kernel with std sqrt(2 / (c_in*k_h*k_w)),
+    drawn from ``rng`` (model builders draw all their kernels from one stream
+    in a fixed order; a standalone draw passes ``Rng(seed)``)."""
+    return msra_std(shape) * rng.gaussian(shape)

@@ -40,6 +40,14 @@ CFG = OptimizerConfig(base_lr=0.05, momentum=0.9, weight_decay=1e-4,
                       warmup_epochs=1, total_epochs=4, label_smoothing=0.1,
                       batch_size=32)
 
+#: one seeded build of every kind a checkpoint restores
+BUILDS = [
+    pytest.param(lambda: build_target(SPEC, rng=Rng(3)), id="target"),
+    pytest.param(lambda: build_csla(SPEC, init_scales(SPEC), rng=Rng(3)), id="csla"),
+    pytest.param(lambda: build_hypersearch(SPEC, rng=Rng(3)), id="hs"),
+    pytest.param(lambda: build_repvgg(SPEC, rng=Rng(3)), id="repvgg"),
+]
+
 
 def signed(header: bytes, payload: bytes = b"", version: int = FORMAT_VERSION) -> bytes:
     """Checkpoint bytes around a hand-edited header, with a matching digest."""
@@ -64,7 +72,7 @@ def assert_same_arrays(a: dict, b: dict):
 
 class TestRoundTrip:
     def test_save_load_bit_exact(self, tmp_path):
-        model = build_target(SPEC, seed=3)
+        model = build_target(SPEC, rng=Rng(3))
         opt = MultiplierSgd(dict(model.named_parameters()), momentum=0.9)
         rng = Rng(5)
         rng.uniform(100)
@@ -80,12 +88,7 @@ class TestRoundTrip:
         assert_same_arrays(back.buffers, ckpt.buffers)
         assert back.rng_state == ckpt.rng_state
 
-    @pytest.mark.parametrize("build", [
-        pytest.param(lambda: build_target(SPEC, seed=3), id="target"),
-        pytest.param(lambda: build_csla(SPEC, init_scales(SPEC), seed=3), id="csla"),
-        pytest.param(lambda: build_hypersearch(SPEC, seed=3), id="hs"),
-        pytest.param(lambda: build_repvgg(SPEC, seed=3), id="repvgg"),
-    ])
+    @pytest.mark.parametrize("build", BUILDS)
     def test_restored_model_reproduces_outputs(self, tmp_path, build):
         model = build()
         rng = np.random.default_rng(0)
@@ -101,12 +104,25 @@ class TestRoundTrip:
         got = restored.forward(x, training=False).data
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_restore_draws_no_random_numbers(self, monkeypatch, build):
+        ckpt = snapshot_model(build())
+
+        def no_draw(self, *args):
+            raise AssertionError("restore_model drew random numbers")
+
+        for draw in ("uniform", "gaussian"):
+            monkeypatch.setattr(Rng, draw, no_draw)
+        back = snapshot_model(restore_model(ckpt))
+        assert_same_arrays(back.params, ckpt.params)
+        assert_same_arrays(back.buffers, ckpt.buffers)
+
     def test_csla_constants_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
         scales = {i.block_id: (rng.uniform(0.3, 1.7, i.c_out),
                                rng.uniform(0.3, 1.7, i.c_out))
                   for i in block_infos(SPEC)}
-        model = build_csla(SPEC, scales, seed=4)
+        model = build_csla(SPEC, scales, rng=Rng(4))
         x = np.random.default_rng(2).normal(size=(2, 3, 16, 16))
         want = model.forward(x, training=False).data
         path = tmp_path / "csla.ckpt"
@@ -115,7 +131,7 @@ class TestRoundTrip:
         assert restored.forward(x, training=False).data.tobytes() == want.tobytes()
 
     def test_save_deterministic_bytes(self, tmp_path):
-        model = build_target(SPEC, seed=3)
+        model = build_target(SPEC, rng=Rng(3))
         ckpt = snapshot_model(model, epoch=1)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(str(p1), ckpt)
@@ -137,7 +153,7 @@ class TestRoundTrip:
     def test_format_1_rejected(self, tmp_path):
         # the format-1 layout: magic, version, header length, header, arrays
         path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), snapshot_model(build_target(SPEC, seed=3)))
+        save_checkpoint(str(path), snapshot_model(build_target(SPEC, rng=Rng(3))))
         header, payload = split_saved(path.read_bytes())
         header["format_version"] = 1
         raw = json.dumps(header, sort_keys=True).encode()
@@ -151,7 +167,7 @@ class TestRoundTrip:
         # truncations, every one-bit flip of the prefix, and one- and two-bit
         # flips anywhere: each raises DataFormatError and convert exits 1
         src = tmp_path / "m.ckpt"
-        save_checkpoint(str(src), snapshot_model(build_target(SPEC, seed=3)))
+        save_checkpoint(str(src), snapshot_model(build_target(SPEC, rng=Rng(3))))
         data = src.read_bytes()
         rng = np.random.default_rng(11)
         cases = [data[:cut] for cut in rng.integers(0, len(data), 40)]
@@ -172,7 +188,7 @@ class TestRoundTrip:
                              "--out", str(tmp_path / "out")]) == 1
 
     def test_truncated_arrays(self, tmp_path):
-        model = build_target(SPEC, seed=3)
+        model = build_target(SPEC, rng=Rng(3))
         path = tmp_path / "m.ckpt"
         save_checkpoint(str(path), snapshot_model(model))
         data = path.read_bytes()
@@ -200,7 +216,7 @@ class TestRoundTrip:
     ])
     def test_malformed_header(self, tmp_path, edit):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), snapshot_model(build_target(SPEC, seed=3)))
+        save_checkpoint(str(path), snapshot_model(build_target(SPEC, rng=Rng(3))))
         header, payload = split_saved(path.read_bytes())
         edit(header)
         path.write_bytes(signed(json.dumps(header).encode(), payload))
@@ -212,7 +228,7 @@ class TestRoundTrip:
     def test_array_listed_twice(self, tmp_path):
         # a second fc.bias entry with its own bytes: not a silent overwrite
         path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), snapshot_model(build_target(SPEC, seed=3)))
+        save_checkpoint(str(path), snapshot_model(build_target(SPEC, rng=Rng(3))))
         header, payload = split_saved(path.read_bytes())
         header["arrays"].append({"section": "param", "name": "fc.bias", "shape": [10]})
         path.write_bytes(signed(json.dumps(header).encode(),
@@ -233,7 +249,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("drop", ["conv0.kernel", "fc.bias"])
     def test_fused_checkpoint_missing_entry(self, tmp_path, drop):
-        fused = convert_model(build_target(SPEC, seed=3))
+        fused = convert_model(build_target(SPEC, rng=Rng(3)))
         ckpt = snapshot_fused(fused, SPEC)
         ckpt.params.pop(drop)
         path = tmp_path / "fused.ckpt"
@@ -248,8 +264,8 @@ class TestRoundTrip:
         ("csla", "buffers", "blocks.0.scale3.const_scale"),
     ])
     def test_missing_model_array(self, tmp_path, kind, section, name):
-        model = (build_target(SPEC, seed=3) if kind == "target"
-                 else build_csla(SPEC, init_scales(SPEC), seed=3))
+        model = (build_target(SPEC, rng=Rng(3)) if kind == "target"
+                 else build_csla(SPEC, init_scales(SPEC), rng=Rng(3)))
         ckpt = snapshot_model(model)
         del getattr(ckpt, section)[name]
         path = tmp_path / "m.ckpt"
@@ -265,9 +281,9 @@ class TestRoundTrip:
                                       "running-var-1"])
     def test_misfit_model_array(self, tmp_path, kind, edit):
         # one array that does not fit the skeleton: DataFormatError naming it
-        model = {"target": lambda: build_target(SPEC, seed=3),
-                 "csla": lambda: build_csla(SPEC, init_scales(SPEC), seed=3),
-                 "repvgg": lambda: build_repvgg(SPEC, seed=3)}[kind]()
+        model = {"target": lambda: build_target(SPEC, rng=Rng(3)),
+                 "csla": lambda: build_csla(SPEC, init_scales(SPEC), rng=Rng(3)),
+                 "repvgg": lambda: build_repvgg(SPEC, rng=Rng(3))}[kind]()
         ckpt = snapshot_model(model)
         weight = next(n for n in sorted(ckpt.params) if n.endswith("weight"))
         var = next(n for n in sorted(ckpt.buffers) if n.endswith("running_var"))
@@ -293,7 +309,7 @@ class TestRoundTrip:
         ("conv1.kernel", np.zeros((4, 36))),
     ], ids=["fc-bias-1", "conv0-bias-1", "stray-conv9", "2d-kernel"])
     def test_misfit_fused_array(self, tmp_path, name, arr):
-        ckpt = snapshot_fused(convert_model(build_target(SPEC, seed=3)), SPEC)
+        ckpt = snapshot_fused(convert_model(build_target(SPEC, rng=Rng(3))), SPEC)
         ckpt.params[name] = arr
         path = tmp_path / "fused.ckpt"
         save_checkpoint(str(path), ckpt)
@@ -306,7 +322,7 @@ class TestRoundTrip:
     def test_fused_layout_keys_of_older_files_ignored(self, tmp_path):
         # files written before the layout followed the spec carry num_convs,
         # strides and paddings in extra; they restore to the same outputs
-        fused = convert_model(build_target(SPEC, seed=3))
+        fused = convert_model(build_target(SPEC, rng=Rng(3)))
         ckpt = snapshot_fused(fused, SPEC, {"from_kind": "target"})
         ckpt.extra.update(num_convs=len(fused.convs), strides=[2, 2, 2, 1],
                           paddings=[1] * len(fused.convs))
@@ -320,7 +336,7 @@ class TestRoundTrip:
     def test_multiplier_dump(self, tmp_path):
         from gradrep.models import build_multipliers
 
-        model = build_target(SPEC, seed=0)
+        model = build_target(SPEC, rng=Rng(0))
         mults = build_multipliers(model, init_scales(SPEC))
         path = tmp_path / "m.ckpt"
         save_checkpoint(str(path), snapshot_model(model, multipliers=mults))
@@ -378,7 +394,7 @@ class TestResume:
         ("momentum.fc.bias", np.zeros(10)),
     ], ids=["wrong-shape", "unknown-parameter", "not-a-velocity"])
     def test_resume_rejects_misfit_optimizer_state(self, tmp_path, key, arr):
-        model = build_target(SPEC, seed=3)
+        model = build_target(SPEC, rng=Rng(3))
         opt = MultiplierSgd(dict(model.named_parameters()), momentum=0.9)
         ckpt = snapshot_model(model, opt)
         ckpt.opt_state[key] = arr

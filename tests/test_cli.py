@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
 import sys
+import warnings
 
 import pytest
 
+import gradrep
 from gradrep.cli import main
 from gradrep.config import RunConfig, load_config, parse_config_text
 from gradrep.errors import ConfigError
@@ -283,3 +286,39 @@ class TestConvertQuantizeAnalyze:
         summary = read_json(os.path.join(out, "summary.json"))
         assert summary["blocks_measured"] == 5
         assert -1.0 <= summary["rank_correlation_vs_depth"] <= 1.0
+        lines = open(os.path.join(out, "variance_ratio.csv")).read().splitlines()
+        assert lines[0] == "block_id,mean_ratio" and len(lines) == 6
+        for line in lines[1:]:
+            float(line.split(",")[1])  # a plain float, not a numpy repr
+
+    def test_variance_ratio_stage_of_one_block_writes_null(self, tmp_path):
+        # hs on the default stages: one identity block per stage, no rank to correlate
+        out = str(tmp_path / "vr")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("analyze", "--set", "analyze.what=variance-ratio",
+                           "--set", "analyze.arch=hs", "--set", "analyze.seeds=1",
+                           "--set", "analyze.batch=2", "--set", "data.resolution=16",
+                           "--out", out) == 0
+
+        def no_constant(name):
+            raise AssertionError(f"summary.json holds {name}")
+
+        with open(os.path.join(out, "summary.json")) as fh:
+            summary = json.load(fh, parse_constant=no_constant)
+        assert summary["blocks_measured"] == 3
+        assert summary["rank_correlation_vs_depth"] is None
+
+    def test_variance_ratio_tied_stages_independent_of_hash_seed(self, tmp_path):
+        # two stages of equal length: the first one in block order is measured
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gradrep.__file__)))
+        summaries = []
+        for hash_seed in ("1", "2"):
+            out = str(tmp_path / f"vr{hash_seed}")
+            subprocess.run([sys.executable, "-m", "gradrep.cli", "analyze",
+                            "--set", "analyze.what=variance-ratio",
+                            "--set", "analyze.stage_blocks=6,6", "--set", "analyze.seeds=1",
+                            "--set", "analyze.batch=2", "--out", out],
+                           env=dict(env, PYTHONHASHSEED=hash_seed), check=True)
+            summaries.append(open(os.path.join(out, "summary.json"), "rb").read())
+        assert summaries[0] == summaries[1]

@@ -372,7 +372,7 @@ class TestBlockConversion:
         ds = gen_synthetic(64, 16, 10, seed=2)
         x = ds.normalized()
         for builder in (build_target, build_repvgg):
-            model = builder(spec, seed=4)
+            model = builder(spec, rng=Rng(4))
             # give BN stats a short history so fusion is non-trivial
             from gradrep.optim import MultiplierSgd
             from gradrep.train import train_model
@@ -390,8 +390,8 @@ class TestBlockConversion:
     def test_branched_and_residual_models_not_convertible(self):
         spec = ModelSpec(4, ((2, 4),), 10, 16)
         ones = {i.block_id: (np.ones(4), np.ones(4)) for i in block_infos(spec)}
-        for model in (build_csla(spec, ones, seed=0),
-                      build_resnet_reference([2], channels=[4], seed=0)):
+        for model in (build_csla(spec, ones, rng=Rng(0)),
+                      build_resnet_reference([2], channels=[4], rng=Rng(0))):
             with pytest.raises(ConfigError):
                 convert_model(model)
 
@@ -410,7 +410,7 @@ class TestVarianceRatio:
         data = Rng(123).gaussian((64, 3, 32, 32))
 
         def factory(seed):
-            return build_resnet_reference([2, 16], channels=[8, 16], seed=seed)
+            return build_resnet_reference([2, 16], channels=[8, 16], rng=Rng(seed))
 
         ids, per_seed, mean = identity_variance_ratio(factory, data, num_seeds=3)
         stage2 = [i for i, b in enumerate(ids) if b.startswith("s2")]
@@ -423,7 +423,7 @@ class TestVarianceRatio:
         data = Rng(5).gaussian((16, 3, 16, 16))
 
         def factory(seed):
-            model = build_resnet_reference([1, 4], channels=[4, 4], seed=seed)
+            model = build_resnet_reference([1, 4], channels=[4, 4], rng=Rng(seed))
             for block in model.blocks:
                 if hasattr(block, "conv_b"):
                     block.conv_b.weight.data[:] = 0.0
@@ -438,10 +438,10 @@ class TestVarianceRatio:
         data = Rng(7).gaussian((64, 3, 32, 32))
 
         def sqrt_factory(seed):
-            return build_hypersearch(spec, seed=seed)
+            return build_hypersearch(spec, rng=Rng(seed))
 
         def ones_factory(seed):
-            return build_hypersearch(spec, seed=seed, init="all_ones")
+            return build_hypersearch(spec, rng=Rng(seed), init="all_ones")
 
         ids, _, mean_sqrt = identity_variance_ratio(sqrt_factory, data, 3)
         _, _, mean_ones = identity_variance_ratio(ones_factory, data, 3)

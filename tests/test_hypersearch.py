@@ -215,7 +215,7 @@ class TestScalesIO:
     def test_missing_record_lookup(self):
         partial = ScalesFile(init_scales(SPEC).records[1:])
         with pytest.raises(ConfigError) as err:
-            build_multipliers(build_target(SPEC, seed=0), partial)
+            build_multipliers(build_target(SPEC, rng=Rng(0)), partial)
         assert "s1b0" in str(err.value)
 
 

@@ -29,6 +29,7 @@ from gradrep.models import (
     count_params_train,
     hs_init_value,
 )
+from gradrep.rng import Rng
 from helpers import init_scales
 
 TINY = ModelSpec(stem_channels=3, stages=((1, 4), (1, 8)), num_classes=10, input_hw=32)
@@ -99,8 +100,8 @@ class TestAccounting:
         assert count_params_train(TINY, "target") == conv + bn + fc
 
     @pytest.mark.parametrize("kind,builder", [
-        ("target", lambda: build_target(SMALL, seed=0)),
-        ("repvgg", lambda: build_repvgg(SMALL, seed=0)),
+        ("target", lambda: build_target(SMALL, rng=Rng(0))),
+        ("repvgg", lambda: build_repvgg(SMALL, rng=Rng(0))),
     ])
     def test_built_models_match_closed_form(self, kind, builder):
         assert count_built_params(builder()) == count_params_train(SMALL, kind)
@@ -115,44 +116,44 @@ class TestBuilders:
     def test_families_shape_identical_outputs(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 16, 16))
         shapes = set()
-        for model in (build_target(SMALL, seed=1),
-                      build_csla(SMALL, ones_scales(SMALL), seed=1),
-                      build_hypersearch(SMALL, seed=1)):
+        for model in (build_target(SMALL, rng=Rng(1)),
+                      build_csla(SMALL, ones_scales(SMALL), rng=Rng(1)),
+                      build_hypersearch(SMALL, rng=Rng(1))):
             shapes.add(model.forward(x, training=False).shape)
         assert shapes == {(2, 10)}
 
     def test_forward_deterministic(self):
         x = np.random.default_rng(0).normal(size=(2, 3, 16, 16))
-        a = build_target(SMALL, seed=3).forward(x).data
-        b = build_target(SMALL, seed=3).forward(x).data
+        a = build_target(SMALL, rng=Rng(3)).forward(x).data
+        b = build_target(SMALL, rng=Rng(3)).forward(x).data
         assert a.tobytes() == b.tobytes()
 
     def test_csla_missing_block_record_errors(self):
         scales = ones_scales(SMALL)
         scales.pop("s2b1")
         with pytest.raises(ConfigError) as err:
-            build_csla(SMALL, scales, seed=0)
+            build_csla(SMALL, scales, rng=Rng(0))
         assert "s2b1" in str(err.value)
 
     def test_csla_channel_mismatch_errors(self):
         scales = ones_scales(SMALL)
         scales["s1b0"] = (np.ones(3), np.ones(3))
         with pytest.raises(ShapeError) as err:
-            build_csla(SMALL, scales, seed=0)
+            build_csla(SMALL, scales, rng=Rng(0))
         assert "s1b0" in str(err.value)
 
     def test_equivalent_init_rejects_branches_wider_than_the_plain_kernel(self):
         scales = init_scales(SMALL)
         scales.records[0].branches = ((5, np.ones(scales.records[0].c_out)),)
         with pytest.raises(ShapeError) as err:
-            build_target_equivalent_init(SMALL, scales, seed=0)
+            build_target_equivalent_init(SMALL, scales, rng=Rng(0))
         assert "s1b0" in str(err.value)
 
     def test_hs_scale_init_values(self):
         assert hs_init_value(2) == pytest.approx(1.0)
         assert hs_init_value(1) == pytest.approx(np.sqrt(2.0))
         assert hs_init_value(8) == pytest.approx(0.5)
-        model = build_hypersearch(SMALL, seed=0)
+        model = build_hypersearch(SMALL, rng=Rng(0))
         for block in model.blocks:
             want = hs_init_value(block.info.depth_l)
             np.testing.assert_allclose(block.scale3.values, want)
@@ -163,28 +164,28 @@ class TestBuilders:
     def test_recipe_blocks(self):
         # the hyper-search and three-branch blocks both follow BLOCK_RECIPE;
         # the baseline's names and their order are those its checkpoints hold
-        assert all(b.sizes == BLOCK_RECIPE for b in build_hypersearch(SMALL, seed=0).blocks)
+        assert all(b.sizes == BLOCK_RECIPE for b in build_hypersearch(SMALL, rng=Rng(0)).blocks)
         block = RepVggStyleBlock(BlockInfo(0, "b", 4, 4, 1, True, 1))
         assert [n for n, _ in block.named_parameters()] == [
             "conv3.weight", "bn3.gamma", "bn3.beta", "conv1.weight", "bn1.gamma",
             "bn1.beta", "bnid.gamma", "bnid.beta"]
 
     def test_hs_all_ones_init(self):
-        model = build_hypersearch(SMALL, seed=0, init="all_ones")
+        model = build_hypersearch(SMALL, rng=Rng(0), init="all_ones")
         for block in model.blocks:
             np.testing.assert_array_equal(block.scale3.values, 1.0)
             np.testing.assert_array_equal(block.scale1.values, 1.0)
         with pytest.raises(ConfigError):
-            build_hypersearch(SMALL, seed=0, init="ones")
+            build_hypersearch(SMALL, rng=Rng(0), init="ones")
 
     def test_hs_equals_csla_with_same_constants_at_init(self):
         x = np.random.default_rng(1).normal(size=(2, 3, 16, 16))
-        hs = build_hypersearch(SMALL, seed=5)
+        hs = build_hypersearch(SMALL, rng=Rng(5))
         consts = {
             b.info.block_id: (b.scale3.values.copy(), b.scale1.values.copy())
             for b in hs.blocks
         }
-        csla = build_csla(SMALL, consts, seed=5)
+        csla = build_csla(SMALL, consts, rng=Rng(5))
         np.testing.assert_array_equal(hs.forward(x).data, csla.forward(x).data)
 
     def test_eval_csla_equals_equivalent_init_target(self):
@@ -195,8 +196,8 @@ class TestBuilders:
             i.block_id: (rng.uniform(0.4, 1.4, i.c_out), rng.uniform(0.4, 1.4, i.c_out))
             for i in block_infos(SMALL)
         }
-        csla = build_csla(SMALL, scales, seed=11)
-        target = build_target_equivalent_init(SMALL, scales, seed=11)
+        csla = build_csla(SMALL, scales, rng=Rng(11))
+        target = build_target_equivalent_init(SMALL, scales, rng=Rng(11))
         np.testing.assert_allclose(
             csla.forward(x).data, target.forward(x).data, atol=1e-12, rtol=0
         )
@@ -205,8 +206,6 @@ class TestBuilders:
         # s = 1, t = 0, no identity, zeroed 1x1 kernel
         info = BlockInfo(0, "b", 3, 4, 2, False, 1)
         rng_seed = 9
-        from gradrep.rng import Rng
-
         block = CslaBlock(info, ((3, np.ones(4)), (1, np.zeros(4))), False,
                           rng=Rng(rng_seed))
         block.conv1.weight.data[:] = 0.0
@@ -221,8 +220,6 @@ class TestBuilders:
 
     def test_repvgg_reduces_to_plain_conv_when_extras_zeroed(self):
         info = BlockInfo(0, "b", 4, 4, 1, True, 1)
-        from gradrep.rng import Rng
-
         block = RepVggStyleBlock(info, rng=Rng(2))
         eps = block.bn3.eps
         # main-branch BN becomes the exact identity map
@@ -238,8 +235,6 @@ class TestBuilders:
         np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_ghost_block_without_identity_is_plain_1x1(self):
-        from gradrep.rng import Rng
-
         block = CslaBlock(BlockInfo(0, "b", 4, 4, 1, False, 1), ((1, np.ones(4)),),
                           False, rng=Rng(3))
         x = np.random.default_rng(6).normal(size=(2, 4, 6, 6))
@@ -250,21 +245,41 @@ class TestBuilders:
         np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_resnet_reference_structure(self):
-        model = build_resnet_reference([4, 6, 16], seed=0)
+        model = build_resnet_reference([4, 6, 16], rng=Rng(0))
         residual = [b for b in model.blocks if isinstance(b, ResidualBlock)]
         assert len(model.blocks) == 26 and len(residual) == 23
 
     def test_zero_residual_branch_is_identity(self):
-        from gradrep.rng import Rng
-
         block = ResidualBlock(BlockInfo(0, "b", 4, 4, 1, True, 1), rng=Rng(1))
         block.conv_b.weight.data[:] = 0.0
         x = np.abs(np.random.default_rng(8).normal(size=(2, 4, 6, 6)))
         out = block.forward(Tensor(x), training=False).data
         np.testing.assert_allclose(out, x, atol=1e-14)
 
+    @pytest.mark.parametrize("build", [
+        lambda rng: build_target(SMALL, rng=rng),
+        lambda rng: build_csla(SMALL, ones_scales(SMALL), rng=rng),
+        lambda rng: build_hypersearch(SMALL, rng=rng),
+        lambda rng: build_repvgg(SMALL, rng=rng),
+        lambda rng: build_resnet_reference([1, 2], channels=[4, 8], rng=rng),
+    ], ids=["target", "csla", "hs", "repvgg", "resnet"])
+    def test_builder_without_rng_is_a_zero_skeleton(self, build):
+        seeded, skeleton = build(Rng(0)), build(None)
+
+        def layout(model):
+            return [(section, name, getattr(holder, attribute).shape)
+                    for section, name, holder, attribute in model.state_slots()]
+
+        assert layout(skeleton) == layout(seeded)
+        kernels = [name for name, _ in seeded.named_parameters() if name.endswith(".weight")]
+        assert len(kernels) >= len(seeded.blocks) + 2  # stem, blocks, head
+        drawn, zero = dict(seeded.named_parameters()), dict(skeleton.named_parameters())
+        for name in kernels:
+            assert np.any(drawn[name].data), name
+            assert not np.any(zero[name].data), name
+
     def test_gr_managed_params_are_block_kernels(self):
-        model = build_target(SMALL, seed=0)
+        model = build_target(SMALL, rng=Rng(0))
         names = model.gr_managed_params()
         assert names == [f"blocks.{i}.conv.weight" for i in range(4)]
         all_names = dict(model.named_parameters())
@@ -276,8 +291,6 @@ class TestTapeMemory:
         # the tape keeps the conv output (BN's input) and the BN->ReLU output;
         # x-hat, the pre-ReLU output and the conv columns are not kept. The
         # 256 KiB slack covers the cached gather plan of a first call.
-        from gradrep.rng import Rng
-
         block = PlainBlock(BlockInfo(0, "b", 8, 8, 1, True, 1), rng=Rng(3))
         x = Tensor(np.random.default_rng(3).normal(size=(128, 8, 16, 16)),
                    requires_grad=True)
