@@ -1,10 +1,11 @@
 """Command-line entry points.
 
 Subcommands: gen-data, hyper-search, train, verify-equivalence, convert,
-quantize, analyze. Every job reads a flat key=value config (plus --set
-overrides and the GRADREP_SEED env var), runs one module, and writes CSV/JSON
-reports and checkpoints under --out. Reruns with identical config and seed
-produce byte-identical outputs.
+quantize, analyze. Every job reads a flat key=value config file (--config)
+with --set key=value overrides on top, the run seed included as ``seed``;
+the schema in :mod:`gradrep.config` has checked each value before a command
+reads it. A job runs one module and writes CSV/JSON reports and checkpoints
+under --out. Reruns with an identical config produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -49,22 +50,24 @@ from .train import train_model
 def _load_datasets(cfg: RunConfig):
     source = cfg["data.source"]
     if source == "synthetic":
+        if not (cfg["data.n"] and cfg["data.test_n"]):
+            raise ConfigError("data.source=synthetic needs data.n and data.test_n "
+                              ">= 1 (0 means the whole split only for CIFAR)")
         pool = gen_synthetic(cfg["data.n"] + cfg["data.test_n"],
                              cfg["data.resolution"], cfg["data.classes"],
                              cfg["data.seed"])
         return pool.subset(cfg["data.n"]), pool.subset(cfg["data.test_n"],
                                                        offset=cfg["data.n"])
-    if source in ("cifar10", "cifar100"):
-        if not cfg["data.path"]:
-            raise ConfigError(f"data.source={source} requires data.path")
-        train = load_cifar(cfg["data.path"], source, split="train")
-        test = load_cifar(cfg["data.path"], source, split="test")
-        if cfg["data.n"] and cfg["data.n"] < len(train):
-            train = train.subset(cfg["data.n"])
-        if cfg["data.test_n"] and cfg["data.test_n"] < len(test):
-            test = test.subset(cfg["data.test_n"])
-        return train, test
-    raise ConfigError(f"unknown data.source {source!r}")
+    # cifar10 or cifar100, where a size of 0 keeps the whole split
+    if not cfg["data.path"]:
+        raise ConfigError(f"data.source={source} requires data.path")
+    train = load_cifar(cfg["data.path"], source, split="train")
+    test = load_cifar(cfg["data.path"], source, split="test")
+    if cfg["data.n"] and cfg["data.n"] < len(train):
+        train = train.subset(cfg["data.n"])
+    if cfg["data.test_n"] and cfg["data.test_n"] < len(test):
+        test = test.subset(cfg["data.test_n"])
+    return train, test
 
 
 def _scales_for_mode(scales, mode: str):
@@ -225,10 +228,8 @@ def cmd_verify_equivalence(args, cfg: RunConfig) -> int:
     elif case == "block":
         draws = Rng(seed).uniform(2 * c)
         block = CslaBlockSpec.square(c, 0.4 + draws[:c], 0.4 + draws[c:])
-    elif case == "ghost":  # a 0.8-scaled 1x1 branch plus identity, BN after the sum
+    else:  # ghost: a 0.8-scaled 1x1 branch plus identity, BN after the sum
         block = CslaBlockSpec(c, c, 1, ((1, np.full(c, 0.8)),), True)
-    else:
-        raise ConfigError(f"eq.case must be scalar|block|ghost, got {case!r}")
     report = verify_csla_gr(block, cfg["eq.steps"], ocfg, seed, batch=cfg["eq.batch"],
                             hw=cfg["eq.hw"], ablation=ablation,
                             post_bn=case == "ghost")
@@ -250,6 +251,8 @@ def cmd_verify_equivalence(args, cfg: RunConfig) -> int:
 
 
 def cmd_convert(args, cfg: RunConfig) -> int:
+    if args.check_inputs < 1:
+        raise UsageError(f"--check-inputs must be >= 1, got {args.check_inputs}")
     ckpt = load_checkpoint(args.checkpoint)
     model = restore_model(ckpt)
     fused = convert_model(model)
@@ -312,8 +315,7 @@ def cmd_quantize(args, cfg: RunConfig) -> int:
 
 
 def cmd_analyze(args, cfg: RunConfig) -> int:
-    what = cfg["analyze.what"].replace("_", "-")
-    if what == "kernel-stats":
+    if cfg["analyze.what"] == "kernel-stats":
         if not args.checkpoint:
             raise UsageError("analyze.what=kernel-stats requires --checkpoint")
         deploy, from_kind = _deploy_model_from_checkpoint(args.checkpoint)
@@ -323,43 +325,37 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
         write_json(os.path.join(args.out, "summary.json"),
                    {"from_kind": from_kind, "layers": len(rows)})
         return 0
-    if what == "variance-ratio":
-        try:
-            stage_blocks = [int(v) for v in cfg["analyze.stage_blocks"].split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad analyze.stage_blocks: {exc}") from exc
-        data = Rng(cfg["seed"]).gaussian(
-            (cfg["analyze.batch"], 3, cfg["data.resolution"], cfg["data.resolution"]))
-        arch = cfg["analyze.arch"]
+    # variance-ratio, the only other choice
+    stage_blocks = [int(v) for v in cfg["analyze.stage_blocks"].split(",")]
+    data = Rng(cfg["seed"]).gaussian(
+        (cfg["analyze.batch"], 3, cfg["data.resolution"], cfg["data.resolution"]))
+    arch = cfg["analyze.arch"]
 
-        def factory(seed):
-            if arch == "resnet":
-                return build_resnet_reference(stage_blocks, rng=Rng(seed),
-                                              input_hw=cfg["data.resolution"])
-            spec = cfg.model_spec(cfg["data.classes"], cfg["data.resolution"])
-            if arch in ("hs", "hs-ones"):
-                return build_hypersearch(spec, rng=Rng(seed),
-                                         init="hs_init" if arch == "hs" else "all_ones")
-            raise ConfigError(f"analyze.arch must be resnet|hs|hs-ones, got {arch!r}")
+    def factory(seed):
+        if arch == "resnet":
+            return build_resnet_reference(stage_blocks, rng=Rng(seed),
+                                          input_hw=cfg["data.resolution"])
+        spec = cfg.model_spec(cfg["data.classes"], cfg["data.resolution"])
+        return build_hypersearch(spec, rng=Rng(seed),
+                                 init="hs_init" if arch == "hs" else "all_ones")
 
-        ids, per_seed, mean = identity_variance_ratio(
-            factory, data, cfg["analyze.seeds"], base_seed=cfg["seed"])
-        write_csv(os.path.join(args.out, "variance_ratio.csv"),
-                  ["block_id", "mean_ratio"], list(zip(ids, mean)))
-        stages = [b.split("b")[0] for b in ids]
-        longest = max(dict.fromkeys(stages), key=stages.count)  # the first on a tie
-        depth_idx = [i for i, st in enumerate(stages) if st == longest]
-        corr = (spearman(np.arange(len(depth_idx)), mean[depth_idx])
-                if len(depth_idx) >= 2 else None)
-        write_json(os.path.join(args.out, "summary.json"), {
-            "arch": arch,
-            "seeds": cfg["analyze.seeds"],
-            "batch": cfg["analyze.batch"],
-            "blocks_measured": len(ids),
-            "rank_correlation_vs_depth": corr,
-        })
-        return 0
-    raise ConfigError(f"analyze.what must be kernel-stats|variance-ratio, got {what!r}")
+    ids, per_seed, mean = identity_variance_ratio(
+        factory, data, cfg["analyze.seeds"], base_seed=cfg["seed"])
+    write_csv(os.path.join(args.out, "variance_ratio.csv"),
+              ["block_id", "mean_ratio"], list(zip(ids, mean)))
+    stages = [b.split("b")[0] for b in ids]
+    longest = max(dict.fromkeys(stages), key=stages.count)  # the first on a tie
+    depth_idx = [i for i, st in enumerate(stages) if st == longest]
+    corr = (spearman(np.arange(len(depth_idx)), mean[depth_idx])
+            if len(depth_idx) >= 2 else None)
+    write_json(os.path.join(args.out, "summary.json"), {
+        "arch": arch,
+        "seeds": cfg["analyze.seeds"],
+        "batch": cfg["analyze.batch"],
+        "blocks_measured": len(ids),
+        "rank_correlation_vs_depth": corr,
+    })
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +365,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
 def _add_common(sub):
     sub.add_argument("--config", help="key=value config file")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                     help="override one config key")
-    sub.add_argument("--seed", type=int, help="override the run seed")
+                     help="override one config key (the run seed is seed=N)")
     sub.add_argument("--out", required=True, help="output directory for reports")
 
 
@@ -440,7 +435,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.set, args.seed)
+        cfg = load_config(args.config, args.set)
         return args.fn(args, cfg)
     except GradrepError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,17 +1,18 @@
 """Flat key=value run configuration with a closed schema.
 
-A run is fully determined by (config, seed). Files hold one ``key = value``
-per line ('#' comments allowed); the CLI layers ``--set key=value`` overrides
-on top, and the ``GRADREP_SEED`` environment variable overrides the seed last.
-Unknown keys are rejected.
+A run is fully determined by its config, the ``seed`` key included. Every
+value enters as text through its key's parser in :data:`SCHEMA`: the default,
+then each ``key = value`` line of a file ('#' comments allowed), then each
+``--set key=value``. A parser holds its key's whole domain and raises on an
+unknown key or a value outside it; list keys keep their checked text.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 from .errors import ConfigError
-from .models import PRESETS, ModelSpec
+from .models import ModelSpec
 from .optim import OptimizerConfig
 
 
@@ -24,74 +25,87 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise ValueError(f"want a positive integer, got {value}")
-    return value
+def _checked(parse, ok, want: str):
+    """A parser: ``parse`` the text, then require ``ok`` of the value."""
+    def run(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"want {want}")
+        return value
+    return run
 
 
-#: key -> (parser, default)
+def _choice(*names: str, parse=str):
+    """One of ``names``, read through ``parse``."""
+    return _checked(parse, names.__contains__, "one of " + "|".join(names))
+
+
+_count = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_size = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_finite = _checked(float, math.isfinite, "a finite number")
+#: comma-separated positive integers, kept as their text
+_sizes = _checked(str, lambda t: all(_size(v) for v in t.split(",")), "positive integers")
+
+
+#: key -> (parser, default text)
 SCHEMA = {
-    "seed": (int, 0),
-    "model.preset": (str, ""),
-    "model.stem_channels": (int, 8),
+    "seed": (_count, "0"),
+    "model.stem_channels": (int, "8"),
     "model.stages": (str, "2x8,2x16,2x32"),
-    "opt.base_lr": (float, 0.05),
-    "opt.momentum": (float, 0.9),
-    "opt.weight_decay": (float, 4e-5),
-    "opt.warmup_epochs": (int, 1),
-    "opt.total_epochs": (int, 10),
+    "opt.base_lr": (_finite, "0.05"),
+    "opt.momentum": (_finite, "0.9"),
+    "opt.weight_decay": (_finite, "4e-5"),
+    "opt.warmup_epochs": (int, "1"),
+    "opt.total_epochs": (int, "10"),
     "opt.schedule": (str, "cosine"),
-    "opt.label_smoothing": (float, 0.1),
-    "opt.batch_size": (int, 64),
-    "opt.epochs": (int, 0),  # 0 = run all total_epochs
-    "data.source": (str, "synthetic"),
+    "opt.label_smoothing": (_finite, "0.1"),
+    "opt.batch_size": (int, "64"),
+    "opt.epochs": (_count, "0"),  # 0 = run all total_epochs
+    "data.source": (_choice("synthetic", "cifar10", "cifar100"), "synthetic"),
     "data.path": (str, ""),
-    "data.n": (int, 5000),
-    "data.test_n": (int, 1000),
-    "data.resolution": (int, 32),
-    "data.classes": (int, 10),
-    "data.seed": (int, 0),
-    "data.augment": (_bool, True),
-    "eq.case": (str, "block"),
-    "eq.steps": (_positive_int, 100),
-    "eq.channels": (int, 8),
-    "eq.hw": (int, 16),
-    "eq.batch": (int, 4),
-    "eq.lr": (float, 0.01),
-    "eq.momentum": (float, 0.9),
-    "eq.weight_decay": (float, 4e-5),
-    "eq.alpha_a": (float, 0.9),
-    "eq.alpha_b": (float, 0.35),
-    "eq.tolerance": (float, 1e-8),
-    "quant.calib_n": (int, 256),
-    "analyze.what": (str, "kernel-stats"),
-    "analyze.arch": (str, "resnet"),
-    "analyze.stage_blocks": (str, "2,16"),
-    "analyze.seeds": (_positive_int, 10),
-    "analyze.batch": (_positive_int, 64),
+    "data.n": (_count, "5000"),  # 0 = the whole CIFAR split
+    "data.test_n": (_count, "1000"),
+    "data.resolution": (int, "32"),
+    "data.classes": (int, "10"),
+    "data.seed": (_count, "0"),
+    "data.augment": (_bool, "true"),
+    "eq.case": (_choice("block", "scalar", "ghost"), "block"),
+    "eq.steps": (_size, "100"),
+    "eq.channels": (_size, "8"),
+    "eq.hw": (_size, "16"),
+    "eq.batch": (int, "4"),
+    "eq.lr": (_finite, "0.01"),
+    "eq.momentum": (_finite, "0.9"),
+    "eq.weight_decay": (_finite, "4e-5"),
+    "eq.alpha_a": (_finite, "0.9"),
+    "eq.alpha_b": (_finite, "0.35"),
+    "eq.tolerance": (_finite, "1e-8"),
+    "quant.calib_n": (_size, "256"),
+    "analyze.what": (_choice("kernel-stats", "variance-ratio",
+                             parse=lambda t: t.replace("_", "-")), "kernel-stats"),
+    "analyze.arch": (_choice("resnet", "hs", "hs-ones"), "resnet"),
+    "analyze.stage_blocks": (_sizes, "2,16"),
+    "analyze.seeds": (_size, "10"),
+    "analyze.batch": (_size, "64"),
 }
 
 
 class RunConfig:
-    def __init__(self, values: dict | None = None):
-        self._values = {k: default for k, (_, default) in SCHEMA.items()}
-        for key, value in (values or {}).items():
-            self.set(key, value)
+    def __init__(self):
+        self._values = {}
+        for key, (_, default) in SCHEMA.items():
+            self.set(key, default)
 
-    def set(self, key: str, raw) -> None:
+    def set(self, key: str, text: str) -> None:
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         parser, _ = SCHEMA[key]
         try:
-            self._values[key] = raw if not isinstance(raw, str) else parser(raw)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
+            self._values[key] = parser(text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
 
     def __getitem__(self, key: str):
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
         return self._values[key]
 
     def as_dict(self) -> dict:
@@ -116,53 +130,38 @@ class RunConfig:
 
     def model_spec(self, num_classes: int, input_hw: int) -> ModelSpec:
         """Stage layout from the config; head and resolution from the data."""
-        preset = self["model.preset"]
-        if preset:
-            if preset not in PRESETS:
-                raise ConfigError(
-                    f"unknown model.preset {preset!r}; known: {sorted(PRESETS)}"
-                )
-            base = PRESETS[preset]
-            return ModelSpec(base.stem_channels, base.stages, num_classes, input_hw)
         return ModelSpec.from_stages_string(
             self["model.stages"], self["model.stem_channels"], num_classes, input_hw
         )
+
+
+def _set_item(cfg: RunConfig, item: str, where: str) -> None:
+    """Apply one ``key = value`` text; an error names ``where`` it came from."""
+    key, eq, value = item.partition("=")
+    try:
+        if not eq:
+            raise ConfigError(f"expected key = value, got {item!r}")
+        cfg.set(key.strip(), value.strip())
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
     cfg = RunConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, _, value = stripped.partition("=")
-        try:
-            cfg.set(key.strip(), value.strip())
-        except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        if stripped and not stripped.startswith("#"):
+            _set_item(cfg, stripped, f"{path}:{lineno}")
     return cfg
 
 
-def load_config(path: str | None, overrides=(), seed_flag: int | None = None) -> RunConfig:
-    """Config file, then --set overrides, then --seed, then GRADREP_SEED."""
+def load_config(path: str | None, overrides=()) -> RunConfig:
+    """The config file (or the defaults), then each ``--set`` override."""
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = parse_config_text(fh.read(), path)
     else:
         cfg = RunConfig()
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        cfg.set(key.strip(), value.strip())
-    if seed_flag is not None:
-        cfg.set("seed", seed_flag)
-    env_seed = os.environ.get("GRADREP_SEED")
-    if env_seed is not None:
-        try:
-            cfg.set("seed", int(env_seed))
-        except ValueError as exc:
-            raise ConfigError(f"GRADREP_SEED must be an integer, got {env_seed!r}") from exc
+        _set_item(cfg, item, "--set")
     return cfg

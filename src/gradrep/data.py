@@ -15,7 +15,7 @@ constants) so that accuracies are comparable across runs and implementations.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +48,6 @@ class DatasetHandle:
     images: np.ndarray
     labels: np.ndarray
     num_classes: int
-    norm_mean: tuple = field(default=None)
-    norm_std: tuple = field(default=None)
 
     def __post_init__(self):
         if self.images.ndim != 4 or self.images.shape[1] != 3:
@@ -62,9 +60,6 @@ class DatasetHandle:
             raise DataFormatError(
                 f"{len(self.images)} images but {len(self.labels)} labels"
             )
-        if self.norm_mean is None:
-            key = self.source if self.source in NORMALIZATION else "synthetic"
-            self.norm_mean, self.norm_std = NORMALIZATION[key]
 
     def __len__(self):
         return len(self.images)
@@ -74,13 +69,13 @@ class DatasetHandle:
         return self.images.shape[2]
 
     def normalized(self, idx=None) -> np.ndarray:
-        """float64 images: (pixel/255 - mean) / std per channel."""
+        """float64 images: (pixel/255 - mean) / std per channel, with the
+        constants :data:`NORMALIZATION` holds for this source."""
         imgs = self.images if idx is None else self.images[idx]
         # the formula once per channel and pixel value; pixel v of channel ch
         # then reads entry 256*ch + v of the flat table
         levels = np.arange(256, dtype=np.float64) / 255.0
-        mean = np.asarray(self.norm_mean).reshape(3, 1)
-        std = np.asarray(self.norm_std).reshape(3, 1)
+        mean, std = (np.asarray(v).reshape(3, 1) for v in NORMALIZATION[self.source])
         table = ((levels - mean) / std).ravel()
         offsets = np.arange(0, 768, 256, dtype=np.uint16).reshape(1, 3, 1, 1)
         return table.take(imgs + offsets)
@@ -89,8 +84,7 @@ class DatasetHandle:
         if offset + n > len(self):
             raise ConfigError(f"subset [{offset}:{offset + n}] exceeds {len(self)} records")
         return DatasetHandle(self.source, self.images[offset:offset + n],
-                             self.labels[offset:offset + n], self.num_classes,
-                             self.norm_mean, self.norm_std)
+                             self.labels[offset:offset + n], self.num_classes)
 
 
 # ---------------------------------------------------------------------------

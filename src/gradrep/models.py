@@ -42,13 +42,14 @@ class ModelSpec:
     input_hw: int
 
     def __post_init__(self):
-        if self.stem_channels <= 0 or self.num_classes <= 0 or self.input_hw <= 0:
-            raise ConfigError(f"model spec fields must be positive: {self}")
-        if not self.stages:
-            raise ConfigError("model spec needs at least one stage")
-        for st in self.stages:
-            if len(st) != 2 or st[0] <= 0 or st[1] <= 0:
-                raise ConfigError(f"bad stage entry {st}; want (num_layers, channels)")
+        if not self.stages or any(len(st) != 2 for st in self.stages):
+            raise ConfigError(f"want (num_layers, channels) stages, got {self.stages}")
+        sizes = (self.stem_channels, self.num_classes, self.input_hw,
+                 *(v for st in self.stages for v in st))
+        # Python or numpy integers; a bool or an integral float is not one
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
+                   for v in sizes):
+            raise ConfigError(f"model spec sizes must be positive integers: {self}")
 
     @staticmethod
     def from_stages_string(text, stem_channels, num_classes, input_hw):

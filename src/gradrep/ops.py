@@ -34,12 +34,7 @@ the node's output. Gradients are handed over, not copied (see
 so ``relu`` and batch norm mask it and build dx in that same buffer.
 
 Every reduction runs in a fixed order, so repeated runs on the same machine
-are bit-identical. Forward outputs, kernel gradients and strided input
-gradients equal those of the earlier slice-loop im2col and scatter-add col2im
-bit for bit. Input gradients of stride-1 convs differ from the earlier col2im
-at round-off (about 1e-15 relative), because the taps are summed in another
-order. Train-mode batch norm likewise takes its per-channel sums with
-``einsum``, in another order than the earlier ``mean``/``sum`` passes.
+are bit-identical.
 """
 
 from __future__ import annotations

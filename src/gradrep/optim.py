@@ -48,6 +48,9 @@ class OptimizerConfig:
             raise ConfigError(f"schedule must be cosine or constant, got {self.schedule!r}")
         if self.warmup_epochs < 0 or self.total_epochs <= 0:
             raise ConfigError("epochs must be non-negative (warmup) and positive (total)")
+        if self.warmup_epochs > self.total_epochs:
+            raise ConfigError(f"warmup_epochs ({self.warmup_epochs}) exceeds "
+                              f"total_epochs ({self.total_epochs})")
         if self.batch_size <= 0:
             raise ConfigError(f"batch_size must be > 0, got {self.batch_size}")
         if not 0.0 <= self.label_smoothing < 1.0:

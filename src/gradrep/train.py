@@ -34,16 +34,14 @@ class TrainResult:
         return self.test_acc[-1] if self.test_acc else None
 
 
-def evaluate(model: Model, handle: DatasetHandle, batch_size: int = 256):
-    """Eval-mode accuracy and argmax predictions over the whole split."""
-    preds = []
+def evaluate(model: Model, handle: DatasetHandle, batch_size: int = 256) -> float:
+    """Eval-mode accuracy over the whole split."""
+    correct = 0
     with no_grad():
-        for x, _ in iter_batches(handle, batch_size):
+        for x, labels in iter_batches(handle, batch_size):
             logits = model.forward(x, training=False)
-            preds.append(np.argmax(logits.data, axis=1))
-    preds = np.concatenate(preds)
-    acc = float((preds == handle.labels).mean())
-    return acc, preds
+            correct += int((np.argmax(logits.data, axis=1) == labels).sum())
+    return correct / len(handle)
 
 
 def train_model(model: Model, optimizer, train_handle: DatasetHandle,
@@ -82,8 +80,7 @@ def train_model(model: Model, optimizer, train_handle: DatasetHandle,
             losses.append(value)
         result.train_loss.append(float(np.mean(losses)))
         if eval_each_epoch and test_handle is not None:
-            acc, _ = evaluate(model, test_handle)
-            result.test_acc.append(acc)
+            result.test_acc.append(evaluate(model, test_handle))
         result.epochs_run += 1
         if epoch_hook is not None:
             epoch_hook(epoch, model, optimizer, data_rng, result)

@@ -210,6 +210,13 @@ class TestRoundTrip:
         pytest.param(lambda h: h["arrays"][0].update(shape=4), id="scalar-shape"),
         pytest.param(lambda h: h["model"]["spec"].update(stages=[[1, "4"]]), id="string-channels"),
         pytest.param(lambda h: h["model"]["spec"].update(num_classes=0), id="zero-classes"),
+        pytest.param(lambda h: h["model"]["spec"].update(stem_channels=4.0), id="float-stem"),
+        pytest.param(lambda h: h["model"]["spec"].update(input_hw=16.5), id="fractional-hw"),
+        pytest.param(lambda h: h["model"]["spec"].update(num_classes=10.0), id="float-classes"),
+        pytest.param(lambda h: h["model"]["spec"].update(stages=[[1, 4.0], [2, 8]]),
+                     id="float-stage-channels"),
+        pytest.param(lambda h: h["model"]["spec"].update(stages=[[True, 4], [2, 8]]),
+                     id="bool-stage-depth"),
         pytest.param(lambda h: h["counters"].update(epoch="2"), id="string-epoch"),
         pytest.param(lambda h: h.update(extra=[]), id="list-extra"),
         pytest.param(lambda h: h.update(rng=7), id="number-rng"),

@@ -8,7 +8,7 @@ import pytest
 
 import gradrep
 from gradrep.cli import main
-from gradrep.config import RunConfig, load_config, parse_config_text
+from gradrep.config import load_config, parse_config_text
 from gradrep.errors import ConfigError
 from gradrep.reports import read_json
 
@@ -54,22 +54,33 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("seed 5\n")
 
-    def test_overrides_and_env(self, monkeypatch, tmp_path):
+    def test_set_overrides_file(self, monkeypatch, tmp_path):
+        # the file, then each --set in order; nothing else reaches the seed
         path = tmp_path / "run.cfg"
         path.write_text("seed = 1\nopt.base_lr = 0.3\n")
-        cfg = load_config(str(path), overrides=["seed=2"])
-        assert cfg["seed"] == 2
         monkeypatch.setenv("GRADREP_SEED", "9")
-        cfg = load_config(str(path), overrides=["seed=2"], seed_flag=3)
-        assert cfg["seed"] == 9
+        cfg = load_config(str(path))
+        assert (cfg["seed"], cfg["opt.base_lr"]) == (1, 0.3)
+        cfg = load_config(str(path), overrides=["seed=2", "seed = 3"])
+        assert (cfg["seed"], cfg["opt.base_lr"]) == (3, 0.3)
 
-    def test_preset_spec(self):
-        cfg = RunConfig({"model.preset": "b1"})
-        spec = cfg.model_spec(1000, 224)
-        assert spec.stages[0] == (4, 128)
-        cfg = RunConfig({"model.preset": "nope"})
-        with pytest.raises(ConfigError):
-            cfg.model_spec(10, 32)
+    def test_schema_holds_the_domains(self):
+        cfg = load_config(None, ["analyze.what=variance_ratio", "eq.case=ghost",
+                                 "analyze.stage_blocks=3,1", "data.n=0"])
+        assert cfg["analyze.what"] == "variance-ratio"
+        assert cfg["eq.case"] == "ghost"
+        assert cfg["analyze.stage_blocks"] == "3,1"
+        assert cfg["data.n"] == 0
+
+    @pytest.mark.parametrize("item", [
+        "seed=-1", "data.n=-1", "eq.hw=0", "quant.calib_n=0", "data.source=imagenet",
+        "eq.case=Block", "analyze.arch=vgg", "analyze.what=stats",
+        "analyze.stage_blocks=2,0", "analyze.stage_blocks=", "eq.lr=nan",
+        "eq.tolerance=inf", "opt.base_lr=-inf", "seed=1.5",
+    ])
+    def test_value_outside_domain_rejected(self, item):
+        with pytest.raises(ConfigError, match="--set: bad value"):
+            load_config(None, [item])
 
 
 class TestGenData:
@@ -110,7 +121,7 @@ class TestVerifyEquivalence:
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        argv = ["verify-equivalence", "--set", "eq.steps=20", "--seed", "5"]
+        argv = ["verify-equivalence", "--set", "eq.steps=20", "--set", "seed=5"]
         assert run_cli(*argv, "--out", a) == 0
         assert run_cli(*argv, "--out", b) == 0
         assert tree_bytes(a) == tree_bytes(b)
@@ -163,7 +174,7 @@ class TestTrainCli:
     def test_repopt_run_and_determinism(self, tmp_path, scales_file):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         argv = ["train", *TINY, "--scales", scales_file,
-                "--dump-mults", "--seed", "4"]
+                "--dump-mults", "--set", "seed=4"]
         assert run_cli(*argv, "--out", a) == 0
         assert run_cli(*argv, "--out", b) == 0
         assert tree_bytes(a) == tree_bytes(b)
@@ -266,14 +277,46 @@ class TestConvertQuantizeAnalyze:
         ["analyze", "--set", "analyze.batch=0"],
         ["analyze", "--set", "analyze.stage_blocks=1"],
         ["analyze", "--set", "analyze.stage_blocks=1,x"],
+        ["verify-equivalence", "--set", "seed=-1"],
+        ["gen-data", "--set", "data.seed=-3"],
+        ["hyper-search", *TINY, "--set", "opt.epochs=-1"],
+        ["verify-equivalence", "--set", "eq.hw=-4"],
+        ["verify-equivalence", "--set", "eq.channels=-1"],
+        ["train", "--set", "data.n=-100", "--set", "data.resolution=16",
+         "--set", "opt.epochs=1"],
     ], ids=["eq-steps-0", "seeds-0", "seeds-neg", "batch-0", "no-identity-block",
-            "stage-blocks-text"])
+            "stage-blocks-text", "seed-neg", "data-seed-neg", "epochs-neg", "eq-hw-neg",
+            "eq-channels-neg", "data-n-neg"])
     def test_count_keys_exit_2(self, tmp_path, argv):
         vr = ["--set", "analyze.what=variance-ratio", "--set", "analyze.seeds=1",
               "--set", "analyze.batch=4", "--set", "data.resolution=16"]
         if argv[0] == "analyze":
             argv = argv[:1] + vr + argv[1:]
         assert run_cli(*argv, "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_convert_checks_at_least_one_input(self, tmp_path, repvgg_ckpt, count):
+        out = tmp_path / "conv"
+        assert run_cli("convert", "--checkpoint", repvgg_ckpt, "--check-inputs", count,
+                       "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["data.n=0", "data.test_n=0"])
+    def test_empty_synthetic_split_exits_2(self, tmp_path, key):
+        assert run_cli("train", *TINY, "--set", key, "--out", str(tmp_path / "x")) == 2
+
+    def test_seed_flag_and_env_are_gone(self, tmp_path, monkeypatch, capsys):
+        # the run seed enters only as the seed key
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        argv = ["verify-equivalence", "--set", "eq.steps=3"]
+        assert run_cli(*argv, "--out", a) == 0
+        monkeypatch.setenv("GRADREP_SEED", "7")
+        assert run_cli(*argv, "--out", b) == 0
+        assert tree_bytes(a) == tree_bytes(b)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--seed", "7", "--out", a)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
     def test_analyze_variance_ratio(self, tmp_path, monkeypatch):
         # runs on numpy alone: importing scipy fails while the job runs

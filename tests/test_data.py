@@ -215,8 +215,7 @@ class TestBatching:
     def test_normalization_formula(self):
         ds = gen_synthetic(4, 8, 2, seed=1)
         x = ds.normalized()
-        mean = np.asarray(ds.norm_mean).reshape(1, 3, 1, 1)
-        std = np.asarray(ds.norm_std).reshape(1, 3, 1, 1)
+        mean, std = (np.asarray(v).reshape(1, 3, 1, 1) for v in NORMALIZATION["synthetic"])
         np.testing.assert_allclose(x * std + mean, ds.images / 255.0, atol=1e-12)
 
     @pytest.mark.parametrize("source", sorted(NORMALIZATION))

@@ -375,7 +375,8 @@ class TestTrainLoop:
         opt = MultiplierSgd(dict(model.named_parameters()))
         with pytest.raises(UsageError):
             train_model(model, opt, ds, None,
-                        OptimizerConfig(batch_size=32, total_epochs=1), data_rng)
+                        OptimizerConfig(batch_size=32, warmup_epochs=0, total_epochs=1),
+                        data_rng)
 
 
 class TestDeskLossCurve:

@@ -68,6 +68,19 @@ class TestSpecLayout:
         with pytest.raises(ConfigError):
             ModelSpec.from_stages_string("2x", 4, 10, 32)
 
+    @pytest.mark.parametrize("fields", [
+        (8.0, ((1, 4),), 10, 32), (8, ((1, 4),), 10.0, 32), (8, ((1, 4),), 10, 32.5),
+        (8, ((1.0, 4),), 10, 32), (8, ((1, True),), 10, 32), (True, ((1, 4),), 10, 32),
+    ], ids=["float-stem", "float-classes", "fractional-hw", "float-depth",
+            "bool-channels", "bool-stem"])
+    def test_spec_wants_integers(self, fields):
+        with pytest.raises(ConfigError, match="positive integers"):
+            ModelSpec(*fields)
+
+    def test_spec_takes_numpy_integers(self):
+        spec = ModelSpec(np.int64(4), ((np.int32(1), np.int64(4)),), np.int64(10), 16)
+        assert build_target(spec, rng=Rng(0)).spec == spec
+
     def test_stages_string_roundtrip(self):
         spec = ModelSpec.from_stages_string("4x128, 6x256", 64, 1000, 224)
         assert spec.stages == ((4, 128), (6, 256))

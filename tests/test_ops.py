@@ -598,7 +598,6 @@ class TestNoGrad:
             return taped_forward(x, training)
 
         monkeypatch.setattr(model, "forward", spy)
-        acc, preds = evaluate(model, handle, batch_size=16)
+        acc = evaluate(model, handle, batch_size=16)
         assert modes == [False, False, False]
-        assert preds.tobytes() == np.argmax(logits.data, axis=1).tobytes()
-        assert acc == float((preds == handle.labels).mean())
+        assert acc == float((np.argmax(logits.data, axis=1) == handle.labels).mean())

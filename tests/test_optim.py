@@ -259,3 +259,10 @@ class TestLrSchedule:
             OptimizerConfig(momentum=1.0)
         with pytest.raises(ConfigError):
             OptimizerConfig(schedule="step")
+
+    def test_warmup_longer_than_run_rejected(self):
+        # the schedule would peak at half of base_lr and never reach the cosine phase
+        with pytest.raises(ConfigError, match="warmup_epochs"):
+            OptimizerConfig(base_lr=0.1, warmup_epochs=20, total_epochs=10)
+        cfg = OptimizerConfig(base_lr=0.1, warmup_epochs=10, total_epochs=10)
+        assert lr_schedule(cfg, 100, 100) == pytest.approx(0.1)
