@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from . import quantize as quantmod
-from .autodiff import no_grad
 from .checkpoint import (
     load_checkpoint,
     restore_fused,
@@ -262,8 +261,7 @@ def cmd_convert(args, cfg: RunConfig) -> int:
     worst = 0.0
     for _ in range(args.check_inputs):
         x = stream.gaussian((2, 3, model.spec.input_hw, model.spec.input_hw))
-        with no_grad():
-            want = model.forward(x, training=False).data
+        want = model.forward(x, training=False).data
         got = fused.forward(x)
         worst = max(worst, float(np.abs(want - got).max()))
     write_json(os.path.join(args.out, "conversion_report.json"), {

@@ -47,33 +47,45 @@ _finite = _checked(float, math.isfinite, "a finite number")
 _sizes = _checked(str, lambda t: all(_size(v) for v in t.split(",")), "positive integers")
 
 
+def _stages_ok(text: str) -> bool:
+    try:
+        ModelSpec.from_stages_string(text, 1, 1, 1)
+    except ConfigError:
+        return False
+    return True
+
+
+#: comma-separated NxC stages of positive integers, kept as their text
+_stages = _checked(str, _stages_ok, "NxC stages of positive integers, comma-separated")
+
+
 #: key -> (parser, default text)
 SCHEMA = {
     "seed": (_count, "0"),
-    "model.stem_channels": (int, "8"),
-    "model.stages": (str, "2x8,2x16,2x32"),
+    "model.stem_channels": (_size, "8"),
+    "model.stages": (_stages, "2x8,2x16,2x32"),
     "opt.base_lr": (_finite, "0.05"),
     "opt.momentum": (_finite, "0.9"),
     "opt.weight_decay": (_finite, "4e-5"),
-    "opt.warmup_epochs": (int, "1"),
-    "opt.total_epochs": (int, "10"),
-    "opt.schedule": (str, "cosine"),
+    "opt.warmup_epochs": (_count, "1"),
+    "opt.total_epochs": (_size, "10"),
+    "opt.schedule": (_choice("cosine", "constant"), "cosine"),
     "opt.label_smoothing": (_finite, "0.1"),
-    "opt.batch_size": (int, "64"),
+    "opt.batch_size": (_size, "64"),
     "opt.epochs": (_count, "0"),  # 0 = run all total_epochs
     "data.source": (_choice("synthetic", "cifar10", "cifar100"), "synthetic"),
     "data.path": (str, ""),
     "data.n": (_count, "5000"),  # 0 = the whole CIFAR split
     "data.test_n": (_count, "1000"),
-    "data.resolution": (int, "32"),
-    "data.classes": (int, "10"),
+    "data.resolution": (_size, "32"),
+    "data.classes": (_size, "10"),
     "data.seed": (_count, "0"),
     "data.augment": (_bool, "true"),
     "eq.case": (_choice("block", "scalar", "ghost"), "block"),
     "eq.steps": (_size, "100"),
     "eq.channels": (_size, "8"),
     "eq.hw": (_size, "16"),
-    "eq.batch": (int, "4"),
+    "eq.batch": (_size, "4"),
     "eq.lr": (_finite, "0.01"),
     "eq.momentum": (_finite, "0.9"),
     "eq.weight_decay": (_finite, "4e-5"),

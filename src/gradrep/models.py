@@ -16,16 +16,21 @@ blocks in sequence, head), which is what lets the branched model and its
 single-operator counterpart be initialized as exact counterparts. Without an
 ``rng`` a builder draws nothing and every kernel is zero: the skeleton that
 :func:`gradrep.checkpoint.restore_model` fills from stored arrays.
+
+The hyper-search block trains as one 3x3 conv with its branches folded into
+the equivalent kernel; the constant-scale CSLA and RepVGG-style blocks run
+their branches (see :class:`CslaBlock`).
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ops
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .errors import ConfigError, ShapeError
 from .layers import BatchNorm2d, ChannelScale, Conv2d, Linear, Module
 from .optim import branch_scales, equivalent_kernel, grad_mult
@@ -178,7 +183,16 @@ class CslaBlock(Module):
     sizes; branch k owns ``conv{k}`` and ``scale{k}``. Scales are constants in
     the branched counterpart and trainable in the hyper-search variant; gamma
     is always trainable. The identity branch exists iff ``info.has_identity``.
-    The hyper-search model builds the :data:`BLOCK_RECIPE` branches."""
+    The hyper-search model builds the :data:`BLOCK_RECIPE` branches.
+
+    With trainable scales the block is ``folded``: it runs as one K x K conv
+    whose kernel is the equivalent kernel of its branches, one tape node
+    (:func:`ops.fold_kernel`) whose backward routes the kernel's gradient to
+    every branch kernel, scale and gamma. The sum before BN is linear in the
+    input, so this is the same map and the same gradients up to round-off.
+    The constant-scale block runs its branches: it is the independent
+    counterpart the single-operator model is checked against, and the
+    branched baseline of the training-cost comparison."""
 
     def __init__(self, info: BlockInfo, branches, trainable, rng=None):
         self.info = info
@@ -202,6 +216,7 @@ class CslaBlock(Module):
         if info.has_identity:
             self.gamma = ChannelScale(np.ones(info.c_out), trainable=True)
         self.bn = BatchNorm2d(info.c_out)
+        self.folded = trainable
         self.capture = False
         self.last_identity = None
         self.last_sum = None
@@ -212,16 +227,22 @@ class CslaBlock(Module):
         return tuple((k, getattr(self, f"scale{k}").values) for k in self.sizes)
 
     def forward(self, x, training):
-        z = None
-        for k in self.sizes:
-            y = getattr(self, f"scale{k}").forward(getattr(self, f"conv{k}").forward(x))
-            z = y if z is None else ops.add(z, y)
-        if self.info.has_identity:
-            idpath = self.gamma.forward(x)
-            z = ops.add(z, idpath)
-            if self.capture:
-                self.last_identity = idpath.data
-                self.last_sum = z.data
+        if self.folded:
+            w = ops.fold_kernel([getattr(self, f"conv{k}").weight for k in self.sizes],
+                                [getattr(self, f"scale{k}").scale for k in self.sizes],
+                                self.gamma.scale if self.info.has_identity else None)
+            z = ops.conv2d(x, w, stride=self.info.stride, padding=max(self.sizes) // 2)
+        else:
+            z = None
+            for k in self.sizes:
+                y = getattr(self, f"scale{k}").forward(getattr(self, f"conv{k}").forward(x))
+                z = y if z is None else ops.add(z, y)
+            if self.info.has_identity:
+                z = ops.add(z, self.gamma.forward(x))
+        if self.capture and self.info.has_identity:
+            # the identity path as the branched block computes it
+            self.last_identity = x.data * self.gamma.values.reshape(1, -1, 1, 1)
+            self.last_sum = z.data
         return self.bn.forward(z, training, relu=True)
 
 
@@ -289,11 +310,13 @@ class Model(Module):
         self.fc = fc
 
     def forward(self, x, training=False):
-        t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-        t = self.stem_bn.forward(self.stem_conv.forward(t), training, relu=True)
-        for block in self.blocks:
-            t = block.forward(t, training)
-        return self.fc.forward(ops.global_avg_pool(t))
+        """Logits of a batch; an eval forward records no tape."""
+        with contextlib.nullcontext() if training else no_grad():
+            t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+            t = self.stem_bn.forward(self.stem_conv.forward(t), training, relu=True)
+            for block in self.blocks:
+                t = block.forward(t, training)
+            return self.fc.forward(ops.global_avg_pool(t))
 
     def set_capture(self, flag: bool):
         for block in self.blocks:

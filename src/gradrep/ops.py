@@ -45,6 +45,7 @@ import numpy as np
 
 from .autodiff import Tensor, grad_enabled
 from .errors import ShapeError, UsageError
+from .optim import equivalent_kernel, equivalent_kernel_adjoint
 
 
 def _needs(*tensors) -> bool:
@@ -294,6 +295,29 @@ def channel_scale(x: Tensor, scale: Tensor) -> Tensor:
             scale.accumulate_grad((g * x.data).sum(axis=(0, 2, 3)))
 
     return Tensor(out_data, parents=(x, scale), backward=backward)
+
+
+def fold_kernel(kernels, scales, gamma: Tensor | None = None) -> Tensor:
+    """The one K x K kernel of a branched block whose branch scales are
+    tensors: :func:`~gradrep.optim.equivalent_kernel` of the (k, scales)
+    branches, k each kernel's size, plus gamma at the diagonal centers.
+    Backward is the fold's adjoint,
+    :func:`~gradrep.optim.equivalent_kernel_adjoint`."""
+    branches = tuple((w.data.shape[-1], s.data) for w, s in zip(kernels, scales))
+    arrays = [w.data for w in kernels]
+    out_data = equivalent_kernel(branches, arrays, None if gamma is None else gamma.data)
+    parents = (*kernels, *scales) + (() if gamma is None else (gamma,))
+    if not _needs(*parents):
+        return Tensor(out_data)
+
+    def backward(g):
+        dkernels, dscales, dgamma = equivalent_kernel_adjoint(branches, arrays, g,
+                                                              gamma is not None)
+        for t, d in zip(parents, (*dkernels, *dscales, dgamma)):
+            if t.requires_grad or t._parents:
+                t.accumulate_grad(d)
+
+    return Tensor(out_data, parents=parents, backward=backward)
 
 
 # ---------------------------------------------------------------------------

@@ -137,8 +137,9 @@ def equivalent_kernel(branches, kernels, gamma=None) -> np.ndarray:
     sum_b s_b * embed(W_b), plus gamma * dirac for the identity branch (its
     channel scales, all ones at init).
 
-    Initializes the single kernel, and mid-training combines the branched
-    counterpart's current kernels when checking the step invariant.
+    Initializes the single kernel, mid-training combines the branched
+    counterpart's current kernels when checking the step invariant, and is
+    the forward of the hyper-search block's one conv (:func:`ops.fold_kernel`).
     """
     big, scales = branch_scales(branches)
     c_out, c_in = np.shape(kernels[0])[:2]
@@ -159,6 +160,23 @@ def equivalent_kernel(branches, kernels, gamma=None) -> np.ndarray:
                              f"({c_out},), got c_in={c_in}, gamma {gamma.shape}")
         _diagonal_centers(w)[:] += gamma
     return w
+
+
+def equivalent_kernel_adjoint(branches, kernels, grad, has_identity: bool) -> tuple:
+    """The adjoint of :func:`equivalent_kernel`: from G, the gradient of the
+    folded kernel, the gradients of its inputs. Branch b's kernel gets
+    s_b * G on b's footprint, its scales sum G_b * W_b per output channel,
+    and gamma the diagonal centers of G (None without an identity branch).
+    Returns (kernel gradients, scale gradients, gamma gradient)."""
+    big, scales = branch_scales(branches)
+    dkernels, dscales = [], []
+    for (k, _), s, wb in zip(branches, scales, kernels):
+        fp = _center(big, k)
+        gb = grad[:, :, fp, fp]
+        dkernels.append(s[:, None, None, None] * gb)
+        dscales.append((gb * wb).sum(axis=(1, 2, 3)))
+    dgamma = _diagonal_centers(grad).copy() if has_identity else None
+    return dkernels, dscales, dgamma
 
 
 def equivalent_init(w_s: np.ndarray, w_t: np.ndarray, s, t,

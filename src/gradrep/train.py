@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .autodiff import no_grad
 from .data import DatasetHandle, iter_batches
 from .errors import UsageError
 from .models import Model
@@ -37,10 +36,9 @@ class TrainResult:
 def evaluate(model: Model, handle: DatasetHandle, batch_size: int = 256) -> float:
     """Eval-mode accuracy over the whole split."""
     correct = 0
-    with no_grad():
-        for x, labels in iter_batches(handle, batch_size):
-            logits = model.forward(x, training=False)
-            correct += int((np.argmax(logits.data, axis=1) == labels).sum())
+    for x, labels in iter_batches(handle, batch_size):
+        logits = model.forward(x, training=False)
+        correct += int((np.argmax(logits.data, axis=1) == labels).sum())
     return correct / len(handle)
 
 

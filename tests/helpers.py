@@ -1,5 +1,5 @@
-"""Shared test helpers: scalar test losses for gradient checks and the
-hyper-search initial scales of a spec, read without building a model."""
+"""Shared test helpers: scalar test losses for gradient checks, a tape walk,
+and the hyper-search initial scales of a spec, read without building a model."""
 
 import numpy as np
 
@@ -28,6 +28,17 @@ def tsum(x: Tensor) -> Tensor:
         x.accumulate_grad(np.broadcast_to(g, x.data.shape).copy())
 
     return Tensor(x.data.sum(), parents=(x,), backward=backward)
+
+
+def interior_nodes(root):
+    """Every node of root's tape that has parents (root included)."""
+    found, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in found and node._parents:
+            found[id(node)] = node
+            stack.extend(node._parents)
+    return list(found.values())
 
 
 def init_scales(spec, mode: str = "hs_init") -> ScalesFile:

@@ -66,17 +66,24 @@ class TestConfig:
 
     def test_schema_holds_the_domains(self):
         cfg = load_config(None, ["analyze.what=variance_ratio", "eq.case=ghost",
-                                 "analyze.stage_blocks=3,1", "data.n=0"])
+                                 "analyze.stage_blocks=3,1", "data.n=0",
+                                 "model.stages=1x4, 2x8", "opt.schedule=constant",
+                                 "opt.warmup_epochs=0"])
         assert cfg["analyze.what"] == "variance-ratio"
         assert cfg["eq.case"] == "ghost"
         assert cfg["analyze.stage_blocks"] == "3,1"
         assert cfg["data.n"] == 0
+        assert cfg["model.stages"] == "1x4, 2x8"
+        assert (cfg["opt.schedule"], cfg["opt.warmup_epochs"]) == ("constant", 0)
 
     @pytest.mark.parametrize("item", [
         "seed=-1", "data.n=-1", "eq.hw=0", "quant.calib_n=0", "data.source=imagenet",
         "eq.case=Block", "analyze.arch=vgg", "analyze.what=stats",
         "analyze.stage_blocks=2,0", "analyze.stage_blocks=", "eq.lr=nan",
-        "eq.tolerance=inf", "opt.base_lr=-inf", "seed=1.5",
+        "eq.tolerance=inf", "opt.base_lr=-inf", "seed=1.5", "model.stages=junk",
+        "model.stages=2x0", "model.stages=2x8,", "model.stem_channels=0",
+        "opt.total_epochs=0", "opt.batch_size=-5", "data.resolution=0", "data.classes=0",
+        "eq.batch=0", "opt.warmup_epochs=-1", "opt.schedule=step",
     ])
     def test_value_outside_domain_rejected(self, item):
         with pytest.raises(ConfigError, match="--set: bad value"):

@@ -1,11 +1,13 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from gradrep import ops
-from gradrep.autodiff import Tensor
+from gradrep.autodiff import Tensor, grad_enabled, no_grad
 from gradrep.errors import ConfigError, ShapeError
+from gradrep.hypersearch import scales_from_model
 from gradrep.layers import BatchNorm2d, Conv2d
 from gradrep.models import (
     BLOCK_RECIPE,
@@ -30,7 +32,7 @@ from gradrep.models import (
     hs_init_value,
 )
 from gradrep.rng import Rng
-from helpers import init_scales
+from helpers import init_scales, interior_nodes
 
 TINY = ModelSpec(stem_channels=3, stages=((1, 4), (1, 8)), num_classes=10, input_hw=32)
 SMALL = ModelSpec(stem_channels=4, stages=((2, 4), (2, 8)), num_classes=10, input_hw=16)
@@ -38,6 +40,16 @@ SMALL = ModelSpec(stem_channels=4, stages=((2, 4), (2, 8)), num_classes=10, inpu
 
 def ones_scales(spec):
     return {i.block_id: (np.ones(i.c_out), np.ones(i.c_out)) for i in block_infos(spec)}
+
+
+#: every builder kind, on SMALL, by its model kind
+BUILDERS = {
+    "target": lambda rng: build_target(SMALL, rng=rng),
+    "csla": lambda rng: build_csla(SMALL, ones_scales(SMALL), rng=rng),
+    "hs": lambda rng: build_hypersearch(SMALL, rng=rng),
+    "repvgg": lambda rng: build_repvgg(SMALL, rng=rng),
+    "resnet": lambda rng: build_resnet_reference([1, 2], channels=[4, 8], rng=rng),
+}
 
 
 class TestSpecLayout:
@@ -191,15 +203,21 @@ class TestBuilders:
         with pytest.raises(ConfigError):
             build_hypersearch(SMALL, rng=Rng(0), init="ones")
 
-    def test_hs_equals_csla_with_same_constants_at_init(self):
+    def test_hs_forward_is_the_equivalent_init_target(self):
+        # the folded hyper-search block and the equivalent-init builder run
+        # the one branch algebra, so from equal streams they agree bit for bit
         x = np.random.default_rng(1).normal(size=(2, 3, 16, 16))
         hs = build_hypersearch(SMALL, rng=Rng(5))
-        consts = {
-            b.info.block_id: (b.scale3.values.copy(), b.scale1.values.copy())
-            for b in hs.blocks
-        }
-        csla = build_csla(SMALL, consts, rng=Rng(5))
-        np.testing.assert_array_equal(hs.forward(x).data, csla.forward(x).data)
+        target = build_target_equivalent_init(SMALL, scales_from_model(hs), rng=Rng(5))
+        assert hs.forward(x).data.tobytes() == target.forward(x).data.tobytes()
+
+    def test_hs_matches_csla_with_same_constants(self):
+        # one conv against the branches it folds: equal up to round-off
+        x = np.random.default_rng(1).normal(size=(2, 3, 16, 16))
+        hs = build_hypersearch(SMALL, rng=Rng(5))
+        csla = build_csla(SMALL, scales_from_model(hs), rng=Rng(5))
+        want, got = csla.forward(x).data, hs.forward(x).data
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_eval_csla_equals_equivalent_init_target(self):
         # the defining property of the equivalent kernel, end to end
@@ -269,13 +287,7 @@ class TestBuilders:
         out = block.forward(Tensor(x), training=False).data
         np.testing.assert_allclose(out, x, atol=1e-14)
 
-    @pytest.mark.parametrize("build", [
-        lambda rng: build_target(SMALL, rng=rng),
-        lambda rng: build_csla(SMALL, ones_scales(SMALL), rng=rng),
-        lambda rng: build_hypersearch(SMALL, rng=rng),
-        lambda rng: build_repvgg(SMALL, rng=rng),
-        lambda rng: build_resnet_reference([1, 2], channels=[4, 8], rng=rng),
-    ], ids=["target", "csla", "hs", "repvgg", "resnet"])
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
     def test_builder_without_rng_is_a_zero_skeleton(self, build):
         seeded, skeleton = build(Rng(0)), build(None)
 
@@ -290,6 +302,26 @@ class TestBuilders:
         for name in kernels:
             assert np.any(drawn[name].data), name
             assert not np.any(zero[name].data), name
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+    @pytest.mark.parametrize("grad_on", [True, False])
+    def test_eval_forward_records_no_tape(self, build, grad_on, monkeypatch):
+        model = build(Rng(4))
+        x = np.random.default_rng(4).normal(size=(2, 3, 16, 16))
+        nodes, init = [], Tensor.__init__
+
+        def counting_init(self, data, requires_grad=False, parents=(), backward=None):
+            if backward is not None:
+                nodes.append(backward)
+            init(self, data, requires_grad, parents, backward)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        with contextlib.nullcontext() if grad_on else no_grad():
+            logits = model.forward(x, training=False)
+            assert grad_enabled() == grad_on
+        assert nodes == [] and logits._parents == ()
+        model.forward(x, training=True)
+        assert len(nodes) > 0  # the spy sees a taped forward
 
     def test_gr_managed_params_are_block_kernels(self):
         model = build_target(SMALL, rng=Rng(0))
@@ -315,3 +347,48 @@ class TestTapeMemory:
         finally:
             tracemalloc.stop()
         assert held <= 2 * out.data.nbytes + 256 * 2**10
+
+
+class TestFoldedHypersearch:
+    """The hyper-search block runs one conv with the folded kernel; a
+    branched forward built here from the separate ops is its reference."""
+
+    @staticmethod
+    def branched_forward(model, x):
+        # every branch conv, trainable scale and identity path as its own node
+        t = model.stem_bn.forward(model.stem_conv.forward(Tensor(x)), True, relu=True)
+        for b in model.blocks:
+            z = None
+            for k in b.sizes:
+                y = ops.conv2d(t, getattr(b, f"conv{k}").weight, b.info.stride, k // 2)
+                y = ops.channel_scale(y, getattr(b, f"scale{k}").scale)
+                z = y if z is None else ops.add(z, y)
+            if b.info.has_identity:
+                z = ops.add(z, ops.channel_scale(t, b.gamma.scale))
+            t = b.bn.forward(z, True, relu=True)
+        return model.fc.forward(ops.global_avg_pool(t))
+
+    def test_loss_and_gradients_match_the_branched_reference(self):
+        x = np.random.default_rng(6).normal(size=(8, 3, 32, 32))
+        labels = np.arange(8) % 10
+        results = []
+        for forward in (lambda m: m.forward(x, training=True),
+                        lambda m: self.branched_forward(m, x)):
+            model = build_hypersearch(PRESETS["desk4"], rng=Rng(6))
+            loss = ops.cross_entropy(forward(model), labels, 0.1)
+            loss.backward()
+            results.append((loss.item(), dict(model.named_parameters())))
+        (folded_loss, folded), (loss, branched) = results
+        assert abs(folded_loss - loss) <= 1e-12 * abs(loss)
+        for name, p in branched.items():
+            diff = np.abs(folded[name].grad - p.grad).max()
+            assert diff <= 1e-12 * np.abs(p.grad).max(), name
+
+    def test_desk4_step_records_17_tape_nodes(self):
+        # stem conv and BN, per block fold + conv + BN, pool, FC, loss; the
+        # branched block took 33: per block two convs, two or three scales,
+        # one or two adds and BN
+        model = build_hypersearch(PRESETS["desk4"], rng=Rng(0))
+        x = np.random.default_rng(0).normal(size=(2, 3, 32, 32))
+        loss = ops.cross_entropy(model.forward(x, training=True), np.array([1, 2]))
+        assert len(interior_nodes(loss)) == 17

@@ -10,10 +10,10 @@ from gradrep import ops
 from gradrep.autodiff import Parameter, Tensor, grad_enabled, no_grad, set_checked
 from gradrep.data import gen_synthetic
 from gradrep.errors import ShapeError, UsageError
-from gradrep.models import ModelSpec, build_hypersearch
+from gradrep.models import BlockInfo, CslaBlock, ModelSpec, build_hypersearch, hs_branches
 from gradrep.rng import Rng
 from gradrep.train import evaluate
-from helpers import tsum, weighted_sum
+from helpers import interior_nodes, tsum, weighted_sum
 
 
 # ---------------------------------------------------------------------------
@@ -60,17 +60,6 @@ def numerical_grad(loss_fn, arr, h=1e-5):
 
 def assert_grad_close(analytic, numeric, rtol=1e-6, atol=1e-7):
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
-
-
-def interior_nodes(root):
-    """Every node of root's tape that has parents (root included)."""
-    found, stack = {}, [root]
-    while stack:
-        node = stack.pop()
-        if id(node) not in found and node._parents:
-            found[id(node)] = node
-            stack.extend(node._parents)
-    return list(found.values())
 
 
 #: (kernel, stride, padding) of every conv2d lowering: the 3x3 gather with and
@@ -439,6 +428,30 @@ class TestFiniteDifferences:
         num = numerical_grad(lambda: ops.mse_loss(Tensor(pd), tgt).item(), pd)
         assert_grad_close(pred.grad, num)
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("c_in,stride,has_identity", [(3, 1, True), (2, 2, False)],
+                             ids=["identity", "strided"])
+    def test_folded_block(self, seed, c_in, stride, has_identity):
+        # every branch kernel, scale vector and gamma of a hyper-search block,
+        # through the fold node, its one conv and the BN->ReLU node
+        info = BlockInfo(0, "b", c_in, 3, stride, has_identity, 1)
+        block = CslaBlock(info, hs_branches(info, "hs_init"), trainable=True, rng=Rng(seed))
+        rng = np.random.default_rng(500 + seed)
+        for _, p in block.named_parameters():
+            p.data += 0.3 * rng.normal(size=p.data.shape)
+        x = Tensor(rng.normal(size=(2, c_in, 6, 6)))
+        proj = rng.normal(size=(2, 3, 6 // stride, 6 // stride))
+        weighted_sum(block.forward(x, training=True), proj).backward()
+        params = [p for n, p in block.named_parameters() if not n.startswith("bn.")]
+        assert len(params) == 4 + has_identity
+
+        def loss_value():
+            with no_grad():
+                return weighted_sum(block.forward(x, training=True), proj).item()
+
+        for p in params:
+            assert_grad_close(p.grad, numerical_grad(loss_value, p.data))
+
     # (3, 2, 0) adds col2im taps that would start before the first output row
     @pytest.mark.parametrize("k,stride,padding", LOWERINGS + [(3, 2, 0)])
     @pytest.mark.parametrize("batch", [1, 3])
@@ -585,19 +598,12 @@ class TestNoGrad:
                 ops.add(Tensor(np.zeros(2)), Tensor(np.zeros(3)))
         assert grad_enabled()
 
-    def test_evaluate_matches_taped_forward(self, monkeypatch):
+    def test_evaluate_matches_eval_forward(self):
+        # an eval forward records no tape, and evaluate reads its argmax
         spec = ModelSpec(4, ((1, 4), (1, 8)), 10, 16)
         model = build_hypersearch(spec, rng=Rng(2))
         handle = gen_synthetic(40, 16, 10, seed=1)
         logits = model.forward(handle.normalized(), training=False)
-        assert logits._parents
-        taped_forward, modes = model.forward, []
-
-        def spy(x, training):
-            modes.append(grad_enabled())
-            return taped_forward(x, training)
-
-        monkeypatch.setattr(model, "forward", spy)
+        assert logits._parents == () and logits._backward is None
         acc = evaluate(model, handle, batch_size=16)
-        assert modes == [False, False, False]
         assert acc == float((np.argmax(logits.data, axis=1) == handle.labels).mean())
