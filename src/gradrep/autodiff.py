@@ -22,7 +22,10 @@ it may write to it in place and hand it on, as the batch-norm node does.
 
 Inside ``with no_grad():`` the ops record no tape at all: they return plain
 tensors without parents or closures, for forward passes that are never
-differentiated, such as evaluation.
+differentiated, such as evaluation. Grad mode is per thread: ``no_grad()``
+in one thread leaves every other thread's mode as it was, and a new thread
+starts with grad mode on. So evaluation batches may run on worker threads
+while the calling thread goes on to train.
 
 A tensor converts non-float input to float64 and keeps float32 as given; the
 layers and the data path create float64 arrays throughout, so models compute
@@ -33,13 +36,20 @@ values.
 from __future__ import annotations
 
 import contextlib
+import threading
 
 import numpy as np
 
 from .errors import UsageError
 
 _CHECKED = False
-_GRAD_ENABLED = True
+
+
+class _GradMode(threading.local):
+    enabled = True  # the class value is each new thread's default
+
+
+_GRAD_MODE = _GradMode()
 
 
 def set_checked(flag: bool) -> None:
@@ -49,21 +59,20 @@ def set_checked(flag: bool) -> None:
 
 
 def grad_enabled() -> bool:
-    """False inside :func:`no_grad`, where ops record no tape."""
-    return _GRAD_ENABLED
+    """False inside :func:`no_grad` in this thread, where ops record no tape."""
+    return _GRAD_MODE.enabled
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Run the block without recording a tape; the previous state returns
-    on exit, also when the block raises."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Run the block without recording a tape in this thread; the previous
+    state returns on exit, also when the block raises."""
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_MODE.enabled = previous
 
 
 def _released(g):

@@ -72,13 +72,12 @@ class DatasetHandle:
         """float64 images: (pixel/255 - mean) / std per channel, with the
         constants :data:`NORMALIZATION` holds for this source."""
         imgs = self.images if idx is None else self.images[idx]
-        # the formula once per channel and pixel value; pixel v of channel ch
-        # then reads entry 256*ch + v of the flat table
-        levels = np.arange(256, dtype=np.float64) / 255.0
-        mean, std = (np.asarray(v).reshape(3, 1) for v in NORMALIZATION[self.source])
-        table = ((levels - mean) / std).ravel()
-        offsets = np.arange(0, 768, 256, dtype=np.uint16).reshape(1, 3, 1, 1)
-        return table.take(imgs + offsets)
+        out = imgs.astype(np.float64)
+        mean, std = (np.reshape(v, (3, 1, 1)) for v in NORMALIZATION[self.source])
+        out /= 255.0
+        out -= mean
+        out /= std
+        return out
 
     def subset(self, n: int, offset: int = 0) -> "DatasetHandle":
         if offset + n > len(self):

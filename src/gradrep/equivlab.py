@@ -18,7 +18,7 @@ from functools import reduce
 import numpy as np
 
 from . import ops
-from .autodiff import Parameter, Tensor
+from .autodiff import Parameter, Tensor, no_grad
 from .errors import ConfigError
 from .layers import BatchNorm2d
 from .models import CslaBlockSpec, Model, PlainBlock, RepVggStyleBlock
@@ -272,7 +272,8 @@ def identity_variance_ratio(model_factory, data: np.ndarray, num_seeds: int,
     for k in range(num_seeds):
         model = model_factory(base_seed + k)
         model.set_capture(True)
-        model.forward(data, training=True)
+        with no_grad():  # train-mode statistics, but no tape to walk
+            model.forward(data, training=True)
         blocks = [b for b in model.blocks if getattr(b, "last_sum", None) is not None]
         if ids is None:
             ids = [b.info.block_id for b in blocks]

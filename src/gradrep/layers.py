@@ -98,7 +98,7 @@ class BatchNorm2d(Module):
 
     def forward(self, x: Tensor, training: bool, relu: bool = False) -> Tensor:
         """BN, then a ReLU when ``relu`` is set; in train mode the two are
-        one tape node."""
+        one tape node, in eval mode one output buffer."""
         if training:
             out, mu, var = ops.batchnorm_train(x, self.gamma, self.beta, eps=self.eps,
                                                relu=relu)
@@ -108,9 +108,8 @@ class BatchNorm2d(Module):
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var_unbiased
             return out
-        out = ops.batchnorm_eval(x, self.gamma, self.beta,
-                                 self.running_mean, self.running_var, eps=self.eps)
-        return ops.relu(out) if relu else out
+        return ops.batchnorm_eval(x, self.gamma, self.beta, self.running_mean,
+                                  self.running_var, eps=self.eps, relu=relu)
 
 
 class ChannelScale(Module):

@@ -384,15 +384,20 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
 
 def batchnorm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
                    running_mean: np.ndarray, running_var: np.ndarray,
-                   eps: float = 1e-5) -> Tensor:
-    """Eval-mode BN: per-channel affine map from frozen running statistics.
+                   eps: float = 1e-5, relu: bool = False) -> Tensor:
+    """Eval-mode BN: per-channel affine map from frozen running statistics,
+    followed by a ReLU when ``relu`` is set, all in one output buffer.
     Forward only: the result records no tape node, so no gradient flows back
     through it (training runs BN in train mode)."""
     c = x.data.shape[1]
     inv_std = 1.0 / np.sqrt(running_var + eps)
     scale = (gamma.data * inv_std).reshape(1, c, 1, 1)
     shift = (beta.data - gamma.data * running_mean * inv_std).reshape(1, c, 1, 1)
-    return Tensor(x.data * scale + shift)
+    out = x.data * scale
+    out += shift
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return Tensor(out)
 
 
 # ---------------------------------------------------------------------------

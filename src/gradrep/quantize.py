@@ -5,6 +5,13 @@ scale = max|x| / 127 (a 1e-12 floor guards all-zero tensors), values rounded
 to the nearest integer and clamped to [-127, 127]. Weights are quantized once;
 activations are fake-quantized at every layer input with scales calibrated as
 the max absolute activation over a calibration set. Biases stay in float.
+
+Calibration and accuracy run their batches on every usable CPU (see
+:mod:`gradrep.parallel`). A batch's max-abs and its count of correct answers
+are exact, and they are reduced in batch order, so scales and accuracies are
+the same for any worker count. Accuracy batches hold 128 samples
+(:data:`~gradrep.parallel.EVAL_BATCH`): each worker holds one batch's
+activations in flight, so two workers hold as much as one batch of 256.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import numpy as np
 
 from .equivlab import FusedConv, InferenceModel
 from .errors import ConfigError, ShapeError
+from .parallel import EVAL_BATCH, accuracy, parallel_map
 
 SCALE_FLOOR = 1e-12
 
@@ -88,13 +96,15 @@ def ptq_model(model: InferenceModel, calibration: np.ndarray,
             f"calibration set must be a non-empty (n, c, h, w) array, got shape "
             f"{calibration.shape}"
         )
-    input_amax = 0.0
-    act_amax = np.zeros(len(model.convs))
-    for start in range(0, len(calibration), batch_size):
+
+    def amaxes(start):
+        """[input amax, amax of each layer's activation] of one batch."""
         batch = calibration[start:start + batch_size]
-        input_amax = max(input_amax, float(np.abs(batch).max()))
-        for i, act in enumerate(model.features(batch)):
-            act_amax[i] = max(act_amax[i], float(np.abs(act).max()))
+        return [float(np.abs(batch).max())] + [float(np.abs(act).max())
+                                               for act in model.features(batch)]
+
+    per_batch = parallel_map(amaxes, range(0, len(calibration), batch_size))
+    input_amax, *act_amax = (max(0.0, *column) for column in zip(*per_batch))
     return QuantizedModel(quantize_weights_only(model), [int8_scale(a) for a in act_amax],
                           int8_scale(input_amax))
 
@@ -107,14 +117,9 @@ def quantize_weights_only(model: InferenceModel) -> InferenceModel:
                           model.fc_bias.copy(), spec=model.spec)
 
 
-def model_accuracy(model, handle, batch_size: int = 256) -> float:
+def model_accuracy(model, handle, batch_size: int = EVAL_BATCH) -> float:
     """Accuracy of a deploy-form (or quantized) model over a dataset handle."""
-    correct = 0
-    for start in range(0, len(handle), batch_size):
-        idx = np.arange(start, min(start + batch_size, len(handle)))
-        logits = model.forward(handle.normalized(idx))
-        correct += int((np.argmax(logits, axis=1) == handle.labels[idx]).sum())
-    return correct / len(handle)
+    return accuracy(model.forward, handle, batch_size)
 
 
 def position_stats_report(model: InferenceModel) -> list:

@@ -5,6 +5,11 @@ stream): batches are drawn with a seeded shuffle, augmentation consumes the
 same stream, the last short batch is dropped (train-mode BN needs at least two
 samples), and the learning rate follows the warmup+cosine schedule over
 ``cfg.total_epochs`` regardless of how many epochs this call executes.
+
+Evaluation runs forward only, on every usable CPU (see :mod:`gradrep.parallel`),
+in batches of :data:`~gradrep.parallel.EVAL_BATCH` = 128 samples: each worker
+holds one batch in flight, so two workers hold as much as one batch of 256.
+The steps themselves stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .data import DatasetHandle, iter_batches
 from .errors import UsageError
 from .models import Model
 from .optim import OptimizerConfig, lr_schedule
+from .parallel import EVAL_BATCH, accuracy
 from .rng import Rng
 
 
@@ -33,13 +39,9 @@ class TrainResult:
         return self.test_acc[-1] if self.test_acc else None
 
 
-def evaluate(model: Model, handle: DatasetHandle, batch_size: int = 256) -> float:
+def evaluate(model: Model, handle: DatasetHandle, batch_size: int = EVAL_BATCH) -> float:
     """Eval-mode accuracy over the whole split."""
-    correct = 0
-    for x, labels in iter_batches(handle, batch_size):
-        logits = model.forward(x, training=False)
-        correct += int((np.argmax(logits.data, axis=1) == labels).sum())
-    return correct / len(handle)
+    return accuracy(lambda x: model.forward(x, training=False).data, handle, batch_size)
 
 
 def train_model(model: Model, optimizer, train_handle: DatasetHandle,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gradrep import ops
-from gradrep.autodiff import Parameter, Tensor
+from gradrep.autodiff import Parameter, Tensor, grad_enabled
 from gradrep.data import gen_synthetic
 from gradrep.equivlab import (
     convert_model,
@@ -432,6 +432,31 @@ class TestVarianceRatio:
 
         _, per_seed, mean = identity_variance_ratio(factory, data, num_seeds=2)
         np.testing.assert_allclose(mean, 1.0, atol=1e-12)
+
+    def test_capture_forward_records_no_tape(self, monkeypatch):
+        nodes = []
+        init = Tensor.__init__
+
+        def spy(self, data, requires_grad=False, parents=(), backward=None):
+            nodes.append(backward is not None)
+            init(self, data, requires_grad, parents, backward)
+
+        monkeypatch.setattr(Tensor, "__init__", spy)
+        data = Rng(3).gaussian((4, 3, 16, 16))
+        built = []
+
+        def factory(seed):
+            built.append(build_resnet_reference([2, 16], channels=[8, 16], input_hw=16,
+                                                rng=Rng(seed)))
+            return built[-1]
+
+        identity_variance_ratio(factory, data, num_seeds=2)
+        assert nodes and sum(nodes) == 0
+        assert grad_enabled()
+        # batch statistics still move the running ones
+        assert np.any(built[0].stem_bn.running_mean != 0.0)
+        built[0].forward(data, training=True)
+        assert sum(nodes) == 104  # the spy sees a taped forward
 
     def test_depth_indexed_init_raises_deep_ratios(self):
         spec = ModelSpec(8, ((9, 8),), 10, 32)

@@ -492,6 +492,22 @@ class TestPrimitives:
         )
         np.testing.assert_allclose(out.data, x / np.sqrt(1.0 + eps), atol=1e-15)
 
+    def test_batchnorm_eval_relu_is_relu_of_the_affine_map(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(2, 3, 4, 4))
+        gamma, beta = rng.normal(size=3), rng.normal(size=3)
+        mean, var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
+        scale = (gamma * inv_std).reshape(1, 3, 1, 1)
+        shift = (beta - gamma * mean * inv_std).reshape(1, 3, 1, 1)
+        want = x * scale + shift
+        for relu in (False, True):
+            out = ops.batchnorm_eval(Tensor(x), Tensor(gamma), Tensor(beta), mean, var,
+                                     relu=relu)
+            expect = np.maximum(want, 0.0) if relu else want
+            assert out.data.tobytes() == expect.tobytes()
+        assert (want < 0).any()
+
     def test_batchnorm_train_normalizes(self):
         x = np.random.default_rng(2).normal(size=(8, 3, 5, 5)) * 3.0 + 1.0
         out, mu, var = ops.batchnorm_train(
