@@ -95,8 +95,9 @@ class Tensor:
             raise ValueError("non-finite values rejected in checked mode")
         self.data = arr
         self.grad = None
-        self.requires_grad = bool(requires_grad)
         self._parents = tuple(parents)
+        # a recorded node passes gradients on, so it asks for one too
+        self.requires_grad = bool(requires_grad or self._parents)
         self._backward = backward
 
     @property
@@ -150,10 +151,9 @@ class Tensor:
                 node._backward(node.grad)
                 node.grad = None
                 node._backward = _released
+                # requires_grad stays set, so a later pass that reaches the
+                # freed node raises instead of dropping what flows there
                 node._parents = ()
-                # a freed node still asks for a gradient, so a later pass
-                # that reaches it raises instead of dropping what flows there
-                node.requires_grad = True
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"

@@ -16,9 +16,9 @@ arrays must match the skeleton's slots one to one, name and shape, or the
 restore raises one ``DataFormatError`` naming every missing, unknown and
 wrongly shaped array.
 A trained model's slots come from :meth:`Module.state_slots`. A fused
-(deploy-form) model's layout follows its spec: a stride-2 3x3 stem conv, one
-3x3 conv per block at that block's stride, then the FC head; its arrays are
-``conv{i}.kernel``, ``conv{i}.bias``, ``fc.weight`` and ``fc.bias``.
+(deploy-form) model's layout is what :func:`~gradrep.equivlab.convert_model`
+makes of its spec's plain target model; its arrays are ``conv{i}.kernel``,
+``conv{i}.bias``, ``fc.weight`` and ``fc.bias``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equivlab import FusedConv, InferenceModel
+from .equivlab import InferenceModel, convert_model
 from .errors import ConfigError, DataFormatError, FormatVersionError
 from .models import (
     BLOCK_RECIPE,
@@ -256,15 +256,10 @@ def snapshot_fused(model: InferenceModel, spec: ModelSpec, extra=None) -> Checkp
 
 
 def restore_fused(ckpt: Checkpoint) -> InferenceModel:
-    """Build the deploy form the spec lays out and fill it from the stored
+    """The deploy form of the spec's zero target skeleton, filled from the stored
     arrays; layout keys that older files carry in ``extra`` are not read."""
     if ckpt.model_kind != "fused":
         raise DataFormatError(f"checkpoint kind {ckpt.model_kind!r} is not fused")
-    spec = ckpt.spec
-    convs = [FusedConv(np.zeros((c_out, c_in, 3, 3)), np.zeros(c_out), stride)
-             for c_in, c_out, stride in [(3, spec.stem_channels, 2)]
-             + [(i.c_in, i.c_out, i.stride) for i in block_infos(spec)]]
-    model = InferenceModel(convs, np.zeros((spec.num_classes, spec.stages[-1][1])),
-                           np.zeros(spec.num_classes), spec=spec)
+    model = convert_model(build_target(ckpt.spec))
     _fill(_fused_slots(model), ckpt)
     return model

@@ -226,7 +226,7 @@ def cmd_verify_equivalence(args, cfg: RunConfig) -> int:
                                         (3, np.full(c, cfg["eq.alpha_b"]))), False)
     elif case == "block":
         draws = Rng(seed).uniform(2 * c)
-        block = CslaBlockSpec.square(c, 0.4 + draws[:c], 0.4 + draws[c:])
+        block = CslaBlockSpec(c, c, 1, ((3, 0.4 + draws[:c]), (1, 0.4 + draws[c:])), True)
     else:  # ghost: a 0.8-scaled 1x1 branch plus identity, BN after the sum
         block = CslaBlockSpec(c, c, 1, ((1, np.full(c, 0.8)),), True)
     report = verify_csla_gr(block, cfg["eq.steps"], ocfg, seed, batch=cfg["eq.batch"],

@@ -21,7 +21,7 @@ from . import ops
 from .autodiff import Parameter, Tensor, no_grad
 from .errors import ConfigError
 from .layers import BatchNorm2d
-from .models import CslaBlockSpec, Model, PlainBlock, RepVggStyleBlock
+from .models import CslaBlockSpec, Model, PlainBlock, RepVggStyleBlock, branched_sum
 from .optim import MultiplierSgd, OptimizerConfig, equivalent_kernel, grad_mult
 from .reports import write_csv, write_json
 from .rng import Rng, msra_init
@@ -76,9 +76,9 @@ class _Pair:
                         for i, (k, _) in enumerate(block.branches)]
         self.gamma = (Parameter(np.ones(block.c_out), name="gamma")
                       if block.has_identity else None)
-        self.k = max(k for k, _ in block.branches)
         if ablation == "skip_reinit":
-            init = msra_init((block.c_out, block.c_in, self.k, self.k), rng=rng)
+            big = max(k for k, _ in block.branches)
+            init = msra_init((block.c_out, block.c_in, big, big), rng=rng)
         else:
             init = equivalent_kernel(self.branches, [w.data for w in self.kernels],
                                      np.ones(block.c_out) if block.has_identity else None)
@@ -100,18 +100,13 @@ class _Pair:
                                        "bn.beta": self.bn_single.beta})
 
     def forward_branched(self, x):
-        z = None
-        for (k, _), w, s in zip(self.branches, self.kernels, self.scales):
-            y = ops.channel_scale(ops.conv2d(x, w, self.block.stride, k // 2), s)
-            z = y if z is None else ops.add(z, y)
-        if self.gamma is not None:
-            z = ops.add(z, ops.channel_scale(x, self.gamma))
+        z = branched_sum(x, self.kernels, self.scales, self.block.stride, self.gamma)
         if self.post_bn:
             z = self.bn_branched.forward(z, True, relu=True)
         return z
 
     def forward_single(self, x):
-        z = ops.conv2d(x, self.w_prime, self.block.stride, self.k // 2)
+        z = ops.conv2d(x, self.w_prime, self.block.stride, self.w_prime.data.shape[-1] // 2)
         if self.post_bn:
             z = self.bn_single.forward(z, True, relu=True)
         return z

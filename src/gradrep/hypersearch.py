@@ -50,12 +50,12 @@ class ScaleRecord:
 
     @property
     def s(self) -> np.ndarray:
-        """Scales of the first branch."""
+        """Scales of the first branch; a shim for perfbench's hypersearch_desk4."""
         return self.branches[0][1]
 
     @property
     def t(self) -> np.ndarray:
-        """Scales of the second branch."""
+        """Scales of the second branch; a shim for perfbench's hypersearch_desk4."""
         return self.branches[1][1]
 
 

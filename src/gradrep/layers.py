@@ -64,17 +64,17 @@ class Module:
 
 
 class Conv2d(Module):
-    """Bias-free convolution layer; deploy-form biases come from folding BN."""
+    """Bias-free k x k conv padded k // 2; deploy-form biases come from folding BN."""
 
-    def __init__(self, c_in, c_out, k, stride=1, padding=0, rng: Rng | None = None):
+    def __init__(self, c_in, c_out, k, stride=1, rng: Rng | None = None):
         self.c_in, self.c_out, self.k = c_in, c_out, k
-        self.stride, self.padding = stride, padding
+        self.stride = stride
         w = (msra_init((c_out, c_in, k, k), rng=rng) if rng is not None
              else np.zeros((c_out, c_in, k, k)))
         self.weight = Parameter(w, name="weight")
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
+        return ops.conv2d(x, self.weight, stride=self.stride, padding=self.k // 2)
 
 
 class BatchNorm2d(Module):
@@ -113,7 +113,7 @@ class BatchNorm2d(Module):
 
 
 class ChannelScale(Module):
-    """Per-channel multiplicative scaling, trainable or constant.
+    """Per-channel scale values, trainable or constant, that their block applies.
 
     Constant scales are checkpointed as the buffer ``const_scale`` so a loaded
     model reproduces the original constants bit for bit.
@@ -131,10 +131,6 @@ class ChannelScale(Module):
     @property
     def values(self) -> np.ndarray:
         return self.scale.data if self.trainable else self.const_scale
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.channel_scale(x, self.scale if self.trainable
-                                 else Tensor(self.const_scale))
 
 
 class Linear(Module):

@@ -126,7 +126,8 @@ class CslaBlockSpec:
 
     @staticmethod
     def square(c: int, s, t) -> "CslaBlockSpec":
-        """The (3x3, 1x1, identity) block on c channels."""
+        """The (3x3, 1x1, identity) block on c channels; this shim, :attr:`s`
+        and :attr:`t` are kept for their last caller, perfbench's lockstep_block."""
         return CslaBlockSpec(c, c, 1, ((3, tuple(np.asarray(s, dtype=float))),
                                        (1, tuple(np.asarray(t, dtype=float)))), True)
 
@@ -165,12 +166,24 @@ def block_infos(spec: ModelSpec) -> list[BlockInfo]:
 # blocks
 # ---------------------------------------------------------------------------
 
+def branched_sum(x: Tensor, kernels, scales, stride: int, gamma=None) -> Tensor:
+    """A branched block's linear part, branch by branch: sum_b s_b * conv_k(x)
+    (+ gamma * x), each k x k kernel padded k // 2, s_b and gamma per channel."""
+    z = None
+    for w, s in zip(kernels, scales):
+        y = ops.channel_scale(ops.conv2d(x, w, stride, w.data.shape[-1] // 2), s)
+        z = y if z is None else ops.add(z, y)
+    if gamma is not None:
+        z = ops.add(z, ops.channel_scale(x, gamma))
+    return z
+
+
 class PlainBlock(Module):
     """Single 3x3 conv -> BN -> ReLU."""
 
     def __init__(self, info: BlockInfo, rng=None):
         self.info = info
-        self.conv = Conv2d(info.c_in, info.c_out, 3, info.stride, 1, rng=rng)
+        self.conv = Conv2d(info.c_in, info.c_out, 3, info.stride, rng=rng)
         self.bn = BatchNorm2d(info.c_out)
 
     def forward(self, x, training):
@@ -190,9 +203,9 @@ class CslaBlock(Module):
     (:func:`ops.fold_kernel`) whose backward routes the kernel's gradient to
     every branch kernel, scale and gamma. The sum before BN is linear in the
     input, so this is the same map and the same gradients up to round-off.
-    The constant-scale block runs its branches: it is the independent
-    counterpart the single-operator model is checked against, and the
-    branched baseline of the training-cost comparison."""
+    The constant-scale block runs its branches (:func:`branched_sum`): it is
+    the independent counterpart the single-operator model is checked against,
+    and the branched baseline of the training-cost comparison."""
 
     def __init__(self, info: BlockInfo, branches, trainable, rng=None):
         self.info = info
@@ -209,8 +222,7 @@ class CslaBlock(Module):
         # conv3, conv1, ... then scale3, scale1, ...: the parameter order
         # that optimizers and digests see
         for k in self.sizes:
-            setattr(self, f"conv{k}", Conv2d(info.c_in, info.c_out, k, info.stride,
-                                             k // 2, rng=rng))
+            setattr(self, f"conv{k}", Conv2d(info.c_in, info.c_out, k, info.stride, rng=rng))
         for k, s in branches:
             setattr(self, f"scale{k}", ChannelScale(s, trainable))
         if info.has_identity:
@@ -227,18 +239,15 @@ class CslaBlock(Module):
         return tuple((k, getattr(self, f"scale{k}").values) for k in self.sizes)
 
     def forward(self, x, training):
+        kernels = [getattr(self, f"conv{k}").weight for k in self.sizes]
+        gamma = self.gamma.scale if self.info.has_identity else None
         if self.folded:
-            w = ops.fold_kernel([getattr(self, f"conv{k}").weight for k in self.sizes],
-                                [getattr(self, f"scale{k}").scale for k in self.sizes],
-                                self.gamma.scale if self.info.has_identity else None)
-            z = ops.conv2d(x, w, stride=self.info.stride, padding=max(self.sizes) // 2)
+            w = ops.fold_kernel(kernels, [getattr(self, f"scale{k}").scale
+                                          for k in self.sizes], gamma)
+            z = ops.conv2d(x, w, stride=self.info.stride, padding=w.data.shape[-1] // 2)
         else:
-            z = None
-            for k in self.sizes:
-                y = getattr(self, f"scale{k}").forward(getattr(self, f"conv{k}").forward(x))
-                z = y if z is None else ops.add(z, y)
-            if self.info.has_identity:
-                z = ops.add(z, self.gamma.forward(x))
+            z = branched_sum(x, kernels, [Tensor(s) for _, s in self.branches],
+                             self.info.stride, gamma)
         if self.capture and self.info.has_identity:
             # the identity path as the branched block computes it
             self.last_identity = x.data * self.gamma.values.reshape(1, -1, 1, 1)
@@ -254,8 +263,7 @@ class RepVggStyleBlock(Module):
         self.info = info
         self.sizes = BLOCK_RECIPE
         for k in self.sizes:
-            setattr(self, f"conv{k}", Conv2d(info.c_in, info.c_out, k, info.stride,
-                                             k // 2, rng=rng))
+            setattr(self, f"conv{k}", Conv2d(info.c_in, info.c_out, k, info.stride, rng=rng))
             setattr(self, f"bn{k}", BatchNorm2d(info.c_out))
         if info.has_identity:
             self.bnid = BatchNorm2d(info.c_out)
@@ -276,9 +284,9 @@ class ResidualBlock(Module):
     def __init__(self, info: BlockInfo, rng=None):
         self.info = info
         c = info.c_out
-        self.conv_a = Conv2d(c, c, 3, 1, 1, rng=rng)
+        self.conv_a = Conv2d(c, c, 3, 1, rng=rng)
         self.bn_a = BatchNorm2d(c)
-        self.conv_b = Conv2d(c, c, 3, 1, 1, rng=rng)
+        self.conv_b = Conv2d(c, c, 3, 1, rng=rng)
         self.bn_b = BatchNorm2d(c)
         self.capture = False
         self.last_identity = None
@@ -333,7 +341,7 @@ class Model(Module):
 def _assemble(kind, spec: ModelSpec, rng: Rng | None, make_block) -> Model:
     """The shared skeleton: stem conv + BN, ``make_block(info, rng)`` for every
     block in order, FC head, all drawn from one stream (all zero without one)."""
-    stem_conv = Conv2d(3, spec.stem_channels, 3, 2, 1, rng=rng)
+    stem_conv = Conv2d(3, spec.stem_channels, 3, 2, rng=rng)
     stem_bn = BatchNorm2d(spec.stem_channels)
     blocks = [make_block(info, rng) for info in block_infos(spec)]
     fc = Linear(spec.stages[-1][1], spec.num_classes, rng=rng)

@@ -49,7 +49,7 @@ from .optim import equivalent_kernel, equivalent_kernel_adjoint
 
 
 def _needs(*tensors) -> bool:
-    return grad_enabled() and any(t.requires_grad or t._parents for t in tensors)
+    return grad_enabled() and any(t.requires_grad for t in tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
 
     def backward(g):
         g2 = g.reshape(n, c_out, out_h * out_w)
-        if w.requires_grad or w._parents:
+        if w.requires_grad:
             # row 0 carries the sum so far (none before the first chunk), so
             # the batch sum runs in sample order, as one sum over all would
             buf = np.empty((step + 1,) + w2.shape, dtype=np.result_type(g2, xd))
@@ -215,7 +215,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
                 lo = 0
             # a compact copy, so the chunk buffer does not outlive the step
             w.accumulate_grad(buf[0].reshape(w.data.shape).copy())
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             dx = (np.zeros if pointwise and stride > 1 else np.empty)(
                 xd.shape, dtype=np.result_type(w2, g2))
             dx3 = dx.reshape(n, c_in, h * wd)
@@ -235,7 +235,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
                     dx[s] = _col2im(np.matmul(w2.T, g2[s]), c_in, h, wd, k_h, k_w,
                                     stride, padding)
             x.accumulate_grad(dx)
-        if bias is not None and (bias.requires_grad or bias._parents):
+        if bias is not None and bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
 
     return Tensor(out_data, parents=parents, backward=backward)
@@ -253,9 +253,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return Tensor(out_data)
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a.accumulate_grad(g)
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             # a's gradient may be g itself, which a's own backward may write
             b.accumulate_grad(g.copy())
 
@@ -289,9 +289,9 @@ def channel_scale(x: Tensor, scale: Tensor) -> Tensor:
         return Tensor(out_data)
 
     def backward(g):
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             x.accumulate_grad(g * s4)
-        if scale.requires_grad or scale._parents:
+        if scale.requires_grad:
             scale.accumulate_grad((g * x.data).sum(axis=(0, 2, 3)))
 
     return Tensor(out_data, parents=(x, scale), backward=backward)
@@ -314,7 +314,7 @@ def fold_kernel(kernels, scales, gamma: Tensor | None = None) -> Tensor:
         dkernels, dscales, dgamma = equivalent_kernel_adjoint(branches, arrays, g,
                                                               gamma is not None)
         for t, d in zip(parents, (*dkernels, *dscales, dgamma)):
-            if t.requires_grad or t._parents:
+            if t.requires_grad:
                 t.accumulate_grad(d)
 
     return Tensor(out_data, parents=parents, backward=backward)
@@ -364,11 +364,11 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
         xhat *= inv_std[:, None]
         sum_g = np.einsum("nck->c", g3)
         sum_gx = np.einsum("nck,nck->c", g3, xhat)
-        if gamma.requires_grad or gamma._parents:
+        if gamma.requires_grad:
             gamma.accumulate_grad(sum_gx)
-        if beta.requires_grad or beta._parents:
+        if beta.requires_grad:
             beta.accumulate_grad(sum_g)
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             a = gamma.data * inv_std
             b = a * sum_gx / m
             c0 = a * sum_g / m
@@ -430,11 +430,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return Tensor(out_data)
 
     def backward(g):
-        if w.requires_grad or w._parents:
+        if w.requires_grad:
             w.accumulate_grad(g.T @ x.data)
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b.accumulate_grad(g.sum(axis=0))
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             x.accumulate_grad(g @ w.data)
 
     return Tensor(out_data, parents=(x, w, b), backward=backward)

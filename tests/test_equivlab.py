@@ -5,6 +5,7 @@ from gradrep import ops
 from gradrep.autodiff import Parameter, Tensor, grad_enabled
 from gradrep.data import gen_synthetic
 from gradrep.equivlab import (
+    _Pair,
     convert_model,
     convert_repvgg_block,
     fuse_bn,
@@ -16,6 +17,7 @@ from gradrep.errors import ConfigError, ShapeError
 from gradrep.layers import BatchNorm2d
 from gradrep.models import (
     BlockInfo,
+    CslaBlock,
     CslaBlockSpec,
     ModelSpec,
     PRESETS,
@@ -24,20 +26,12 @@ from gradrep.models import (
     build_csla,
     build_hypersearch,
     build_repvgg,
-    build_multipliers,
     build_resnet_reference,
     build_target,
-    build_target_equivalent_init,
 )
-from gradrep.optim import (
-    MultiplierSgd,
-    OptimizerConfig,
-    dirac_kernel,
-    embed_kernel,
-    equivalent_init,
-)
+from gradrep.optim import MultiplierSgd, OptimizerConfig, dirac_kernel, embed_kernel
 from gradrep.rng import Rng
-from gradrep.train import train_model
+from helpers import kernel_gap, train_family
 
 PLAIN_SGD = OptimizerConfig(base_lr=0.1, momentum=0.0, weight_decay=0.0,
                             schedule="constant", warmup_epochs=0, total_epochs=1,
@@ -48,8 +42,10 @@ HEAVY_SGD = OptimizerConfig(base_lr=0.01, momentum=0.9, weight_decay=4e-5,
 
 
 def block_c8():
+    """The (3x3, 1x1, identity) block on 8 channels."""
     rng = np.random.default_rng(42)
-    return CslaBlockSpec.square(8, rng.uniform(0.4, 1.4, 8), rng.uniform(0.4, 1.4, 8))
+    return CslaBlockSpec(8, 8, 1, ((3, rng.uniform(0.4, 1.4, 8)),
+                                   (1, rng.uniform(0.4, 1.4, 8))), True)
 
 
 def scalar_spec(alpha_a, alpha_b, c=2):
@@ -106,6 +102,20 @@ class TestCounterpartTheorem:
                                     ablation=ablation)
             assert report.divergence_at(10) > 1e-3, ablation
 
+    @pytest.mark.parametrize("block", [
+        block_c8(),
+        CslaBlockSpec(4, 8, 2, ((3, np.linspace(0.5, 1.5, 8)), (1, np.full(8, 0.7))), False),
+    ], ids=["identity", "strided"])
+    def test_branched_side_is_the_models_constant_scale_block(self, block):
+        # from one seed, the lockstep's branched side with its BN head and a
+        # constant-scale CslaBlock draw the same kernels and give the same bytes
+        pair = _Pair(block, 31, post_bn=True)
+        info = BlockInfo(0, "b", block.c_in, block.c_out, block.stride, block.has_identity, 1)
+        model_block = CslaBlock(info, block.branches, trainable=False, rng=Rng(31))
+        x = Tensor(Rng(32).gaussian((4, block.c_in, 12, 12)))
+        assert (pair.forward_branched(x).data.tobytes()
+                == model_block.forward(x, training=True).data.tobytes())
+
     @pytest.mark.parametrize("ablation", ["skip_reinit", "skip_gradmult"])
     def test_either_ablation_breaks_equivalence(self, ablation):
         report = verify_csla_gr(block_c8(), 11, PLAIN_SGD, seed=19, hw=12,
@@ -126,6 +136,12 @@ class TestCounterpartTheorem:
         assert lines[0] == "step,output_div,kernel_div"
         assert len(lines) == 6
 
+    def test_square_shim_is_the_two_branch_identity_block(self):
+        s, t = np.linspace(0.5, 1.2, 4), np.full(4, 0.7)
+        block = CslaBlockSpec.square(4, s, t)
+        assert block == CslaBlockSpec(4, 4, 1, ((3, tuple(s)), (1, tuple(t))), True)
+        assert block.s == tuple(s) and block.t == tuple(t)
+
     def test_block_spec_invariant_enforced(self):
         ones = ((3, tuple(np.ones(8))), (1, tuple(np.ones(8))))
         with pytest.raises(ConfigError):
@@ -145,35 +161,6 @@ class TestWholeNetworkCounterpart:
                           warmup_epochs=1, total_epochs=2, schedule="cosine",
                           label_smoothing=0.1, batch_size=64)
 
-    @staticmethod
-    def train(family, spec, scales, train_set, ablation=None):
-        rng, stream = Rng.spawn(3, 2)  # same kernel and data streams per family
-        if family == "csla":
-            model = build_csla(spec, scales, rng=rng)
-            mults, managed = {}, ()
-        else:
-            model = (build_target(spec, rng=rng) if ablation == "skip_reinit"
-                     else build_target_equivalent_init(spec, scales, rng=rng))
-            mults = build_multipliers(model, scales)
-            if ablation == "skip_gradmult":
-                mults = {name: np.ones_like(m) for name, m in mults.items()}
-            managed = tuple(model.gr_managed_params())
-        opt = MultiplierSgd(dict(model.named_parameters()), momentum=0.9,
-                            weight_decay=4e-5, multipliers=mults, managed=managed)
-        result = train_model(model, opt, train_set, None, TestWholeNetworkCounterpart.CFG,
-                             stream, augment=True, eval_each_epoch=False)
-        return model, result.train_loss
-
-    @staticmethod
-    def kernel_gap(plain, csla, scales):
-        gaps = []
-        for pb, cb in zip(plain.blocks, csla.blocks):
-            s, t = scales[pb.info.block_id]
-            gamma = cb.gamma.values if cb.info.has_identity else None
-            w = equivalent_init(cb.conv3.weight.data, cb.conv1.weight.data, s, t, gamma)
-            gaps.append(np.abs(w - pb.conv.weight.data).max())
-        return max(gaps)
-
     def test_desk4_losses_and_kernels_agree_and_ablations_break_them(self):
         spec = PRESETS["desk4"]
         infos = block_infos(spec)
@@ -182,14 +169,15 @@ class TestWholeNetworkCounterpart:
         scales = {i.block_id: (0.4 + draws.uniform(i.c_out), 0.4 + draws.uniform(i.c_out))
                   for i in infos}
         train_set = gen_synthetic(512, 32, 10, seed=4)
-        csla, csla_loss = self.train("csla", spec, scales, train_set)
-        plain, plain_loss = self.train("repopt", spec, scales, train_set)
+        run = dict(spec=spec, scales=scales, train_set=train_set, cfg=self.CFG, augment=True)
+        csla, csla_loss = train_family("csla", **run)
+        plain, plain_loss = train_family("repopt", **run)
         assert len(csla_loss) == 2
         np.testing.assert_allclose(plain_loss, csla_loss, rtol=1e-10, atol=0)
-        assert self.kernel_gap(plain, csla, scales) <= 1e-10
+        assert kernel_gap(plain, csla) <= 1e-10
         for ablation in ("skip_reinit", "skip_gradmult"):
-            ablated, _ = self.train("repopt", spec, scales, train_set, ablation)
-            assert self.kernel_gap(ablated, csla, scales) > 1e-4, ablation
+            ablated, _ = train_family("repopt", ablation=ablation, **run)
+            assert kernel_gap(ablated, csla) > 1e-4, ablation
 
 
 def eval_bn(gamma, beta, mean, var, eps=1e-5):

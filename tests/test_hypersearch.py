@@ -19,17 +19,15 @@ from gradrep.models import (
     PRESETS,
     ModelSpec,
     block_infos,
-    build_csla,
     build_hypersearch,
     build_multipliers,
     build_target,
-    build_target_equivalent_init,
     hs_init_value,
 )
-from gradrep.optim import MultiplierSgd, OptimizerConfig, equivalent_kernel
+from gradrep.optim import MultiplierSgd, OptimizerConfig
 from gradrep.rng import Rng
 from gradrep.train import train_model
-from helpers import init_scales
+from helpers import init_scales, kernel_gap, train_family
 
 SPEC = ModelSpec(4, ((2, 4), (1, 8)), 10, 16)
 CFG = OptimizerConfig(base_lr=0.05, momentum=0.9, weight_decay=1e-4,
@@ -49,14 +47,13 @@ class TestRunHyperSearch:
         assert [r.block_id for r in scales.records] == \
             [i.block_id for i in block_infos(SPEC)]
         for r in scales.records:
-            assert np.all(np.isfinite(r.s)) and np.all(np.isfinite(r.t))
-            assert r.s.shape == (r.c_out,)
+            for _, s in r.branches:
+                assert np.all(np.isfinite(s)) and s.shape == (r.c_out,)
 
     def test_scales_moved_from_init(self, tiny_search):
         scales, _, _ = tiny_search
-        moved = sum(
-            float(np.abs(r.s - hs_init_value(r.depth_l)).max()) for r in scales.records
-        )
+        moved = sum(float(np.abs(r.branches[0][1] - hs_init_value(r.depth_l)).max())
+                    for r in scales.records)
         assert moved > 0.0
 
     def test_trajectory_one_entry_per_epoch_per_block(self, tiny_search):
@@ -255,29 +252,34 @@ class TestDegradeScales:
     def test_all_ones(self):
         out = degrade_scales(self.make(), "all_ones")
         for r in out.records:
-            np.testing.assert_array_equal(r.s, 1.0)
-            np.testing.assert_array_equal(r.t, 1.0)
+            for _, s in r.branches:
+                np.testing.assert_array_equal(s, 1.0)
 
     def test_channel_mean(self):
         src = self.make()
         out = degrade_scales(src, "channel_mean")
         for r_in, r_out in zip(src.records, out.records):
-            np.testing.assert_allclose(r_out.s, r_in.s.mean())
-            assert np.all(r_out.s == r_out.s[0])
+            s_in, s_out = r_in.branches[0][1], r_out.branches[0][1]
+            np.testing.assert_allclose(s_out, s_in.mean())
+            assert np.all(s_out == s_out[0])
 
     def test_hs_init_pattern(self):
         out = degrade_scales(self.make(), "hs_init")
-        np.testing.assert_allclose(out.records[0].s, np.sqrt(2.0))
-        np.testing.assert_allclose(out.records[1].s, np.sqrt(2.0))
-        np.testing.assert_allclose(out.records[2].s, 1.0)
+        np.testing.assert_allclose(out.records[0].branches[0][1], np.sqrt(2.0))
+        np.testing.assert_allclose(out.records[1].branches[0][1], np.sqrt(2.0))
+        np.testing.assert_allclose(out.records[2].branches[0][1], 1.0)
 
     def test_dash_spelling_accepted(self):
         out = degrade_scales(self.make(), "all-ones")
-        np.testing.assert_array_equal(out.records[0].s, 1.0)
+        np.testing.assert_array_equal(out.records[0].branches[0][1], 1.0)
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             degrade_scales(self.make(), "searched")
+
+    def test_s_t_shims_read_the_first_two_branches(self):
+        for r in self.make().records:
+            assert r.s is r.branches[0][1] and r.t is r.branches[1][1]
 
 
 class TestMixedBranchScales:
@@ -322,28 +324,14 @@ class TestMixedBranchScales:
         cfg = OptimizerConfig(base_lr=0.05, momentum=0.9, weight_decay=4e-5,
                               warmup_epochs=0, total_epochs=1, label_smoothing=0.1,
                               batch_size=64)
-        models, losses = {}, {}
-        for family in ("csla", "repopt"):
-            rng, stream = Rng.spawn(3, 2)  # same kernel and data streams per family
-            if family == "csla":
-                model, mults, managed = build_csla(self.SPEC, scales, rng=rng), {}, ()
-            else:
-                model = build_target_equivalent_init(self.SPEC, scales, rng=rng)
-                mults = build_multipliers(model, scales)
-                managed = tuple(model.gr_managed_params())
-            opt = MultiplierSgd(dict(model.named_parameters()), momentum=0.9,
-                                weight_decay=4e-5, multipliers=mults, managed=managed)
-            result = train_model(model, opt, train_set, None, cfg, stream,
-                                 eval_each_epoch=False)
-            models[family], losses[family] = model, result.train_loss
-        np.testing.assert_allclose(losses["repopt"], losses["csla"], rtol=1e-10, atol=0)
-        for pb, cb, r in zip(models["repopt"].blocks, models["csla"].blocks,
-                             scales.records):
-            assert cb.sizes == tuple(k for k, _ in r.branches)
-            gamma = cb.gamma.values if cb.info.has_identity else None
-            kernels = [getattr(cb, f"conv{k}").weight.data for k in cb.sizes]
-            gap = np.abs(equivalent_kernel(r.branches, kernels, gamma) - pb.conv.weight.data)
-            assert gap.max() <= 1e-10, r.block_id
+        run = dict(spec=self.SPEC, scales=scales, train_set=train_set, cfg=cfg,
+                   augment=False)
+        csla, csla_loss = train_family("csla", **run)
+        plain, plain_loss = train_family("repopt", **run)
+        np.testing.assert_allclose(plain_loss, csla_loss, rtol=1e-10, atol=0)
+        assert [cb.sizes for cb in csla.blocks] == \
+            [tuple(k for k, _ in r.branches) for r in scales.records]
+        assert kernel_gap(plain, csla) <= 1e-10
 
 
 class TestTrainLoop:

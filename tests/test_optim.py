@@ -7,6 +7,8 @@ from gradrep.errors import ConfigError, ShapeError, UsageError
 from gradrep.optim import (
     MultiplierSgd,
     OptimizerConfig,
+    dirac_kernel,
+    embed_kernel,
     equivalent_init,
     equivalent_kernel,
     grad_mult,
@@ -18,6 +20,11 @@ from helpers import weighted_sum
 def block_mult(s, t, has_identity, c_in=None):
     """Multiplier of the (3x3, 1x1, identity) block."""
     return grad_mult(((3, s), (1, t)), has_identity, c_in=c_in)
+
+
+def block_kernel(w_s, w_t, s, t, gamma=None):
+    """Equivalent kernel of the (3x3, 1x1, identity) block."""
+    return equivalent_kernel(((3, s), (1, t)), (w_s, w_t), gamma)
 
 
 class TestGradMultTable:
@@ -45,11 +52,12 @@ class TestGradMultTable:
         m = block_mult(s, t, has_identity=True)
         assert np.all(m >= 0)
         idx = np.arange(6)
-        off = m[0, 1, 1, 1]
         np.testing.assert_allclose(
             m[idx, idx, 1, 1], (s ** 2 + t ** 2) + 1.0, atol=0, rtol=0
         )
-        assert m[0, 0, 1, 1] == pytest.approx(off + 1.0) or True  # per-channel values differ
+        # per output channel, the diagonal center is its off-diagonal center + 1
+        off = m[idx, (idx + 1) % 6, 1, 1]
+        np.testing.assert_array_equal(m[idx, idx, 1, 1], off + 1.0)
 
     def test_rectangular_kernel(self):
         m = block_mult(np.ones(4), np.ones(4), has_identity=False, c_in=2)
@@ -76,6 +84,25 @@ class TestGradMultTable:
         assert scalar(1.0, 1.0) == 2.0
         assert scalar(0.5, 0.5) == 0.5
 
+    @pytest.mark.parametrize("sizes, has_identity, c_in", [
+        ((5, 3, 1), True, None),
+        ((3, 3), False, None),
+        ((3, 1), False, 2),
+    ], ids=["5-3-1-identity", "two-3x3", "rectangular"])
+    def test_equals_the_footprint_oracle(self, sizes, has_identity, c_in):
+        # sum_b s_b^2 * embed(ones of b's footprint) + dirac, bit for bit
+        rng = np.random.default_rng(9)
+        c = 4
+        c_in = c if c_in is None else c_in
+        big = max(sizes)
+        branches = tuple((k, rng.uniform(-2, 2, c)) for k in sizes)
+        want = sum((s ** 2)[:, None, None, None] * embed_kernel(np.ones((c, c_in, k, k)), big)
+                   for k, s in branches)
+        if has_identity:
+            want = want + dirac_kernel(c, big)
+        got = grad_mult(branches, has_identity, c_in=c_in)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_two_branch_1x1_form(self):
         m = grad_mult(((1, np.array([2.0, 3.0])),), has_identity=True)
         np.testing.assert_array_equal(m[:, :, 0, 0], [[5.0, 4.0], [9.0, 10.0]])
@@ -84,12 +111,12 @@ class TestGradMultTable:
 class TestEquivalentInit:
     def test_pure_3x3_branch(self):
         w_s = np.random.default_rng(0).normal(size=(3, 3, 3, 3))
-        w = equivalent_init(w_s, np.zeros((3, 3, 1, 1)), np.ones(3), np.zeros(3))
+        w = block_kernel(w_s, np.zeros((3, 3, 1, 1)), np.ones(3), np.zeros(3))
         np.testing.assert_array_equal(w, w_s)
 
     def test_pure_identity_is_dirac(self):
-        w = equivalent_init(np.zeros((2, 2, 3, 3)), np.zeros((2, 2, 1, 1)),
-                            np.zeros(2), np.zeros(2), gamma=np.ones(2))
+        w = block_kernel(np.zeros((2, 2, 3, 3)), np.zeros((2, 2, 1, 1)),
+                         np.zeros(2), np.zeros(2), gamma=np.ones(2))
         x = np.random.default_rng(1).normal(size=(1, 2, 5, 5))
         out = ops.conv2d(Tensor(x), Tensor(w), stride=1, padding=1)
         np.testing.assert_allclose(out.data, x, atol=1e-15)
@@ -113,7 +140,7 @@ class TestEquivalentInit:
         )
         if has_identity:
             branched = branched + gamma[None, :, None, None] * x
-        w = equivalent_init(w_s, w_t, s, t, gamma)
+        w = block_kernel(w_s, w_t, s, t, gamma)
         single = ops.conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
         np.testing.assert_allclose(single, branched, atol=1e-12, rtol=0)
 
@@ -131,9 +158,16 @@ class TestEquivalentInit:
             * ops.conv2d(Tensor(x), Tensor(w_t), stride=2, padding=0).data
         )
         single = ops.conv2d(
-            Tensor(x), Tensor(equivalent_init(w_s, w_t, s, t)), stride=2, padding=1
+            Tensor(x), Tensor(block_kernel(w_s, w_t, s, t)), stride=2, padding=1
         ).data
         np.testing.assert_allclose(single, branched, atol=1e-12, rtol=0)
+
+    def test_equivalent_init_shim_is_the_block_fold(self):
+        rng = np.random.default_rng(8)
+        w_s, w_t = rng.normal(size=(3, 3, 3, 3)), rng.normal(size=(3, 3, 1, 1))
+        s, t, g = rng.uniform(0.5, 1.5, size=(3, 3))
+        assert (equivalent_init(w_s, w_t, s, t, g).tobytes()
+                == block_kernel(w_s, w_t, s, t, g).tobytes())
 
     def test_1x1_variant(self):
         rng = np.random.default_rng(7)
@@ -181,7 +215,7 @@ class TestMultiplierChainRuleOracle:
 
         # single-operator side
         w_prime = Parameter(
-            equivalent_init(w_s0, w_t0, s, t, np.ones(c) if has_identity else None)
+            block_kernel(w_s0, w_t0, s, t, np.ones(c) if has_identity else None)
         )
         z2 = ops.conv2d(Tensor(x), w_prime, stride=1, padding=1)
         np.testing.assert_allclose(z2.data, z.data, atol=1e-12, rtol=0)
