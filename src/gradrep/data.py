@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .errors import ConfigError, DataFormatError
 from .rng import Rng
 
@@ -33,8 +34,14 @@ NORMALIZATION = {
     "synthetic": ((0.5, 0.5, 0.5), (0.25, 0.25, 0.25)),
 }
 
-#: samples per noise draw in gen_synthetic; must stay even (see there)
+#: samples per noise draw in gen_synthetic. It must stay even: then every
+#: Box-Muller pair lies inside one chunk, which makes each chunk's offset in
+#: the stream exact
 _SYNTH_CHUNK = 16
+#: most runs of chunks gen_synthetic draws at once, whatever the CPU count:
+#: a run holds about 1 MB of float64 temporaries at 32x32, so three keep a
+#: pool's temporaries under 4 MB
+_SYNTH_RUNS = 3
 
 CIFAR10_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR10_TEST_FILES = ["test_batch.bin"]
@@ -186,7 +193,9 @@ def gen_synthetic(n: int, resolution: int, classes: int, seed: int, *,
     Each class owns a blob position on a circle and a color; samples add
     position jitter, blob-size variation and pixel noise. The default knobs
     make desk-scale convnets work for their accuracy (tens of epochs of
-    headroom) while a linear probe still clears chance comfortably.
+    headroom) while a linear probe still clears chance comfortably. The
+    pixel noise is drawn on up to :data:`_SYNTH_RUNS` workers
+    (:mod:`gradrep.parallel`); the bytes do not depend on how many.
     """
     if n <= 0:
         raise ConfigError(f"need n > 0 synthetic samples, got {n}")
@@ -207,19 +216,19 @@ def gen_synthetic(n: int, resolution: int, classes: int, seed: int, *,
     jitter = rng.gaussian((n, 2)) * (resolution * jitter_frac)
     sigmas = base_sigma * (1.0 + radius_spread * (rng.uniform(n) - 0.5) * 2.0)
     images = np.empty((n, 3, resolution, resolution), dtype=np.uint8)
-    # the noise is drawn chunk by chunk, so only one chunk of float64 images
-    # is alive at a time; an even chunk size keeps every Box-Muller pair
-    # inside one draw, so the bytes equal those of a single whole draw
-    for start in range(0, n, _SYNTH_CHUNK):
+    chunk_draws = Rng.gaussian_draws(_SYNTH_CHUNK * 3 * resolution * resolution)
+
+    def draw_chunk(run_rng, start):
         stop = min(start + _SYNTH_CHUNK, n)
+        # drawn first: the draw's temporaries are gone before blob and img exist
+        pixel_noise = run_rng.gaussian((stop - start, 3, resolution, resolution))
+        pixel_noise *= noise
         lab = labels[start:stop]
         pos = centers[lab] + jitter[start:stop]
         cy = pos[:, 0, None, None]
         cx = pos[:, 1, None, None]
         sig = sigmas[start:stop, None, None]
         blob = np.exp(-(((yy - cy) ** 2 + (xx - cx) ** 2) / (2.0 * sig ** 2)))
-        pixel_noise = rng.gaussian((stop - start, 3, resolution, resolution))
-        pixel_noise *= noise
         # color * blob + 0.25 + noise, evaluated left to right in one buffer
         img = colors[lab][:, :, None, None] * blob[:, None]
         img += 0.25
@@ -227,6 +236,20 @@ def gen_synthetic(n: int, resolution: int, classes: int, seed: int, *,
         img *= 255.0
         np.rint(img, out=img)
         images[start:stop] = np.clip(img, 0, 255, out=img)
+
+    def draw_run(chunk_starts):
+        # a run of chunks draws from its own copy of the stream, started
+        # where the chunks before it, drawn in order, would have left it
+        run_rng = rng.ahead(chunk_starts[0] // _SYNTH_CHUNK * chunk_draws)
+        for start in chunk_starts:
+            draw_chunk(run_rng, start)
+
+    # only one chunk of float64 images per run is alive at a time; an even
+    # chunk size keeps every Box-Muller pair inside one chunk, so the bytes
+    # equal those of a single whole draw, whichever runs the chunks form
+    starts = range(0, n, _SYNTH_CHUNK)
+    runs = min(parallel.WORKERS, _SYNTH_RUNS, len(starts))
+    parallel.parallel_map(draw_run, np.array_split(starts, runs))
     return DatasetHandle("synthetic", images, labels, classes)
 
 

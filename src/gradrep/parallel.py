@@ -1,7 +1,8 @@
-"""Forward-only batch loops on every usable CPU.
+"""Forward-only batch loops and synthetic data on every usable CPU.
 
-:func:`parallel_map` runs the lab's evaluation and calibration batches on
-one thread per usable CPU; numpy releases the interpreter lock inside its
+:func:`parallel_map` runs the lab's evaluation and calibration batches, and
+the chunks of a synthetic pool (:func:`gradrep.data.gen_synthetic`), on one
+thread per usable CPU; numpy releases the interpreter lock inside its
 kernels, so the threads compute at once. Training steps stay on the calling
 thread. Each item's result depends on that item alone and the results come
 back in item order, so whatever a caller reduces from them is the same for
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
+import threading
 
 import numpy as np
 
@@ -37,33 +39,45 @@ def usable_cpus() -> int:
 WORKERS = usable_cpus()
 
 _pools: dict[int, concurrent.futures.ThreadPoolExecutor] = {}
+#: per thread: ``busy`` is true while the thread runs a parallel_map item
+_state = threading.local()
 
 
 def _pool(threads: int) -> concurrent.futures.ThreadPoolExecutor:
     if threads not in _pools:
         _pools[threads] = concurrent.futures.ThreadPoolExecutor(
-            threads, thread_name_prefix="gradrep-eval")
+            threads, thread_name_prefix="gradrep-worker")
     return _pools[threads]
+
+
+def _run_item(fn, item):
+    busy = getattr(_state, "busy", False)
+    _state.busy = True
+    try:
+        return fn(item)
+    finally:
+        _state.busy = busy
 
 
 def parallel_map(fn, items) -> list:
     """``[fn(item) for item in items]``, computed in groups of
     :data:`WORKERS` items: the calling thread runs the first item of each
     group (reusing its own allocator arena) and a pool of ``WORKERS - 1``
-    threads, built on first use, runs the rest. With one worker it is a
-    plain loop and starts no thread. An exception from any item reaches the
-    caller once the whole group has finished."""
+    threads, built on first use, runs the rest. With one worker, and inside
+    an item of another parallel_map (whose pool may be busy running that
+    very item), it is a plain loop and starts no thread. An exception from
+    any item reaches the caller once the whole group has finished."""
     items = list(items)
     workers = WORKERS
-    if workers <= 1 or len(items) <= 1:
+    if workers <= 1 or len(items) <= 1 or getattr(_state, "busy", False):
         return [fn(item) for item in items]
     pool = _pool(workers - 1)
     results = []
     for start in range(0, len(items), workers):
         group = items[start:start + workers]
-        futures = [pool.submit(fn, item) for item in group[1:]]
+        futures = [pool.submit(_run_item, fn, item) for item in group[1:]]
         try:
-            results.append(fn(group[0]))
+            results.append(_run_item(fn, group[0]))
         finally:
             concurrent.futures.wait(futures)
         results.extend(f.result() for f in futures)

@@ -6,7 +6,11 @@ reproducible bit-for-bit and checkpoints stay portable. The algorithm is fixed:
 * bit stream: numpy's PCG64 (raw 64-bit outputs via ``random_raw``);
 * uniforms: ``(raw >> 11) * 2**-53`` in ``[0, 1)``;
 * Gaussians: Box-Muller on consecutive uniform pairs, cosine value first,
-  sine value second, no caching of spare values between calls;
+  sine value second, no caching of spare values between calls; a draw of
+  ``n`` values takes ``2 * ceil(n / 2)`` raw outputs;
+* jump-ahead: :meth:`Rng.ahead` copies the stream ``k`` raw outputs on
+  (``PCG64.advance``, O(log k)), so a worker can draw any stretch of the one
+  stream and get the bytes a single sequential draw would have given there;
 * permutations: Fisher-Yates driven by the same uniform stream;
 * sub-streams: ``numpy.random.SeedSequence(seed).spawn(...)``, one child per
   named role (model init, data order, ...).
@@ -18,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, UsageError
 
 _INV_2_53 = 2.0 ** -53
 
@@ -37,25 +41,48 @@ class Rng:
         """Derive ``n`` independent named sub-streams from one run seed."""
         return [Rng(child) for child in np.random.SeedSequence(int(seed)).spawn(n)]
 
+    def ahead(self, k: int) -> "Rng":
+        """A copy of this stream ``k`` raw draws further on; this stream
+        stays where it is."""
+        if k < 0:
+            raise UsageError(f"a stream only jumps ahead, got k = {k}")
+        copy = Rng(0)
+        copy._bitgen.state = self._bitgen.state
+        copy._bitgen.advance(int(k))
+        return copy
+
+    @staticmethod
+    def gaussian_draws(n: int) -> int:
+        """Raw draws a Gaussian draw of ``n`` values takes: one uniform pair
+        per two values, the odd value's partner drawn and dropped."""
+        return 2 * ((n + 1) // 2)
+
     def uniform(self, n: int) -> np.ndarray:
         """``n`` doubles in [0, 1) from the raw 64-bit stream."""
         raw = self._bitgen.random_raw(n)
-        return (raw >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        raw >>= np.uint64(11)
+        u = raw.astype(np.float64)
+        u *= _INV_2_53
+        return u
 
     def gaussian(self, shape) -> np.ndarray:
-        """Standard-normal array via the Box-Muller transform."""
+        """Standard-normal array via the Box-Muller transform, written back
+        into the uniform buffer; the log, cosine and sine run on contiguous
+        arrays, as vectorized math libraries may round strided ones
+        differently."""
         n = int(np.prod(shape)) if shape else 1
-        pairs = (n + 1) // 2
-        u = self.uniform(2 * pairs)
-        u1 = u[0::2]
-        u2 = u[1::2]
-        # 1 - u1 lies in (0, 1], so the log is finite.
-        r = np.sqrt(-2.0 * np.log1p(-u1))
-        theta = 2.0 * math.pi * u2
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n].reshape(shape)
+        u = self.uniform(self.gaussian_draws(n))
+        # 1 - u lies in (0, 1], so the log is finite.
+        r = np.negative(u[0::2])
+        np.log1p(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta = u[1::2] * (2.0 * math.pi)
+        trig = np.cos(theta)
+        np.multiply(r, trig, out=u[0::2])
+        np.sin(theta, out=trig)
+        np.multiply(r, trig, out=u[1::2])
+        return u[:n].reshape(shape)
 
     def integers_below(self, bound: int, n: int) -> np.ndarray:
         """``n`` integers uniform on [0, bound) (floor of scaled uniforms)."""

@@ -1,15 +1,17 @@
 import os
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gradrep import ops
+from gradrep import ops, parallel
 from gradrep.autodiff import Parameter, Tensor
 from gradrep.data import (
     CIFAR10_RECORD,
     NORMALIZATION,
     _SYNTH_CHUNK,
+    _SYNTH_RUNS,
     DatasetHandle,
     augment_images,
     gen_synthetic,
@@ -146,7 +148,8 @@ def gen_synthetic_reference(n, resolution, classes, seed, *, jitter_frac=0.125,
 class TestSynthetic:
     # odd resolutions make 3*r*r odd, so a chunk of an odd number of samples
     # would split a Box-Muller pair; n covers one short chunk, an odd n that
-    # is not a multiple of the chunk, and the benchmark's 6000 x 32x32
+    # is not a multiple of the chunk, and the benchmark's 6000 x 32x32; one,
+    # two and three workers split the chunks into that many runs
     @pytest.mark.parametrize("n,resolution,classes,seed", [
         (5, 7, 3, 0),
         (_SYNTH_CHUNK // 2 + 1, 9, 4, 1),
@@ -154,25 +157,62 @@ class TestSynthetic:
         (_SYNTH_CHUNK + 2, 8, 10, 3),
         (6000, 32, 10, 4),
     ])
-    def test_matches_per_sample_reference(self, n, resolution, classes, seed):
+    def test_matches_per_sample_reference(self, n, resolution, classes, seed,
+                                          monkeypatch):
         assert _SYNTH_CHUNK % 2 == 0
         images, labels = gen_synthetic_reference(n, resolution, classes, seed)
-        got = gen_synthetic(n, resolution, classes, seed)
-        assert got.images.tobytes() == images.tobytes()
-        assert got.labels.tobytes() == labels.tobytes()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(parallel, "WORKERS", workers)
+            got = gen_synthetic(n, resolution, classes, seed)
+            assert got.images.tobytes() == images.tobytes(), workers
+            assert got.labels.tobytes() == labels.tobytes(), workers
 
-    def test_traced_peak_memory_bounded(self):
+    def test_traced_peak_memory_bounded(self, monkeypatch):
         # one whole float64 noise draw for 6000 x 3 x 32 x 32 alone is 147 MB;
-        # a 16-sample chunk of it is 393 KB, and the generator needs a few
-        # such buffers at a time on top of the arrays it returns
-        tracemalloc.start()
+        # a 16-sample chunk of it is 393 KB, and each worker needs a few such
+        # buffers at a time on top of the arrays the generator returns
+        for workers in (1, 2):
+            monkeypatch.setattr(parallel, "WORKERS", workers)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                handle = gen_synthetic(6000, 32, 10, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - handle.images.nbytes - handle.labels.nbytes <= 4 * 2**20, workers
+
+    def test_bytes_hold_with_a_thread_switch_every_microsecond(self, monkeypatch):
+        # the runs share the input arrays and write disjoint rows of one
+        # output; frequent switches interleave them at fine grain
+        n = 6 * _SYNTH_CHUNK + 5
+        want = gen_synthetic_reference(n, 9, 4, 6)[0].tobytes()
+        monkeypatch.setattr(parallel, "WORKERS", _SYNTH_RUNS)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            tracemalloc.reset_peak()
-            handle = gen_synthetic(6000, 32, 10, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
+            got = [gen_synthetic(n, 9, 4, 6).images.tobytes() for _ in range(5)]
         finally:
-            tracemalloc.stop()
-        assert peak - handle.images.nbytes - handle.labels.nbytes <= 4 * 2**20
+            sys.setswitchinterval(interval)
+        assert got == [want] * 5
+
+    @pytest.mark.parametrize("n", [_SYNTH_CHUNK - 1, 3 * _SYNTH_CHUNK + 1,
+                                   20 * _SYNTH_CHUNK - 3])
+    def test_runs_in_flight_capped_for_any_cpu_count(self, n, monkeypatch):
+        # a stand-in parallel_map records the runs and starts no thread
+        runs = []
+
+        def plain_map(fn, items):
+            runs.extend(list(run) for run in items)
+            return [fn(item) for item in items]
+
+        monkeypatch.setattr(parallel, "parallel_map", plain_map)
+        monkeypatch.setattr(parallel, "WORKERS", 64)
+        got = gen_synthetic(n, 9, 4, seed=5)
+        chunks = list(range(0, n, _SYNTH_CHUNK))
+        assert len(runs) == min(_SYNTH_RUNS, len(chunks))
+        assert [start for run in runs for start in run] == chunks
+        assert got.images.tobytes() == gen_synthetic_reference(n, 9, 4, 5)[0].tobytes()
 
     def test_same_seed_identical_bytes(self):
         a = gen_synthetic(32, 16, 10, seed=9)

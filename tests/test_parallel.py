@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 from types import SimpleNamespace
 
@@ -78,6 +83,44 @@ class TestParallelMap:
         with pytest.raises(ValueError, match=f"item {bad}"):
             parallel.parallel_map(fn, range(4))
         assert parallel.parallel_map(lambda i: i + 1, range(4)) == [1, 2, 3, 4]
+
+    def test_a_call_inside_an_item_runs_as_a_plain_loop(self):
+        # with two workers the pool has one thread; a nested call that used
+        # the pool would wait on itself. A hung pool thread would also hang
+        # the interpreter's exit, so the call runs in a child process, which
+        # is killed if it outlives the timeout.
+        child = textwrap.dedent("""
+            import json, threading
+            from gradrep import parallel
+            parallel.WORKERS = 2
+
+            def outer(item):
+                return parallel.parallel_map(
+                    lambda j: (item, j, threading.get_ident()), range(3))
+
+            rows = parallel.parallel_map(outer, range(2))
+            after = parallel.parallel_map(lambda i: threading.get_ident(), range(2))
+            print(json.dumps({"rows": rows, "after": after,
+                              "me": threading.get_ident()}))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+            os.path.abspath(parallel.__file__))))
+        try:
+            proc = subprocess.run([sys.executable, "-c", child], env=env,
+                                  capture_output=True, text=True, timeout=60)
+        except subprocess.TimeoutExpired:
+            pytest.fail("a nested parallel_map hung")
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        rows = out["rows"]
+        assert [[(i, j) for i, j, _ in row] for row in rows] == [
+            [(i, j) for j in range(3)] for i in range(2)]
+        # each inner loop ran on the one thread that ran its item, and the
+        # two items ran on two threads
+        assert [len({t for *_, t in row}) for row in rows] == [1, 1]
+        assert rows[0][0][2] == out["me"] != rows[1][0][2]
+        # the caller's own items still go to the pool afterwards
+        assert out["after"][0] == out["me"] != out["after"][1]
 
     def test_cpu_count_fallback_without_affinity(self, monkeypatch):
         # a stand-in os module; nothing here starts a thread

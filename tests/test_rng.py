@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gradrep.errors import UsageError
 from gradrep.rng import Rng, msra_init, msra_std
 
 
@@ -46,6 +47,22 @@ class TestDraws:
         z = Rng(5).gaussian((7,))
         assert z.shape == (7,)
 
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (6, 5), (3, 3, 9, 9)])
+    def test_uniform_and_gaussian_match_the_out_of_place_formulas(self, shape):
+        # the pinned formulas, one new array per operation
+        n = int(np.prod(shape))
+        pairs = (n + 1) // 2
+        raw = np.random.PCG64(17).random_raw(2 * pairs + 3)
+        u = (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        r = np.sqrt(-2.0 * np.log1p(-u[0:2 * pairs:2]))
+        theta = 2.0 * math.pi * u[1:2 * pairs:2]
+        z = np.empty(2 * pairs)
+        z[0::2] = r * np.cos(theta)
+        z[1::2] = r * np.sin(theta)
+        rng = Rng(17)
+        assert rng.gaussian(shape).tobytes() == z[:n].tobytes()
+        assert rng.uniform(3).tobytes() == u[2 * pairs:].tobytes()
+
     def test_permutation_is_permutation(self):
         p = Rng(11).permutation(257)
         assert sorted(p.tolist()) == list(range(257))
@@ -56,6 +73,45 @@ class TestDraws:
     def test_integers_below_bounds(self):
         v = Rng(13).integers_below(7, 5000)
         assert v.min() >= 0 and v.max() <= 6
+
+
+class TestAhead:
+    @pytest.mark.parametrize("k", [1, 2, 37, 1000])
+    def test_equals_the_stream_after_k_uniform_draws(self, k):
+        rng = Rng(21)
+        rng.uniform(5)
+        jumped = rng.ahead(k)
+        rng.uniform(k)
+        assert jumped.uniform(50).tobytes() == rng.uniform(50).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 3 * 9 * 9])
+    def test_equals_the_stream_after_an_odd_gaussian_draw(self, n):
+        # an odd draw takes one raw value more than it returns
+        rng = Rng(22)
+        jumped = rng.ahead(Rng.gaussian_draws(n))
+        assert Rng.gaussian_draws(n) == n + 1
+        rng.gaussian((n,))
+        assert jumped.gaussian((9,)).tobytes() == rng.gaussian((9,)).tobytes()
+
+    def test_leaves_the_source_unmoved(self):
+        rng = Rng(23)
+        before = rng.get_state()
+        rng.ahead(12345)
+        assert rng.get_state() == before
+        assert rng.uniform(10).tobytes() == Rng(23).uniform(10).tobytes()
+
+    def test_zero_is_a_copy(self):
+        rng = Rng(24)
+        rng.uniform(3)
+        copy = rng.ahead(0)
+        assert copy is not rng and copy.get_state() == rng.get_state()
+        assert copy.uniform(8).tobytes() == rng.uniform(8).tobytes()
+        copy.uniform(1)
+        assert copy.get_state() != rng.get_state()
+
+    def test_negative_k_raises(self):
+        with pytest.raises(UsageError):
+            Rng(25).ahead(-1)
 
 
 class TestMsraInit:
