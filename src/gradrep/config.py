@@ -43,6 +43,7 @@ def _choice(*names: str, parse=str):
 _count = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _size = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _finite = _checked(float, math.isfinite, "a finite number")
+_tolerance = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 #: comma-separated positive integers, kept as their text
 _sizes = _checked(str, lambda t: all(_size(v) for v in t.split(",")), "positive integers")
 
@@ -91,7 +92,7 @@ SCHEMA = {
     "eq.weight_decay": (_finite, "4e-5"),
     "eq.alpha_a": (_finite, "0.9"),
     "eq.alpha_b": (_finite, "0.35"),
-    "eq.tolerance": (_finite, "1e-8"),
+    "eq.tolerance": (_tolerance, "1e-8"),
     "quant.calib_n": (_size, "256"),
     "analyze.what": (_choice("kernel-stats", "variance-ratio",
                              parse=lambda t: t.replace("_", "-")), "kernel-stats"),

@@ -135,26 +135,19 @@ def load_cifar_file(path: str, variant: str) -> tuple[np.ndarray, np.ndarray]:
 def load_cifar(path: str, variant: str = "cifar10", split: str = "train") -> DatasetHandle:
     """Load a CIFAR binary file or a directory holding the standard files.
 
-    Directories are searched for the canonical batch names, then for
-    train.bin/test.bin.
+    A cifar10 directory is read from CIFAR-10's canonical batch files if any of
+    them exist; otherwise, and for cifar100, from ``{split}.bin`` (CIFAR-100's
+    own names, and what ``gradrep gen-data`` writes).
     """
     classes = 10 if variant == "cifar10" else 100
+    files = [path]
     if os.path.isdir(path):
-        if variant == "cifar10":
-            names = CIFAR10_TRAIN_FILES if split == "train" else CIFAR10_TEST_FILES
-        else:
-            names = ["train.bin"] if split == "train" else ["test.bin"]
-        files = [os.path.join(path, n) for n in names]
-        present = [f for f in files if os.path.exists(f)]
-        if not present:
-            fallback = os.path.join(path, f"{split}.bin")
-            if os.path.exists(fallback):
-                present = [fallback]
-            else:
-                raise DataFormatError(f"{path}: no {variant} {split} files found")
-        files = present
-    else:
-        files = [path]
+        names = ((CIFAR10_TRAIN_FILES if split == "train" else CIFAR10_TEST_FILES)
+                 if variant == "cifar10" else [])
+        files = [f for f in (os.path.join(path, n) for n in names) if os.path.exists(f)]
+        files = files or [os.path.join(path, f"{split}.bin")]
+        if not os.path.exists(files[0]):
+            raise DataFormatError(f"{path}: no {variant} {split} files found")
     images, labels = [], []
     for f in files:
         im, lab = load_cifar_file(f, variant)

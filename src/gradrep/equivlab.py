@@ -22,7 +22,7 @@ from .autodiff import Parameter, Tensor, no_grad
 from .errors import ConfigError
 from .layers import BatchNorm2d
 from .models import CslaBlockSpec, Model, PlainBlock, RepVggStyleBlock, branched_sum
-from .optim import MultiplierSgd, OptimizerConfig, equivalent_kernel, grad_mult
+from .optim import MultiplierSgd, OptimizerConfig, branch_list, equivalent_kernel, grad_mult
 from .reports import write_csv, write_json
 from .rng import Rng, msra_init
 
@@ -69,7 +69,7 @@ class _Pair:
     def __init__(self, block: CslaBlockSpec, seed, ablation=None, post_bn=False):
         rng = Rng(seed)
         self.block = block
-        self.branches = [(k, np.asarray(s, dtype=np.float64)) for k, s in block.branches]
+        self.branches = branch_list(block.branches, block.c_out)
         self.scales = [Tensor(s) for _, s in self.branches]
         self.kernels = [Parameter(msra_init((block.c_out, block.c_in, k, k), rng=rng),
                                   name=f"w{i}")

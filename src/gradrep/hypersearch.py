@@ -27,7 +27,7 @@ import numpy as np
 from .data import DatasetHandle
 from .errors import ConfigError, DataFormatError, FormatVersionError
 from .models import Model, ModelSpec, build_hypersearch, hs_init_value
-from .optim import MultiplierSgd, OptimizerConfig
+from .optim import MultiplierSgd, OptimizerConfig, branch_list
 from .rng import Rng
 from .reports import write_csv
 from .train import TrainResult, train_model
@@ -112,19 +112,14 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _branch(doc, c_out: int, block_id: str) -> tuple:
-    """(k, scales) of one branch entry of a record."""
+def _branch(doc, block_id: str) -> tuple:
+    """(k, scale values) of one branch entry of a record, read but not checked:
+    :func:`branch_list` checks the record's branch list."""
     doc = _object(doc, f"block {block_id}: branch")
     k, values = _positive_int(doc["k"], f"block {block_id}: k"), doc["scales_hex"]
-    if k % 2 == 0:
-        raise ValueError(f"block {block_id}: branch size k must be odd, got {k}")
-    if not isinstance(values, list) or len(values) != c_out:
-        raise ValueError(f"block {block_id}: the {k}x{k} branch needs a list of "
-                         f"c_out={c_out} scales, got {values!r}")
-    scales = np.array([float.fromhex(v) for v in values], dtype=np.float64)
-    if not np.isfinite(scales).all():
-        raise ValueError(f"block {block_id}: non-finite {k}x{k} branch scales")
-    return k, scales
+    if not isinstance(values, list):
+        raise ValueError(f"block {block_id}: scales_hex must be a list, got {values!r}")
+    return k, [float.fromhex(v) for v in values]
 
 
 def _record(doc) -> ScaleRecord:
@@ -135,9 +130,8 @@ def _record(doc) -> ScaleRecord:
                          f"got {block_id!r}, {has_identity!r}")
     c_out = _positive_int(doc["c_out"], f"block {block_id}: c_out")
     depth_l = _positive_int(doc["depth_l"], f"block {block_id}: depth_l")
-    if not isinstance(doc["branches"], list) or not doc["branches"]:
-        raise ValueError(f"block {block_id}: branches must be a non-empty list")
-    branches = tuple(_branch(b, c_out, block_id) for b in doc["branches"])
+    # a ShapeError or ConfigError is a ValueError: import_scales reports it
+    branches = branch_list([_branch(b, block_id) for b in doc["branches"]], c_out, block_id)
     sizes = [k for k, _ in branches]
     if len(set(sizes)) != len(sizes):
         raise ValueError(f"block {block_id}: duplicate branch sizes {sizes}")
@@ -239,8 +233,7 @@ def run_hyper_search(spec: ModelSpec, dataset: DatasetHandle, cfg: OptimizerConf
         trajectory.append_epoch(epoch, mdl)
 
     result = train_model(model, optimizer, dataset, test_dataset, cfg, data_rng,
-                         epochs=epochs, augment=augment,
-                         eval_each_epoch=test_dataset is not None, epoch_hook=hook)
+                         epochs=epochs, augment=augment, epoch_hook=hook)
     provenance = {
         "dataset": f"{dataset.source}(n={len(dataset)},res={dataset.resolution},"
                    f"classes={dataset.num_classes})",

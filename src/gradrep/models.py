@@ -6,7 +6,8 @@ reference, plus parameter/FLOPs accounting.
 (3x3, 1x1), plus an identity wherever a block keeps its shape. A branched
 block's scales are its branch list, ``((k, scales), ...)``: the builders take
 them per block from a scales file, or from the shorthand mapping block_id ->
-one scale vector per recipe branch.
+one scale vector per recipe branch, and check each with
+:func:`gradrep.optim.branch_list`.
 
 All builders share one stem / blocks / head skeleton (:func:`_assemble`): a
 stride-2 3x3 stem conv with BN+ReLU, stages whose first block has stride 2,
@@ -33,7 +34,7 @@ from . import ops
 from .autodiff import Tensor, no_grad
 from .errors import ConfigError, ShapeError
 from .layers import BatchNorm2d, ChannelScale, Conv2d, Linear, Module
-from .optim import branch_scales, equivalent_kernel, grad_mult
+from .optim import branch_list, equivalent_kernel, grad_mult
 from .rng import Rng, msra_init
 
 
@@ -78,7 +79,6 @@ PRESETS = {
     "l2": ModelSpec(64, ((8, 160), (14, 320), (24, 640), (1, 2560)), 1000, 224),
     # desk-scale specs for CPU experiments
     "desk6": ModelSpec(8, ((2, 8), (2, 16), (2, 32)), 10, 32),
-    "desk9": ModelSpec(8, ((3, 8), (3, 16), (3, 32)), 10, 32),
     "desk4": ModelSpec(8, ((2, 8), (2, 16)), 10, 32),
 }
 
@@ -117,12 +117,8 @@ class CslaBlockSpec:
                 "has_identity needs c_in == c_out and stride == 1 "
                 f"(c_in={self.c_in}, c_out={self.c_out}, stride={self.stride})"
             )
-        _, scales = branch_scales(self.branches)
-        if scales[0].shape != (self.c_out,):
-            raise ShapeError(f"branch scales must have shape ({self.c_out},), "
-                             f"got {scales[0].shape}")
-        if not np.isfinite(scales).all():
-            raise ConfigError("scales must be finite")
+        branch_list(self.branches, self.c_out,
+                    f"{self.c_in}->{self.c_out} stride {self.stride}")
 
     @staticmethod
     def square(c: int, s, t) -> "CslaBlockSpec":
@@ -192,8 +188,10 @@ class PlainBlock(Module):
 
 class CslaBlock(Module):
     """Branched linear addition: sum_b s_b * conv_kxk(x) (+ gamma * identity),
-    then BN and ReLU. ``branches`` lists (k, scales) pairs of distinct odd
-    sizes; branch k owns ``conv{k}`` and ``scale{k}``. Scales are constants in
+    then BN and ReLU. ``branches`` lists (k, scales) pairs; the builders hand
+    the block checked lists (:func:`_block_branches`, :func:`hs_branches`), so
+    it checks only that the sizes are distinct, because branch k owns
+    ``conv{k}`` and ``scale{k}``. Scales are constants in
     the branched counterpart and trainable in the hyper-search variant; gamma
     is always trainable. The identity branch exists iff ``info.has_identity``.
     The hyper-search model builds the :data:`BLOCK_RECIPE` branches.
@@ -213,12 +211,6 @@ class CslaBlock(Module):
         if len(set(self.sizes)) != len(self.sizes):
             raise ConfigError(f"block {info.block_id}: branch sizes must be distinct, "
                               f"got {self.sizes}")
-        for k, s in branches:
-            if np.shape(s) != (info.c_out,):
-                raise ShapeError(
-                    f"block {info.block_id}: {k}x{k} branch scales must have shape "
-                    f"({info.c_out},), got {np.shape(s)}"
-                )
         # conv3, conv1, ... then scale3, scale1, ...: the parameter order
         # that optimizers and digests see
         for k in self.sizes:
@@ -360,17 +352,10 @@ def _scales_lookup(scales) -> dict:
 
 
 def _block_branches(info, lookup) -> tuple:
-    """The branch list of one block from ``lookup``, scales as float64 arrays."""
+    """The branch list of one block from ``lookup``, checked by :func:`branch_list`."""
     if info.block_id not in lookup:
         raise ConfigError(f"scales file has no record for block {info.block_id!r}")
-    branches = tuple((k, np.asarray(s, dtype=np.float64)) for k, s in lookup[info.block_id])
-    for k, s in branches:
-        if s.shape != (info.c_out,):
-            raise ShapeError(
-                f"block {info.block_id}: {k}x{k} branch scales of shape {s.shape} do "
-                f"not match {info.c_out} output channels"
-            )
-    return branches
+    return branch_list(lookup[info.block_id], info.c_out, info.block_id)
 
 
 def build_target(spec: ModelSpec, rng: Rng | None = None) -> Model:

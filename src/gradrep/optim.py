@@ -108,6 +108,25 @@ def branch_scales(branches) -> tuple:
     return max(sizes), scales
 
 
+def branch_list(branches, c_out: int, block: str = "") -> tuple:
+    """A branch list as it comes in from a caller, checked once: (k, float64
+    scales) pairs, one or more, each k odd and >= 1 and each scale vector c_out
+    finite values. Raises :class:`ShapeError` for a size or shape and
+    :class:`ConfigError` for a non-finite scale, naming ``block``."""
+    pairs = tuple((k, np.asarray(s, dtype=np.float64)) for k, s in branches)
+    sizes = [k for k, _ in pairs]
+    if not sizes or any(k < 1 or k % 2 != 1 for k in sizes):
+        raise ShapeError(f"block {block}: want one or more branches of odd kernel "
+                         f"size, got {sizes}")
+    for k, s in pairs:
+        if s.shape != (c_out,):
+            raise ShapeError(f"block {block}: the {k}x{k} branch needs c_out={c_out} "
+                             f"scales, got shape {s.shape}")
+        if not np.isfinite(s).all():
+            raise ConfigError(f"block {block}: non-finite {k}x{k} branch scales")
+    return pairs
+
+
 def grad_mult(branches, has_identity: bool, c_in: int | None = None) -> np.ndarray:
     """Multiplier tensor for the single K x K kernel backing a branched block:
     the equivalent kernel of branch kernels full of s_b and gamma 1, so sum_b s_b^2

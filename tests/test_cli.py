@@ -7,8 +7,9 @@ import warnings
 import pytest
 
 import gradrep
-from gradrep.cli import main
+from gradrep.cli import _load_datasets, main
 from gradrep.config import load_config, parse_config_text
+from gradrep.data import gen_synthetic
 from gradrep.errors import ConfigError
 from gradrep.reports import read_json
 
@@ -83,7 +84,7 @@ class TestConfig:
         "eq.tolerance=inf", "opt.base_lr=-inf", "seed=1.5", "model.stages=junk",
         "model.stages=2x0", "model.stages=2x8,", "model.stem_channels=0",
         "opt.total_epochs=0", "opt.batch_size=-5", "data.resolution=0", "data.classes=0",
-        "eq.batch=0", "opt.warmup_epochs=-1", "opt.schedule=step",
+        "eq.batch=0", "opt.warmup_epochs=-1", "opt.schedule=step", "eq.tolerance=-1",
     ])
     def test_value_outside_domain_rejected(self, item):
         with pytest.raises(ConfigError, match="--set: bad value"):
@@ -99,6 +100,26 @@ class TestGenData:
         assert run_cli(*argv, "--out", out2) == 0
         assert tree_bytes(out1) == tree_bytes(out2)
         assert os.path.getsize(os.path.join(out1, "train.bin")) == 8 * 3073
+
+    def test_split_files_load_as_cifar10_and_as_cifar100(self, tmp_path):
+        # gen-data writes train.bin/test.bin, the names a directory falls back to
+        out = str(tmp_path / "gen")
+        assert run_cli("gen-data", "--set", "data.n=8", "--set", "data.test_n=4",
+                       "--set", "data.classes=4", "--out", out) == 0
+        whole = ["data.n=0", "data.test_n=0"]
+        train, test = _load_datasets(load_config(
+            None, ["data.source=cifar10", f"data.path={out}", *whole]))
+        assert train.images.tobytes() == gen_synthetic(8, 32, 4, 0).images.tobytes()
+        assert test.labels.tolist() == gen_synthetic(4, 32, 4, 1).labels.tolist()
+        # CIFAR-100's own layout: a coarse then a fine label byte per record
+        c100 = tmp_path / "c100"
+        c100.mkdir()
+        for split, n in (("train", 3), ("test", 2)):
+            (c100 / f"{split}.bin").write_bytes(bytes([1, 40 + n] + [n] * 3072) * n)
+        train, test = _load_datasets(load_config(
+            None, ["data.source=cifar100", f"data.path={c100}", *whole]))
+        assert (train.num_classes, train.labels.tolist(), test.labels.tolist()) == \
+            (100, [43] * 3, [42] * 2)
 
     def test_wrong_resolution_rejected(self, tmp_path):
         code = run_cli("gen-data", "--set", "data.resolution=16",

@@ -142,6 +142,10 @@ class TestCounterpartTheorem:
         assert block == CslaBlockSpec(4, 4, 1, ((3, tuple(s)), (1, tuple(t))), True)
         assert block.s == tuple(s) and block.t == tuple(t)
 
+    def test_block_spec_rejects_non_finite_scales(self):
+        with pytest.raises(ConfigError, match="block 8->8 stride 1: non-finite 3x3"):
+            CslaBlockSpec(8, 8, 1, ((3, (np.nan,) * 8),), True)
+
     def test_block_spec_invariant_enforced(self):
         ones = ((3, tuple(np.ones(8))), (1, tuple(np.ones(8))))
         with pytest.raises(ConfigError):

@@ -21,6 +21,7 @@ from gradrep.models import (
     block_infos,
     build_csla,
     build_hypersearch,
+    build_multipliers,
     build_repvgg,
     build_resnet_reference,
     build_target,
@@ -41,6 +42,14 @@ SMALL = ModelSpec(stem_channels=4, stages=((2, 4), (2, 8)), num_classes=10, inpu
 def ones_scales(spec):
     return {i.block_id: (np.ones(i.c_out), np.ones(i.c_out)) for i in block_infos(spec)}
 
+
+#: every builder that takes a branch list per block, on SMALL, by its name
+SCALED_BUILDERS = {
+    "build_csla": lambda scales: build_csla(SMALL, scales, rng=Rng(0)),
+    "build_target_equivalent_init":
+        lambda scales: build_target_equivalent_init(SMALL, scales, rng=Rng(0)),
+    "build_multipliers": lambda scales: build_multipliers(build_target(SMALL), scales),
+}
 
 #: every builder kind, on SMALL, by its model kind
 BUILDERS = {
@@ -160,12 +169,22 @@ class TestBuilders:
             build_csla(SMALL, scales, rng=Rng(0))
         assert "s2b1" in str(err.value)
 
-    def test_csla_channel_mismatch_errors(self):
+    @pytest.mark.parametrize("build", SCALED_BUILDERS.values(), ids=SCALED_BUILDERS)
+    def test_csla_channel_mismatch_errors(self, build):
         scales = ones_scales(SMALL)
         scales["s1b0"] = (np.ones(3), np.ones(3))
         with pytest.raises(ShapeError) as err:
-            build_csla(SMALL, scales, rng=Rng(0))
+            build(scales)
         assert "s1b0" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("build", SCALED_BUILDERS.values(), ids=SCALED_BUILDERS)
+    def test_non_finite_scale_rejected_naming_the_block(self, build, bad):
+        # a builder that took it would make a model whose forward is NaN
+        scales = ones_scales(SMALL)
+        scales["s2b1"][1][2] = bad
+        with pytest.raises(ConfigError, match="block s2b1: non-finite 1x1"):
+            build(scales)
 
     def test_equivalent_init_rejects_branches_wider_than_the_plain_kernel(self):
         scales = init_scales(SMALL)

@@ -7,6 +7,7 @@ from gradrep.errors import ConfigError, ShapeError, UsageError
 from gradrep.optim import (
     MultiplierSgd,
     OptimizerConfig,
+    branch_list,
     dirac_kernel,
     embed_kernel,
     equivalent_init,
@@ -106,6 +107,27 @@ class TestGradMultTable:
     def test_two_branch_1x1_form(self):
         m = grad_mult(((1, np.array([2.0, 3.0])),), has_identity=True)
         np.testing.assert_array_equal(m[:, :, 0, 0], [[5.0, 4.0], [9.0, 10.0]])
+
+
+class TestBranchList:
+    def test_checked_list_holds_float64_vectors(self):
+        out = branch_list([(3, (1, 2)), (1, np.array([0.5, 1], dtype=np.float32))], 2, "b")
+        assert [k for k, _ in out] == [3, 1]
+        assert all(s.dtype == np.float64 and s.shape == (2,) for _, s in out)
+        np.testing.assert_array_equal(out[0][1], [1.0, 2.0])
+
+    @pytest.mark.parametrize("branches", [
+        (), ((2, np.ones(2)),), ((-1, np.ones(2)),), ((3, np.ones(3)),),
+        ((3, np.ones((2, 1))),),
+    ], ids=["empty", "even", "negative", "length", "2-d"])
+    def test_size_or_shape_is_a_shape_error_naming_the_block(self, branches):
+        with pytest.raises(ShapeError, match="block s1b0: "):
+            branch_list(branches, 2, "s1b0")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scale_is_a_config_error_naming_the_block(self, bad):
+        with pytest.raises(ConfigError, match="block s1b0: non-finite 1x1"):
+            branch_list(((3, np.ones(2)), (1, [1.0, bad])), 2, "s1b0")
 
 
 class TestEquivalentInit:
