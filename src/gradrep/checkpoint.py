@@ -12,13 +12,11 @@ continues an interrupted run on the same trajectory as the uninterrupted one.
 
 Restoring builds the zero skeleton the header describes (no random draws)
 and fills it through one fit rule (:func:`_fill`): the stored param/buffer
-arrays must match the skeleton's slots one to one, name and shape, or the
-restore raises one ``DataFormatError`` naming every missing, unknown and
-wrongly shaped array.
-A trained model's slots come from :meth:`Module.state_slots`. A fused
-(deploy-form) model's layout is what :func:`~gradrep.equivlab.convert_model`
-makes of its spec's plain target model; its arrays are ``conv{i}.kernel``,
-``conv{i}.bias``, ``fc.weight`` and ``fc.bias``.
+arrays must match the skeleton's slots (:meth:`Module.state_slots`) one to
+one, name and shape, or the restore raises one ``DataFormatError`` naming
+every missing, unknown and wrongly shaped array. A checkpoint holds training
+state only: the deploy form and the gradient multipliers are derived from it,
+never stored.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equivlab import InferenceModel, convert_model
 from .errors import ConfigError, DataFormatError, FormatVersionError
 from .models import (
     BLOCK_RECIPE,
@@ -60,7 +57,6 @@ class Checkpoint:
     rng_state: dict | None = None
     epoch: int = 0
     step: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def _array_sections(ckpt: Checkpoint):
@@ -92,7 +88,6 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         },
         "counters": {"epoch": ckpt.epoch, "step": ckpt.step},
         "rng": ckpt.rng_state,
-        "extra": ckpt.extra,
         "arrays": entries,
     }
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -137,11 +132,9 @@ def load_checkpoint(path: str) -> Checkpoint:
                          spec_doc["num_classes"], spec_doc["input_hw"])
         epoch = _natural(header["counters"]["epoch"])
         step = _natural(header["counters"]["step"])
-        rng_state, extra = header.get("rng"), header.get("extra", {})
+        rng_state = header.get("rng")
         if rng_state is not None and not isinstance(rng_state, dict):
             raise ValueError(f"rng must be an object or null, got {rng_state!r}")
-        if not isinstance(extra, dict):
-            raise ValueError(f"extra must be an object, got {extra!r}")
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         # a JSON header missing a key, or holding a value of the wrong type
         # or range; ConfigError comes from ModelSpec's own checks
@@ -163,7 +156,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     if offset != len(data):
         raise DataFormatError(f"{path}: {len(data) - offset} trailing bytes")
     return Checkpoint(kind, spec, sections["param"], sections["buffer"], sections["opt"],
-                      rng_state, epoch, step, extra)
+                      rng_state, epoch, step)
 
 
 def _natural(value) -> int:
@@ -183,17 +176,14 @@ def _array_entry(doc) -> tuple:
     return section, name, tuple(_natural(d) for d in shape)
 
 
-def snapshot_model(model: Model, optimizer=None, data_rng=None, epoch=0, step=0,
-                   extra=None, multipliers=None) -> Checkpoint:
+def snapshot_model(model: Model, optimizer=None, data_rng=None, epoch=0,
+                   step=0) -> Checkpoint:
     params = {n: p.data.copy() for n, p in model.named_parameters()}
     buffers = {n: np.array(b) for n, b in model.named_buffers()}
     opt_state = dict(optimizer.state_arrays()) if optimizer is not None else {}
-    if multipliers:
-        for name, m in multipliers.items():
-            opt_state[f"mult.{name}"] = np.asarray(m, dtype=np.float64)
     return Checkpoint(model.kind, model.spec, params, buffers, opt_state,
                       data_rng.get_state() if data_rng is not None else None,
-                      epoch, step, dict(extra or {}))
+                      epoch, step)
 
 
 def _fill(slots: dict, ckpt: Checkpoint) -> None:
@@ -230,36 +220,4 @@ def restore_model(ckpt: Checkpoint) -> Model:
     else:
         raise DataFormatError(f"cannot restore model kind {ckpt.model_kind!r}")
     _fill({(s, n): (h, a) for s, n, h, a in model.state_slots()}, ckpt)
-    return model
-
-
-def optimizer_arrays(ckpt: Checkpoint) -> dict:
-    """The optimizer's own state entries (multiplier dumps stripped)."""
-    return {k: v for k, v in ckpt.opt_state.items() if not k.startswith("mult.")}
-
-
-def _fused_slots(model: InferenceModel) -> dict:
-    """(section, name) -> (holder, attribute) of a deploy-form model's arrays."""
-    slots = {("param", "fc.weight"): (model, "fc_weight"),
-             ("param", "fc.bias"): (model, "fc_bias")}
-    for i, conv in enumerate(model.convs):
-        slots["param", f"conv{i}.kernel"] = (conv, "kernel")
-        slots["param", f"conv{i}.bias"] = (conv, "bias")
-    return slots
-
-
-def snapshot_fused(model: InferenceModel, spec: ModelSpec, extra=None) -> Checkpoint:
-    """Checkpoint for a deploy-form model (fused biased convs + FC)."""
-    params = {name: getattr(holder, attribute).copy()
-              for (_, name), (holder, attribute) in _fused_slots(model).items()}
-    return Checkpoint("fused", spec, params, {}, {}, None, 0, 0, dict(extra or {}))
-
-
-def restore_fused(ckpt: Checkpoint) -> InferenceModel:
-    """The deploy form of the spec's zero target skeleton, filled from the stored
-    arrays; layout keys that older files carry in ``extra`` are not read."""
-    if ckpt.model_kind != "fused":
-        raise DataFormatError(f"checkpoint kind {ckpt.model_kind!r} is not fused")
-    model = convert_model(build_target(ckpt.spec))
-    _fill(_fused_slots(model), ckpt)
     return model

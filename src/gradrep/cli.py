@@ -4,8 +4,10 @@ Subcommands: gen-data, hyper-search, train, verify-equivalence, convert,
 quantize, analyze. Every job reads a flat key=value config file (--config)
 with --set key=value overrides on top, the run seed included as ``seed``;
 the schema in :mod:`gradrep.config` has checked each value before a command
-reads it. A job runs one module and writes CSV/JSON reports and checkpoints
-under --out. Reruns with an identical config produce byte-identical outputs.
+reads it. A job runs one module and writes CSV/JSON reports under --out,
+train also its checkpoint. convert checks a trained checkpoint's fold into the
+deploy form; quantize and analyze measure that fold. Reruns with an identical
+config produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -17,14 +19,7 @@ import sys
 import numpy as np
 
 from . import quantize as quantmod
-from .checkpoint import (
-    load_checkpoint,
-    restore_fused,
-    restore_model,
-    save_checkpoint,
-    snapshot_fused,
-    snapshot_model,
-)
+from .checkpoint import load_checkpoint, restore_model, save_checkpoint, snapshot_model
 from .config import RunConfig, load_config
 from .data import gen_synthetic, load_cifar, write_cifar10
 from .equivlab import convert_model, identity_variance_ratio, spearman, verify_csla_gr
@@ -160,8 +155,7 @@ def _train_arm(cfg, spec, arch, scales, reinit, gradmult, train, test):
 def cmd_train(args, cfg: RunConfig) -> int:
     rule_flags = {"--no-reinit": args.no_reinit, "--no-gradmult": args.no_gradmult,
                   "--ablation-matrix": args.ablation_matrix,
-                  "--scales-mode": args.scales_mode != "searched",
-                  "--dump-mults": args.dump_mults}
+                  "--scales-mode": args.scales_mode != "searched"}
     given = [flag for flag, on in rule_flags.items() if on]
     if given and not args.scales:
         raise UsageError(f"{', '.join(given)} given without --scales <file>; the "
@@ -207,8 +201,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     })
     save_checkpoint(os.path.join(args.out, "checkpoint.ckpt"),
                     snapshot_model(model, opt, data_rng, epoch=result.epochs_run,
-                                   step=result.global_step,
-                                   multipliers=opt.multipliers if args.dump_mults else None))
+                                   step=result.global_step))
     return 0
 
 
@@ -234,6 +227,10 @@ def cmd_verify_equivalence(args, cfg: RunConfig) -> int:
                             post_bn=case == "ghost")
     report.write_csv(os.path.join(args.out, "equivalence.csv"))
     report.write_json_summary(os.path.join(args.out, "summary.json"))
+    maxima = (report.max_output_divergence, report.max_kernel_divergence)
+    if not np.isfinite(maxima).all():
+        raise UsageError(f"divergence became non-finite: max output {maxima[0]!r}, "
+                         f"max kernel {maxima[1]!r}")
     if ablation:
         if report.divergence_at(min(10, cfg["eq.steps"] - 1)) <= 1e-3:
             raise UsageError(
@@ -252,11 +249,8 @@ def cmd_verify_equivalence(args, cfg: RunConfig) -> int:
 def cmd_convert(args, cfg: RunConfig) -> int:
     if args.check_inputs < 1:
         raise UsageError(f"--check-inputs must be >= 1, got {args.check_inputs}")
-    ckpt = load_checkpoint(args.checkpoint)
-    model = restore_model(ckpt)
+    model = restore_model(load_checkpoint(args.checkpoint))
     fused = convert_model(model)
-    save_checkpoint(os.path.join(args.out, "converted.ckpt"),
-                    snapshot_fused(fused, model.spec, {"from_kind": model.kind}))
     stream = Rng(cfg["seed"])
     worst = 0.0
     for _ in range(args.check_inputs):
@@ -276,10 +270,7 @@ def cmd_convert(args, cfg: RunConfig) -> int:
 
 
 def _deploy_model_from_checkpoint(path: str):
-    ckpt = load_checkpoint(path)
-    if ckpt.model_kind == "fused":
-        return restore_fused(ckpt), ckpt.model_kind
-    model = restore_model(ckpt)
+    model = restore_model(load_checkpoint(path))
     return convert_model(model), model.kind
 
 
@@ -398,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the gradient-multiplier rule")
     p.add_argument("--ablation-matrix", action="store_true",
                    help="run the six-row rule/source ablation grid")
-    p.add_argument("--dump-mults", action="store_true",
-                   help="store the multiplier tensors in the checkpoint")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("verify-equivalence", help="lockstep counterpart verification")
@@ -408,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run a negative control instead (must break equivalence)")
     p.set_defaults(fn=cmd_verify_equivalence)
 
-    p = sub.add_parser("convert", help="fuse a trained checkpoint into one conv "
-                                       "per block")
+    p = sub.add_parser("convert", help="check that a trained checkpoint's fold into "
+                                       "one conv per block is inference-equivalent")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--check-inputs", type=int, default=100)

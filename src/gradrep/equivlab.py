@@ -36,16 +36,17 @@ class EquivalenceReport:
     steps: int
     config: dict = field(default_factory=dict)
 
+    # the maxima are NaN once any entry is NaN (Python's max would skip it)
     @property
     def max_output_divergence(self) -> float:
-        return max(self.output_divergence)
+        return float(np.max(self.output_divergence))
 
     @property
     def max_kernel_divergence(self) -> float:
-        return max(self.kernel_divergence)
+        return float(np.max(self.kernel_divergence))
 
     def divergence_at(self, step: int) -> float:
-        return max(self.output_divergence[: step + 1])
+        return float(np.max(self.output_divergence[: step + 1]))
 
     def write_csv(self, path: str) -> None:
         rows = [(i, o, k) for i, (o, k) in
@@ -53,10 +54,12 @@ class EquivalenceReport:
         write_csv(path, ["step", "output_div", "kernel_div"], rows)
 
     def write_json_summary(self, path: str) -> None:
+        """Strict JSON: a non-finite maximum is written as null."""
+        out, kernel = self.max_output_divergence, self.max_kernel_divergence
         write_json(path, {
             "steps": self.steps,
-            "max_output_divergence": self.max_output_divergence,
-            "max_kernel_divergence": self.max_kernel_divergence,
+            "max_output_divergence": out if np.isfinite(out) else None,
+            "max_kernel_divergence": kernel if np.isfinite(kernel) else None,
             "config": self.config,
         })
 

@@ -228,12 +228,9 @@ def run_hyper_search(spec: ModelSpec, dataset: DatasetHandle, cfg: OptimizerConf
     optimizer = MultiplierSgd(dict(model.named_parameters()),
                               momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     trajectory = ScaleTrajectory()
-
-    def hook(epoch, mdl, _opt, _rng, _res):
-        trajectory.append_epoch(epoch, mdl)
-
     result = train_model(model, optimizer, dataset, test_dataset, cfg, data_rng,
-                         epochs=epochs, augment=augment, epoch_hook=hook)
+                         epochs=epochs, augment=augment,
+                         epoch_hook=trajectory.append_epoch)
     provenance = {
         "dataset": f"{dataset.source}(n={len(dataset)},res={dataset.resolution},"
                    f"classes={dataset.num_classes})",

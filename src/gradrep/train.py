@@ -50,8 +50,8 @@ def train_model(model: Model, optimizer, train_handle: DatasetHandle,
                 augment: bool = False, eval_each_epoch: bool = True,
                 epoch_hook=None) -> TrainResult:
     """Run ``epochs`` epochs (default: the config's total) of SGD-style
-    training. ``epoch_hook(epoch, model, optimizer, data_rng, result)`` fires
-    after each epoch; a NaN loss aborts with the failing epoch/step named."""
+    training. ``epoch_hook(epoch, model)`` fires after each epoch; a NaN loss
+    aborts with the failing epoch/step named."""
     epochs = cfg.total_epochs if epochs is None else epochs
     steps_per_epoch = len(train_handle) // cfg.batch_size
     if steps_per_epoch == 0:
@@ -83,5 +83,5 @@ def train_model(model: Model, optimizer, train_handle: DatasetHandle,
             result.test_acc.append(evaluate(model, test_handle))
         result.epochs_run += 1
         if epoch_hook is not None:
-            epoch_hook(epoch, model, optimizer, data_rng, result)
+            epoch_hook(epoch, model)
     return result

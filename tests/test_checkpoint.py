@@ -11,16 +11,12 @@ from gradrep.checkpoint import (
     PREFIX_LEN,
     Checkpoint,
     load_checkpoint,
-    optimizer_arrays,
-    restore_fused,
     restore_model,
     save_checkpoint,
-    snapshot_fused,
     snapshot_model,
 )
 from gradrep.cli import main
 from gradrep.data import gen_synthetic
-from gradrep.equivlab import convert_model
 from gradrep.errors import DataFormatError, FormatVersionError
 from gradrep.models import (
     ModelSpec,
@@ -76,14 +72,13 @@ class TestRoundTrip:
         opt = MultiplierSgd(dict(model.named_parameters()), momentum=0.9)
         rng = Rng(5)
         rng.uniform(100)
-        ckpt = snapshot_model(model, opt, rng, epoch=2, step=17, extra={"note": "x"})
+        ckpt = snapshot_model(model, opt, rng, epoch=2, step=17)
         path = tmp_path / "m.ckpt"
         save_checkpoint(str(path), ckpt)
         back = load_checkpoint(str(path))
         assert back.model_kind == "target"
         assert back.spec == SPEC
         assert back.epoch == 2 and back.step == 17
-        assert back.extra == {"note": "x"}
         assert_same_arrays(back.params, ckpt.params)
         assert_same_arrays(back.buffers, ckpt.buffers)
         assert back.rng_state == ckpt.rng_state
@@ -218,7 +213,6 @@ class TestRoundTrip:
         pytest.param(lambda h: h["model"]["spec"].update(stages=[[True, 4], [2, 8]]),
                      id="bool-stage-depth"),
         pytest.param(lambda h: h["counters"].update(epoch="2"), id="string-epoch"),
-        pytest.param(lambda h: h.update(extra=[]), id="list-extra"),
         pytest.param(lambda h: h.update(rng=7), id="number-rng"),
     ])
     def test_malformed_header(self, tmp_path, edit):
@@ -253,16 +247,6 @@ class TestRoundTrip:
         # a directory in place of the checkpoint file: an error line, exit 1
         assert main(["convert", "--checkpoint", str(tmp_path),
                      "--out", str(tmp_path / "out")]) == 1
-
-    @pytest.mark.parametrize("drop", ["conv0.kernel", "fc.bias"])
-    def test_fused_checkpoint_missing_entry(self, tmp_path, drop):
-        fused = convert_model(build_target(SPEC, rng=Rng(3)))
-        ckpt = snapshot_fused(fused, SPEC)
-        ckpt.params.pop(drop)
-        path = tmp_path / "fused.ckpt"
-        save_checkpoint(str(path), ckpt)
-        with pytest.raises(DataFormatError):
-            restore_fused(load_checkpoint(str(path)))
 
     @pytest.mark.parametrize("kind,section,name", [
         ("target", "params", "blocks.1.bn.beta"),
@@ -309,48 +293,30 @@ class TestRoundTrip:
         assert main(["convert", "--checkpoint", str(path),
                      "--out", str(tmp_path / "out")]) == 1
 
-    @pytest.mark.parametrize("name,arr", [
-        ("fc.bias", np.zeros(1)),
-        ("conv0.bias", np.zeros(1)),
-        ("conv9.kernel", np.zeros((8, 8, 3, 3))),
-        ("conv1.kernel", np.zeros((4, 36))),
-    ], ids=["fc-bias-1", "conv0-bias-1", "stray-conv9", "2d-kernel"])
-    def test_misfit_fused_array(self, tmp_path, name, arr):
-        ckpt = snapshot_fused(convert_model(build_target(SPEC, rng=Rng(3))), SPEC)
-        ckpt.params[name] = arr
-        path = tmp_path / "fused.ckpt"
-        save_checkpoint(str(path), ckpt)
-        with pytest.raises(DataFormatError) as err:
-            restore_fused(load_checkpoint(str(path)))
-        assert name in str(err.value)
+    @pytest.mark.parametrize("kind", ["fused", "resnet"])
+    def test_kind_it_does_not_build_rejected(self, tmp_path, kind):
+        # "fused" is the deploy form that older builds' convert stored
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), Checkpoint(kind, SPEC, {"fc.bias": np.zeros(10)}, {}))
+        with pytest.raises(DataFormatError, match=f"cannot restore model kind '{kind}'"):
+            restore_model(load_checkpoint(str(path)))
         assert main(["quantize", "--checkpoint", str(path),
                      "--out", str(tmp_path / "out")]) == 1
 
-    def test_fused_layout_keys_of_older_files_ignored(self, tmp_path):
-        # files written before the layout followed the spec carry num_convs,
-        # strides and paddings in extra; they restore to the same outputs
-        fused = convert_model(build_target(SPEC, rng=Rng(3)))
-        ckpt = snapshot_fused(fused, SPEC, {"from_kind": "target"})
-        ckpt.extra.update(num_convs=len(fused.convs), strides=[2, 2, 2, 1],
-                          paddings=[1] * len(fused.convs))
-        path = tmp_path / "fused.ckpt"
-        save_checkpoint(str(path), ckpt)
-        back = restore_fused(load_checkpoint(str(path)))
-        x = np.random.default_rng(3).normal(size=(2, 3, 16, 16))
-        assert back.forward(x).tobytes() == fused.forward(x).tobytes()
-        assert [c.stride for c in back.convs] == [c.stride for c in fused.convs]
-
-    def test_multiplier_dump(self, tmp_path):
-        from gradrep.models import build_multipliers
-
-        model = build_target(SPEC, rng=Rng(0))
-        mults = build_multipliers(model, init_scales(SPEC))
+    @pytest.mark.parametrize("extra", [{"from_kind": "target", "num_convs": 4}, []],
+                             ids=["object", "list"])
+    def test_extra_key_of_older_headers_ignored(self, tmp_path, extra):
+        model = build_target(SPEC, rng=Rng(3))
         path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), snapshot_model(model, multipliers=mults))
+        save_checkpoint(str(path), snapshot_model(model, epoch=1))
+        header, payload = split_saved(path.read_bytes())
+        assert "extra" not in header
+        header["extra"] = extra
+        path.write_bytes(signed(json.dumps(header, sort_keys=True).encode(), payload))
         back = load_checkpoint(str(path))
-        key = "mult.blocks.0.conv.weight"
-        assert key in back.opt_state
-        assert key not in optimizer_arrays(back)
+        assert back.epoch == 1
+        assert_same_arrays(back.params, snapshot_model(model).params)
+        assert not hasattr(back, "extra")
 
 
 class TestResume:
@@ -382,7 +348,7 @@ class TestResume:
         model_c = restore_model(ckpt)
         opt_c = MultiplierSgd(dict(model_c.named_parameters()), momentum=CFG.momentum,
                               weight_decay=CFG.weight_decay)
-        opt_c.load_state_arrays(optimizer_arrays(ckpt))
+        opt_c.load_state_arrays(ckpt.opt_state)
         rng_c = Rng(0)
         rng_c.set_state(ckpt.rng_state)
         train_model(model_c, opt_c, train, test, CFG, rng_c, epochs=2,
@@ -399,7 +365,8 @@ class TestResume:
         ("velocity.blocks.0.conv.weight", np.zeros(1)),
         ("velocity.nope", np.zeros(1)),
         ("momentum.fc.bias", np.zeros(10)),
-    ], ids=["wrong-shape", "unknown-parameter", "not-a-velocity"])
+        ("mult.blocks.0.conv.weight", np.ones((4, 4, 3, 3))),
+    ], ids=["wrong-shape", "unknown-parameter", "not-a-velocity", "multiplier-dump"])
     def test_resume_rejects_misfit_optimizer_state(self, tmp_path, key, arr):
         model = build_target(SPEC, rng=Rng(3))
         opt = MultiplierSgd(dict(model.named_parameters()), momentum=0.9)
@@ -410,4 +377,4 @@ class TestResume:
         ckpt = load_checkpoint(str(path))
         opt = MultiplierSgd(dict(restore_model(ckpt).named_parameters()), momentum=0.9)
         with pytest.raises(DataFormatError, match=key):
-            opt.load_state_arrays(optimizer_arrays(ckpt))
+            opt.load_state_arrays(ckpt.opt_state)

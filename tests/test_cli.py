@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +31,7 @@ def tree_bytes(root):
     for dirpath, _, files in os.walk(root):
         for name in files:
             path = os.path.join(dirpath, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            out[os.path.relpath(path, root)] = Path(path).read_bytes()
     return out
 
 
@@ -138,7 +139,7 @@ class TestVerifyEquivalence:
         assert run_cli("verify-equivalence", "--out", out) == 0
         summary = read_json(os.path.join(out, "summary.json"))
         assert summary["max_output_divergence"] <= 1e-8
-        lines = open(os.path.join(out, "equivalence.csv")).read().splitlines()
+        lines = Path(out, "equivalence.csv").read_text().splitlines()
         assert len(lines) == 1 + summary["steps"]
 
     def test_scalar_and_ghost_cases(self, tmp_path):
@@ -159,6 +160,27 @@ class TestVerifyEquivalence:
         assert run_cli("verify-equivalence", "--ablation", "skip-gradmult",
                        "--set", "eq.steps=11", "--set", "eq.lr=0.1", "--out", out) == 0
 
+    @pytest.mark.parametrize("keys", [
+        ["eq.case=scalar", "eq.alpha_a=1e308", "eq.steps=2"],
+        ["eq.lr=1e6", "eq.steps=100"],
+    ], ids=["scale-overflow", "lr-blowup"])
+    def test_non_finite_divergence_fails(self, tmp_path, keys):
+        # NaN compares False with the tolerance; it must fail the run, and the
+        # summary stays strict JSON (a non-finite maximum is null)
+        out = str(tmp_path / "nf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run_cli("verify-equivalence",
+                           *(a for k in keys for a in ("--set", k)), "--out", out) == 2
+
+        def no_constant(name):
+            raise AssertionError(f"summary.json holds {name}")
+
+        summary = json.loads(Path(out, "summary.json").read_text(),
+                             parse_constant=no_constant)
+        assert summary["max_output_divergence"] is summary["max_kernel_divergence"] is None
+        assert "nan" in Path(out, "equivalence.csv").read_text()
+
     def test_bad_case_rejected(self, tmp_path):
         assert run_cli("verify-equivalence", "--set", "eq.case=weird",
                        "--out", str(tmp_path / "x")) == 2
@@ -177,7 +199,7 @@ class TestHyperSearchCli:
         out = os.path.dirname(scales_file)
         for name in ("scales.json", "trajectory.csv", "metrics.csv", "summary.json"):
             assert os.path.exists(os.path.join(out, name))
-        doc = json.load(open(scales_file))
+        doc = json.loads(Path(scales_file).read_text())
         assert doc["format_version"] == 2
         assert [[b["k"] for b in r["branches"]] for r in doc["records"]] == [[3, 1]] * 2
 
@@ -187,8 +209,15 @@ class TestTrainCli:
         # the multiplier-rule flags are on only with --scales; without it
         # each one is refused instead of being dropped
         for flags in (["--no-reinit"], ["--no-gradmult"], ["--ablation-matrix"],
-                      ["--scales-mode", "all-ones"], ["--dump-mults"]):
+                      ["--scales-mode", "all-ones"]):
             assert run_cli("train", *flags, "--out", str(tmp_path / "x")) == 2, flags
+
+    def test_dump_mults_flag_is_gone(self, tmp_path, capsys):
+        # the multipliers are derived from the scales file, never stored
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train", "--dump-mults", "--out", str(tmp_path / "x"))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dump-mults" in capsys.readouterr().err
 
     def test_sgd_run_writes_reports(self, tmp_path):
         out = str(tmp_path / "sgd")
@@ -201,8 +230,7 @@ class TestTrainCli:
 
     def test_repopt_run_and_determinism(self, tmp_path, scales_file):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        argv = ["train", *TINY, "--scales", scales_file,
-                "--dump-mults", "--set", "seed=4"]
+        argv = ["train", *TINY, "--scales", scales_file, "--set", "seed=4"]
         assert run_cli(*argv, "--out", a) == 0
         assert run_cli(*argv, "--out", b) == 0
         assert tree_bytes(a) == tree_bytes(b)
@@ -211,7 +239,7 @@ class TestTrainCli:
         assert summary["rule_of_iteration"] is True
 
     def test_malformed_scales_file_exits_1(self, tmp_path, scales_file):
-        raw = open(scales_file, "rb").read()
+        raw = Path(scales_file).read_bytes()
         doc = json.loads(raw)
         bad = tmp_path / "bad.json"
         for content in (raw[:40] + b"\xff\xfe" + raw[42:],
@@ -241,7 +269,7 @@ class TestTrainCli:
         assert run_cli("train", *TINY, "--set", "opt.epochs=1",
                        "--scales", scales_file, "--ablation-matrix",
                        "--out", out) == 0
-        lines = open(os.path.join(out, "ablation_matrix.csv")).read().splitlines()
+        lines = Path(out, "ablation_matrix.csv").read_text().splitlines()
         assert len(lines) == 7  # header + six rows
         assert lines[0] == "optimizer,source,reinit,gradmult,final_test_acc,final_train_loss"
 
@@ -267,12 +295,12 @@ class TestConvertQuantizeAnalyze:
                        "--out", conv_out) == 0
         report = read_json(os.path.join(conv_out, "conversion_report.json"))
         assert report["max_abs_output_diff"] <= 1e-10
+        assert os.listdir(conv_out) == ["conversion_report.json"]  # no deploy checkpoint
         q_out = str(tmp_path / "q")
-        assert run_cli("quantize", "--checkpoint",
-                       os.path.join(conv_out, "converted.ckpt"), *TINY_DATA,
+        assert run_cli("quantize", "--checkpoint", repvgg_ckpt, *TINY_DATA,
                        "--out", q_out) == 0
         ptq = read_json(os.path.join(q_out, "ptq_report.json"))
-        assert ptq["from_kind"] == "fused"
+        assert ptq["from_kind"] == "repvgg"
         assert 0.0 <= ptq["fp_acc"] <= 1.0 and 0.0 <= ptq["int8_acc"] <= 1.0
 
     def test_quantize_plain_checkpoint_directly(self, tmp_path):
@@ -288,7 +316,7 @@ class TestConvertQuantizeAnalyze:
         out = str(tmp_path / "stats")
         assert run_cli("analyze", "--checkpoint", repvgg_ckpt, *TINY_DATA,
                        "--out", out) == 0
-        lines = open(os.path.join(out, "kernel_stats.csv")).read().splitlines()
+        lines = Path(out, "kernel_stats.csv").read_text().splitlines()
         assert lines[0] == "layer,std_overall,std_central,std_surrounding"
         assert len(lines) > 1
 
@@ -357,7 +385,7 @@ class TestConvertQuantizeAnalyze:
         summary = read_json(os.path.join(out, "summary.json"))
         assert summary["blocks_measured"] == 5
         assert -1.0 <= summary["rank_correlation_vs_depth"] <= 1.0
-        lines = open(os.path.join(out, "variance_ratio.csv")).read().splitlines()
+        lines = Path(out, "variance_ratio.csv").read_text().splitlines()
         assert lines[0] == "block_id,mean_ratio" and len(lines) == 6
         for line in lines[1:]:
             float(line.split(",")[1])  # a plain float, not a numpy repr
@@ -391,5 +419,5 @@ class TestConvertQuantizeAnalyze:
                             "--set", "analyze.stage_blocks=6,6", "--set", "analyze.seeds=1",
                             "--set", "analyze.batch=2", "--out", out],
                            env=dict(env, PYTHONHASHSEED=hash_seed), check=True)
-            summaries.append(open(os.path.join(out, "summary.json"), "rb").read())
+            summaries.append(Path(out, "summary.json").read_bytes())
         assert summaries[0] == summaries[1]
