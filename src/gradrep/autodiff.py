@@ -160,11 +160,10 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named trainable leaf."""
+    """A trainable leaf; its name is its path in the module tree (``state_slots``)."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
-    def __init__(self, data, name=""):
+    def __init__(self, data):
         super().__init__(data, requires_grad=True)
-        self.name = name
 

@@ -33,7 +33,7 @@ from .models import (
     build_resnet_reference,
     build_target,
     build_target_equivalent_init,
-    count_params_train,
+    count_built_params,
 )
 from .optim import MultiplierSgd, OptimizerConfig
 from .reports import write_csv, write_json
@@ -196,7 +196,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
         "rule_of_iteration": bool(opt.multipliers),
         "final_test_acc": result.final_test_acc,
         "final_train_loss": result.train_loss[-1],
-        "params_train": count_params_train(spec, args.arch),
+        "params_train": count_built_params(model),
         "config": cfg.as_dict(),
     })
     save_checkpoint(os.path.join(args.out, "checkpoint.ckpt"),

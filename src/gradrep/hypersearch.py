@@ -19,7 +19,6 @@ file of another format version ``FormatVersionError``.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import ConfigError, DataFormatError, FormatVersionError
 from .models import Model, ModelSpec, build_hypersearch, hs_init_value
 from .optim import MultiplierSgd, OptimizerConfig, branch_list
 from .rng import Rng
-from .reports import write_csv
+from .reports import write_csv, write_json
 from .train import TrainResult, train_model
 
 SCALES_FORMAT_VERSION = 2
@@ -78,7 +77,7 @@ class ScalesFile:
 
 
 def export_scales(scales: ScalesFile, path: str) -> None:
-    doc = {
+    write_json(path, {
         "format_version": SCALES_FORMAT_VERSION,
         "records": [
             {
@@ -92,11 +91,7 @@ def export_scales(scales: ScalesFile, path: str) -> None:
             for r in scales.records
         ],
         "provenance": scales.provenance,
-    }
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _positive_int(value, what: str) -> int:

@@ -71,7 +71,7 @@ class Conv2d(Module):
         self.stride = stride
         w = (msra_init((c_out, c_in, k, k), rng=rng) if rng is not None
              else np.zeros((c_out, c_in, k, k)))
-        self.weight = Parameter(w, name="weight")
+        self.weight = Parameter(w)
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.conv2d(x, self.weight, stride=self.stride, padding=self.k // 2)
@@ -91,8 +91,8 @@ class BatchNorm2d(Module):
         self.c = c
         self.eps = eps
         self.momentum = momentum
-        self.gamma = Parameter(np.ones(c), name="gamma")
-        self.beta = Parameter(np.zeros(c), name="beta")
+        self.gamma = Parameter(np.ones(c))
+        self.beta = Parameter(np.zeros(c))
         self.running_mean = np.zeros(c)
         self.running_var = np.ones(c)
 
@@ -122,7 +122,7 @@ class ChannelScale(Module):
     def __init__(self, values: np.ndarray, trainable: bool):
         values = np.asarray(values, dtype=np.float64)
         if trainable:
-            self.scale = Parameter(values.copy(), name="scale")
+            self.scale = Parameter(values.copy())
         else:
             self.const_scale = values.copy()
             self._buffers = ("const_scale",)
@@ -139,8 +139,8 @@ class Linear(Module):
             w = np.sqrt(2.0 / d_in) * rng.gaussian((d_out, d_in))
         else:
             w = np.zeros((d_out, d_in))
-        self.weight = Parameter(w, name="weight")
-        self.bias = Parameter(np.zeros(d_out), name="bias")
+        self.weight = Parameter(w)
+        self.bias = Parameter(np.zeros(d_out))
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.linear(x, self.weight, self.bias)

@@ -444,58 +444,41 @@ def build_resnet_reference(stage_blocks, channels=None, input_hw=32,
 # accounting
 # ---------------------------------------------------------------------------
 
+def _deploy_convs(spec: ModelSpec):
+    """The convs of the deploy form, read from the zero skeleton of
+    :func:`build_target` (no kernel is drawn or written): the stem conv, then
+    one per block, each with its output side; and the FC head."""
+    model = build_target(spec)
+    hw, convs = spec.input_hw, []
+    for conv in [model.stem_conv, *(block.conv for block in model.blocks)]:
+        hw = ops.conv_output_hw(hw, hw, conv.k, conv.k, conv.stride, conv.k // 2)[0]
+        convs.append((conv, hw))
+    return convs, model.fc
+
+
 def count_params_inference(spec: ModelSpec) -> int:
-    """Deploy-form parameter count: every block folded to one biased 3x3 conv,
-    stem conv folded with its BN, plus the FC head."""
-    total = spec.stem_channels * 3 * 9 + spec.stem_channels
-    for info in block_infos(spec):
-        total += info.c_out * info.c_in * 9 + info.c_out
-    total += spec.num_classes * spec.stages[-1][1] + spec.num_classes
-    return total
+    """Deploy-form parameter count, read from the zero skeleton: every block
+    folded to one biased 3x3 conv, stem conv folded with its BN, the FC head."""
+    convs, fc = _deploy_convs(spec)
+    return sum(c.weight.data.size + c.c_out for c, _ in convs) + count_built_params(fc)
 
 
-def count_params_train(spec: ModelSpec, kind: str) -> int:
-    """Trainable parameters of the built training-time graph of the plain
-    target (``"target"``) or the three-branch baseline (``"repvgg"``)."""
-    if kind not in ("target", "repvgg"):
-        raise ConfigError(f"unknown model kind {kind!r}")
-    total = spec.stem_channels * 27 + 2 * spec.stem_channels  # stem conv + BN
-    for info in block_infos(spec):
-        bn = 2 * info.c_out
-        if kind == "target":
-            total += info.c_out * info.c_in * 9 + bn
-        else:
-            total += sum(info.c_out * info.c_in * k * k + bn for k in BLOCK_RECIPE)
-            total += bn if info.has_identity else 0
-    total += spec.num_classes * spec.stages[-1][1] + spec.num_classes
-    return total
-
-
-def _strided_out(hw: int) -> int:
-    return (hw + 2 - 3) // 2 + 1
-
-
-def count_flops(spec: ModelSpec, input_hw=None) -> int:
-    """Deploy-form compute in multiply-accumulates.
+def count_flops(spec: ModelSpec) -> int:
+    """Deploy-form compute in multiply-accumulates at ``spec.input_hw``, read
+    from the zero skeleton.
 
     Convention: one MAC counts as one FLOP; only the deploy form's convs and
-    the FC head count (stem 3x3 conv on 3 channels, one biased 3x3 conv per
-    block, FC); BN, ReLU, pooling and biases count zero; spatial sizes follow
-    stride-2 3x3 convs with padding 1. With it, the b1/b2/l1/l2 presets at
+    the FC head count (stem conv, one biased conv per block, FC); BN, ReLU,
+    pooling and biases count zero. With it, the b1/b2/l1/l2 presets at
     224x224 land within 2% of the published 11.9/18.4/21.0/32.8 GFLOPs.
     """
-    hw = input_hw if input_hw is not None else spec.input_hw
-    hw = _strided_out(hw)
-    total = hw * hw * spec.stem_channels * 3 * 9
-    for info in block_infos(spec):
-        if info.stride == 2:
-            hw = _strided_out(hw)
-        total += hw * hw * info.c_out * info.c_in * 9
-    total += spec.num_classes * spec.stages[-1][1]
-    return total
+    convs, fc = _deploy_convs(spec)
+    return sum(hw * hw * c.weight.data.size for c, hw in convs) + fc.weight.data.size
 
 
-def count_built_params(model: Model) -> int:
+def count_built_params(model: Module) -> int:
+    """Trainable parameters of a built module; a builder's zero skeleton
+    (no ``rng``) counts without drawing or writing a kernel."""
     return sum(p.data.size for _, p in model.named_parameters())
 
 

@@ -234,8 +234,8 @@ class TestSynthetic:
         ds = gen_synthetic(512, 16, 10, seed=3)
         rng = Rng(0)
         d = 3 * 16 * 16
-        w = Parameter(0.01 * rng.gaussian((10, d)), name="w")
-        b = Parameter(np.zeros(10), name="b")
+        w = Parameter(0.01 * rng.gaussian((10, d)))
+        b = Parameter(np.zeros(10))
         order_rng = Rng(1)
         for _ in range(5):
             for idx in np.array_split(order_rng.permutation(len(ds)), 8):

@@ -261,8 +261,8 @@ def _training_divergence_after_conversion(block, steps, lr, seed, *,
     Inference equivalence holds at step 0 and is expected to break once
     training starts (the structures have different dynamics)."""
     fused = convert_repvgg_block(block)
-    w = Parameter(fused.kernel.copy(), name="w")
-    b = Parameter(fused.bias.copy(), name="b")
+    w = Parameter(fused.kernel.copy())
+    b = Parameter(fused.bias.copy())
     stream = Rng(seed)
     probe = stream.gaussian((batch, block.info.c_in, hw, hw))
     branched_params = dict(block.named_parameters())

@@ -174,7 +174,7 @@ class TestBackward:
         # loss = sum(conv(X, W)) with X all ones: dL/dW[o,i,p,q] is the number
         # of output positions whose (p,q) tap lands inside the image.
         x = Tensor(np.ones((1, 1, 4, 4)))
-        w = Parameter(np.zeros((1, 1, 3, 3)), name="w")
+        w = Parameter(np.zeros((1, 1, 3, 3)))
         out = ops.conv2d(x, w, stride=1, padding=0)
         tsum(out).backward()
         # 4x4 input, 3x3 kernel, no padding: every tap sees all 2x2=4 positions.
@@ -182,7 +182,7 @@ class TestBackward:
 
     def test_padding_changes_position_counts(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
-        w = Parameter(np.zeros((1, 1, 3, 3)), name="w")
+        w = Parameter(np.zeros((1, 1, 3, 3)))
         out = ops.conv2d(x, w, stride=1, padding=1)
         tsum(out).backward()
         # 3x3 output grid with zero padding: the center tap always sees real
@@ -193,8 +193,8 @@ class TestBackward:
 
     def test_unused_parameter_gets_no_gradient(self):
         x = Tensor(np.ones((1, 1, 4, 4)))
-        w = Parameter(np.ones((1, 1, 3, 3)), name="used")
-        w2 = Parameter(np.ones((1, 1, 3, 3)), name="unused")
+        w = Parameter(np.ones((1, 1, 3, 3)))
+        w2 = Parameter(np.ones((1, 1, 3, 3)))
         tsum(ops.conv2d(x, w)).backward()
         assert w2.grad is None  # treated as exactly zero downstream
 

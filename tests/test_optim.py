@@ -247,7 +247,7 @@ class TestMultiplierChainRuleOracle:
 
 
 def sgd_param(values, grad):
-    p = Parameter(np.array(values), name="w")
+    p = Parameter(np.array(values))
     p.grad = np.array(grad)
     return p
 
@@ -274,7 +274,7 @@ class TestMultiplierSgdStep:
         np.testing.assert_allclose(p.data, [-2.5])
 
     def test_sgd_class_validates_names_and_shapes(self):
-        p = Parameter(np.zeros((2, 2)), name="w")
+        p = Parameter(np.zeros((2, 2)))
         with pytest.raises(UsageError):
             MultiplierSgd({"w": p}, multipliers={"nope": np.ones(1)})
         with pytest.raises(ShapeError):
