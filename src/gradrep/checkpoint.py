@@ -10,11 +10,12 @@ epoch/step counters and the data-stream RNG state, so loading a checkpoint
 reproduces the run exactly: ``load(save(x))`` is bit-identical and resuming
 continues an interrupted run on the same trajectory as the uninterrupted one.
 
-Restoring builds the zero skeleton the header describes (no random draws)
-and fills it through one fit rule (:func:`_fill`): the stored param/buffer
-arrays must match the skeleton's slots (:meth:`Module.state_slots`) one to
-one, name and shape, or the restore raises one ``DataFormatError`` naming
-every missing, unknown and wrongly shaped array. A checkpoint holds training
+Restoring builds the zero skeleton (no random draws) of one of the two kinds
+``train`` writes, ``target`` and ``repvgg``, and fills it through one fit
+rule (:func:`_fill`): the stored param/buffer arrays must match the
+skeleton's slots (:meth:`Module.state_slots`) one to one, name and shape, or
+the restore raises one ``DataFormatError`` naming every missing, unknown and
+wrongly shaped array. A checkpoint holds training
 state only: the deploy form and the gradient multipliers are derived from it,
 never stored.
 """
@@ -31,16 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, FormatVersionError
-from .models import (
-    BLOCK_RECIPE,
-    Model,
-    ModelSpec,
-    block_infos,
-    build_csla,
-    build_hypersearch,
-    build_repvgg,
-    build_target,
-)
+from .models import Model, ModelSpec, build_repvgg, build_target
 
 MAGIC = b"GRCP"
 FORMAT_VERSION = 2
@@ -205,18 +197,13 @@ def _fill(slots: dict, ckpt: Checkpoint) -> None:
 
 
 def restore_model(ckpt: Checkpoint) -> Model:
-    """Rebuild the model skeleton for the stored kind (zero kernels, no random
-    draws) and overwrite every parameter and buffer with the stored values."""
-    spec = ckpt.spec
+    """Rebuild the skeleton of a kind that ``train`` writes, ``target`` or
+    ``repvgg`` (zero kernels, no random draws), and overwrite every parameter
+    and buffer with the stored values."""
     if ckpt.model_kind == "target":
-        model = build_target(spec)
-    elif ckpt.model_kind == "csla":  # the constants are overwritten from the buffers
-        ones = {i.block_id: [np.ones(i.c_out)] * len(BLOCK_RECIPE) for i in block_infos(spec)}
-        model = build_csla(spec, ones)
-    elif ckpt.model_kind == "hs":
-        model = build_hypersearch(spec)
+        model = build_target(ckpt.spec)
     elif ckpt.model_kind == "repvgg":
-        model = build_repvgg(spec)
+        model = build_repvgg(ckpt.spec)
     else:
         raise DataFormatError(f"cannot restore model kind {ckpt.model_kind!r}")
     _fill({(s, n): (h, a) for s, n, h, a in model.state_slots()}, ckpt)

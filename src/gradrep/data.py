@@ -250,10 +250,11 @@ def gen_synthetic(n: int, resolution: int, classes: int, seed: int, *,
 # batching and augmentation
 # ---------------------------------------------------------------------------
 
-def augment_images(x: np.ndarray, rng: Rng, pad: int = 4) -> np.ndarray:
+def augment_images(x: np.ndarray, rng: Rng) -> np.ndarray:
     """Horizontal flip (p=0.5) plus pad-4 random crop on normalized images;
     all draws come from one stream in a fixed order (flips, dy, dx)."""
     n, c, h, w = x.shape
+    pad = 4
     flips = rng.uniform(n) < 0.5
     dy = rng.integers_below(2 * pad + 1, n)
     dx = rng.integers_below(2 * pad + 1, n)

@@ -184,7 +184,7 @@ class FusedConv:
 def _bn_fold(bn: BatchNorm2d) -> tuple:
     """(scale, shift) of an eval-mode BN read as a per-channel affine map:
     scale = gamma / sqrt(var + eps), shift = beta - mean * scale."""
-    scale = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
+    scale = bn.gamma.data / np.sqrt(bn.running_var + ops.BN_EPS)
     return scale, bn.beta.data - bn.running_mean * scale
 
 

@@ -18,7 +18,6 @@ from . import ops
 from .autodiff import Parameter, Tensor
 from .rng import Rng, msra_init
 
-BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
@@ -81,16 +80,15 @@ class BatchNorm2d(Module):
     """BN with trainable gamma/beta and running statistics buffers.
 
     Train mode normalizes with batch statistics (population variance) and
-    updates running stats with momentum 0.1, the running variance using the
-    unbiased estimator. Eval mode applies the frozen affine map.
+    updates running stats with momentum :data:`BN_MOMENTUM`, the running
+    variance using the unbiased estimator. Eval mode applies the frozen affine
+    map. Both add :data:`gradrep.ops.BN_EPS` to the variance.
     """
 
     _buffers = ("running_mean", "running_var")
 
-    def __init__(self, c, eps=BN_EPS, momentum=BN_MOMENTUM):
+    def __init__(self, c):
         self.c = c
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Parameter(np.ones(c))
         self.beta = Parameter(np.zeros(c))
         self.running_mean = np.zeros(c)
@@ -100,24 +98,21 @@ class BatchNorm2d(Module):
         """BN, then a ReLU when ``relu`` is set; in train mode the two are
         one tape node, in eval mode one output buffer."""
         if training:
-            out, mu, var = ops.batchnorm_train(x, self.gamma, self.beta, eps=self.eps,
-                                               relu=relu)
+            out, mu, var = ops.batchnorm_train(x, self.gamma, self.beta, relu=relu)
             n, _, h, w = x.data.shape
             m = n * h * w
             var_unbiased = var * (m / (m - 1.0))
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var_unbiased
+            self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mu
+            self.running_var = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var_unbiased
             return out
         return ops.batchnorm_eval(x, self.gamma, self.beta, self.running_mean,
-                                  self.running_var, eps=self.eps, relu=relu)
+                                  self.running_var, relu=relu)
 
 
 class ChannelScale(Module):
-    """Per-channel scale values, trainable or constant, that their block applies.
-
-    Constant scales are checkpointed as the buffer ``const_scale`` so a loaded
-    model reproduces the original constants bit for bit.
-    """
+    """Per-channel scale values that their block applies: the parameter
+    ``scale`` when trainable, else constants that are neither a parameter nor
+    a buffer, so no checkpoint stores them."""
 
     def __init__(self, values: np.ndarray, trainable: bool):
         values = np.asarray(values, dtype=np.float64)
@@ -125,7 +120,6 @@ class ChannelScale(Module):
             self.scale = Parameter(values.copy())
         else:
             self.const_scale = values.copy()
-            self._buffers = ("const_scale",)
         self.trainable = trainable
 
     @property

@@ -324,8 +324,12 @@ def fold_kernel(kernels, scales, gamma: Tensor | None = None) -> Tensor:
 # batch normalization
 # ---------------------------------------------------------------------------
 
-def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
-                    relu: bool = False):
+#: the variance offset of every batch norm (PyTorch's default); here, not in
+#: :mod:`gradrep.layers`, because that module imports this one
+BN_EPS = 1e-5
+
+
+def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, relu: bool = False):
     """Train-mode BN over (n, h, w) per channel, followed by a ReLU in place
     when ``relu`` is set, as one tape node.
 
@@ -344,7 +348,7 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
     mu = np.einsum("nck->c", x3) / m
     out3 = x3 - mu[:, None]
     var = np.einsum("nck,nck->c", out3, out3) / m
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     out3 *= inv_std[:, None]  # x-hat, turned into the output in place
     out3 *= gamma.data[:, None]
     out3 += beta.data[:, None]
@@ -384,13 +388,13 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
 
 def batchnorm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
                    running_mean: np.ndarray, running_var: np.ndarray,
-                   eps: float = 1e-5, relu: bool = False) -> Tensor:
+                   relu: bool = False) -> Tensor:
     """Eval-mode BN: per-channel affine map from frozen running statistics,
     followed by a ReLU when ``relu`` is set, all in one output buffer.
     Forward only: the result records no tape node, so no gradient flows back
     through it (training runs BN in train mode)."""
     c = x.data.shape[1]
-    inv_std = 1.0 / np.sqrt(running_var + eps)
+    inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
     scale = (gamma.data * inv_std).reshape(1, c, 1, 1)
     shift = (beta.data - gamma.data * running_mean * inv_std).reshape(1, c, 1, 1)
     out = x.data * scale

@@ -95,19 +95,6 @@ def dirac_kernel(c: int, k: int) -> np.ndarray:
     return out
 
 
-def branch_scales(branches) -> tuple:
-    """(K, float64 scale vectors) of a branch list with one or more odd kernel
-    sizes and 1-d scale vectors of one length."""
-    sizes = [k for k, _ in branches]
-    scales = [np.asarray(s, dtype=np.float64) for _, s in branches]
-    if not sizes or any(k < 1 or k % 2 != 1 for k in sizes):
-        raise ShapeError(f"want one or more branches of odd kernel size, got {sizes}")
-    if scales[0].ndim != 1 or any(s.shape != scales[0].shape for s in scales):
-        raise ShapeError(f"scale vectors must be 1-d and equal length, got "
-                         f"{[s.shape for s in scales]}")
-    return max(sizes), scales
-
-
 def branch_list(branches, c_out: int, block: str = "") -> tuple:
     """A branch list as it comes in from a caller, checked once: (k, float64
     scales) pairs, one or more, each k odd and >= 1 and each scale vector c_out
@@ -134,36 +121,34 @@ def grad_mult(branches, has_identity: bool, c_in: int | None = None) -> np.ndarr
 
     For the (3x3, 1x1, identity) block, entry (c, d, p, q) is s_c^2 away from
     the center, s_c^2 + t_c^2 at the center, and 1 more at diagonal centers.
+    ``branches`` is a :func:`branch_list` result.
     """
-    _, scales = branch_scales(branches)
-    if not np.isfinite(scales).all():
-        raise ConfigError("scale vectors must be finite")
-    c = scales[0].shape[0]
+    c = branches[0][1].shape[0]
     c_in = c if c_in is None else c_in
-    kernels = [np.full((c, c_in, k, k), s[:, None, None, None])
-               for (k, _), s in zip(branches, scales)]
+    kernels = [np.full((c, c_in, k, k), s[:, None, None, None]) for k, s in branches]
     return equivalent_kernel(branches, kernels, np.ones(c) if has_identity else None)
 
 
 def equivalent_kernel(branches, kernels, gamma=None) -> np.ndarray:
-    """Fold branch kernels into the single equivalent K x K kernel:
-    sum_b s_b * embed(W_b), plus gamma * dirac for the identity branch (its
-    channel scales, all ones at init).
+    """Fold branch kernels into the single equivalent K x K kernel, K the
+    largest branch size: sum_b s_b * embed(W_b), plus gamma * dirac for the
+    identity branch (its channel scales, all ones at init).
 
     Initializes the single kernel, mid-training combines the branched
     counterpart's current kernels when checking the step invariant, and is
     the forward of the hyper-search block's one conv (:func:`ops.fold_kernel`).
     """
-    big, scales = branch_scales(branches)
+    big = max(k for k, _ in branches)
     c_out, c_in = np.shape(kernels[0])[:2]
-    if len(kernels) != len(branches) or scales[0].shape != (c_out,) or any(
-            np.shape(w) != (c_out, c_in, k, k) for (k, _), w in zip(branches, kernels)):
-        raise ShapeError(f"want one ({c_out},{c_in},k,k) kernel per branch of sizes "
-                         f"{[k for k, _ in branches]} and scales of shape ({c_out},), "
-                         f"got kernels {[np.shape(w) for w in kernels]} and scales "
-                         f"{scales[0].shape}")
+    if len(kernels) != len(branches) or any(
+            np.shape(s) != (c_out,) or np.shape(w) != (c_out, c_in, k, k)
+            for (k, s), w in zip(branches, kernels)):
+        raise ShapeError(f"want one ({c_out},{c_in},k,k) kernel and ({c_out},) scales "
+                         f"per branch of sizes {[k for k, _ in branches]}, got kernels "
+                         f"{[np.shape(w) for w in kernels]} and scales "
+                         f"{[np.shape(s) for _, s in branches]}")
     w = np.zeros((c_out, c_in, big, big))
-    for (k, _), s, wb in zip(branches, scales, kernels):
+    for (k, s), wb in zip(branches, kernels):
         fp = _center(big, k)
         w[:, :, fp, fp] += s[:, None, None, None] * wb
     if gamma is not None:
@@ -181,9 +166,9 @@ def equivalent_kernel_adjoint(branches, kernels, grad, has_identity: bool) -> tu
     s_b * G on b's footprint, its scales sum G_b * W_b per output channel,
     and gamma the diagonal centers of G (None without an identity branch).
     Returns (kernel gradients, scale gradients, gamma gradient)."""
-    big, scales = branch_scales(branches)
+    big = max(k for k, _ in branches)
     dkernels, dscales = [], []
-    for (k, _), s, wb in zip(branches, scales, kernels):
+    for (k, s), wb in zip(branches, kernels):
         fp = _center(big, k)
         gb = grad[:, :, fp, fp]
         dkernels.append(s[:, None, None, None] * gb)

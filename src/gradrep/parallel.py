@@ -9,9 +9,9 @@ back in item order, so whatever a caller reduces from them is the same for
 any worker count.
 
 :func:`accuracy` is the one accuracy loop: it counts correct answers per
-contiguous batch of a fixed size and sums the counts. The batch size, not the
-worker count, sets the partition, so accuracies do not depend on the
-machine's CPU count.
+contiguous batch of :data:`EVAL_BATCH` samples and sums the counts. The batch
+size, not the worker count, sets the partition, so accuracies do not depend
+on the machine's CPU count.
 """
 
 from __future__ import annotations
@@ -84,15 +84,15 @@ def parallel_map(fn, items) -> list:
     return results
 
 
-def accuracy(logits_fn, handle, batch_size: int = EVAL_BATCH) -> float:
+def accuracy(logits_fn, handle) -> float:
     """Share of ``handle``'s samples whose largest logit is at their label;
     ``logits_fn`` maps a batch of normalized images to an (n, classes)
     array."""
     n = len(handle)
 
     def correct(start):
-        stop = min(start + batch_size, n)
+        stop = min(start + EVAL_BATCH, n)
         logits = logits_fn(handle.normalized(slice(start, stop)))
         return int((np.argmax(logits, axis=1) == handle.labels[start:stop]).sum())
 
-    return sum(parallel_map(correct, range(0, n, batch_size))) / n
+    return sum(parallel_map(correct, range(0, n, EVAL_BATCH))) / n

@@ -9,7 +9,7 @@ the max absolute activation over a calibration set. Biases stay in float.
 Calibration and accuracy run their batches on every usable CPU (see
 :mod:`gradrep.parallel`). A batch's max-abs and its count of correct answers
 are exact, and they are reduced in batch order, so scales and accuracies are
-the same for any worker count. Accuracy batches hold 128 samples
+the same for any worker count. Both run in batches of 128 samples
 (:data:`~gradrep.parallel.EVAL_BATCH`): each worker holds one batch's
 activations in flight, so two workers hold as much as one batch of 256.
 """
@@ -86,8 +86,7 @@ class QuantizedModel(InferenceModel):
             yield h
 
 
-def ptq_model(model: InferenceModel, calibration: np.ndarray,
-              batch_size: int = 64) -> QuantizedModel:
+def ptq_model(model: InferenceModel, calibration: np.ndarray) -> QuantizedModel:
     """Quantize a deploy-form model: weights per tensor, activations with
     max-abs calibration over the calibration set."""
     calibration = np.asarray(calibration, dtype=np.float64)
@@ -99,11 +98,11 @@ def ptq_model(model: InferenceModel, calibration: np.ndarray,
 
     def amaxes(start):
         """[input amax, amax of each layer's activation] of one batch."""
-        batch = calibration[start:start + batch_size]
+        batch = calibration[start:start + EVAL_BATCH]
         return [float(np.abs(batch).max())] + [float(np.abs(act).max())
                                                for act in model.features(batch)]
 
-    per_batch = parallel_map(amaxes, range(0, len(calibration), batch_size))
+    per_batch = parallel_map(amaxes, range(0, len(calibration), EVAL_BATCH))
     input_amax, *act_amax = (max(0.0, *column) for column in zip(*per_batch))
     return QuantizedModel(quantize_weights_only(model), [int8_scale(a) for a in act_amax],
                           int8_scale(input_amax))
@@ -117,9 +116,9 @@ def quantize_weights_only(model: InferenceModel) -> InferenceModel:
                           model.fc_bias.copy(), spec=model.spec)
 
 
-def model_accuracy(model, handle, batch_size: int = EVAL_BATCH) -> float:
+def model_accuracy(model, handle) -> float:
     """Accuracy of a deploy-form (or quantized) model over a dataset handle."""
-    return accuracy(model.forward, handle, batch_size)
+    return accuracy(model.forward, handle)
 
 
 def position_stats_report(model: InferenceModel) -> list:

@@ -23,7 +23,7 @@ from .data import DatasetHandle, iter_batches
 from .errors import UsageError
 from .models import Model
 from .optim import OptimizerConfig, lr_schedule
-from .parallel import EVAL_BATCH, accuracy
+from .parallel import accuracy
 from .rng import Rng
 
 
@@ -39,9 +39,9 @@ class TrainResult:
         return self.test_acc[-1] if self.test_acc else None
 
 
-def evaluate(model: Model, handle: DatasetHandle, batch_size: int = EVAL_BATCH) -> float:
+def evaluate(model: Model, handle: DatasetHandle) -> float:
     """Eval-mode accuracy over the whole split."""
-    return accuracy(lambda x: model.forward(x, training=False).data, handle, batch_size)
+    return accuracy(lambda x: model.forward(x, training=False).data, handle)
 
 
 def train_model(model: Model, optimizer, train_handle: DatasetHandle,

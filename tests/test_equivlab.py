@@ -184,9 +184,9 @@ class TestWholeNetworkCounterpart:
             assert kernel_gap(ablated, csla) > 1e-4, ablation
 
 
-def eval_bn(gamma, beta, mean, var, eps=1e-5):
+def eval_bn(gamma, beta, mean, var):
     """A BatchNorm2d holding the given affine parameters and running stats."""
-    bn = BatchNorm2d(len(gamma), eps=eps)
+    bn = BatchNorm2d(len(gamma))
     bn.gamma.data, bn.beta.data = np.asarray(gamma), np.asarray(beta)
     bn.running_mean, bn.running_var = np.asarray(mean), np.asarray(var)
     return bn
@@ -195,8 +195,7 @@ def eval_bn(gamma, beta, mean, var, eps=1e-5):
 class TestBnFusion:
     def test_identity_bn_keeps_kernel(self):
         kernel = np.random.default_rng(0).normal(size=(4, 4, 3, 3))
-        eps = 1e-5
-        bn = eval_bn(np.ones(4), np.zeros(4), np.zeros(4), np.full(4, 1.0 - eps), eps)
+        bn = eval_bn(np.ones(4), np.zeros(4), np.zeros(4), np.full(4, 1.0 - ops.BN_EPS))
         fused = fuse_bn(kernel, bn)
         np.testing.assert_allclose(fused.kernel, kernel, atol=1e-15)
         np.testing.assert_allclose(fused.bias, 0.0, atol=1e-15)

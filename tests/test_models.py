@@ -286,9 +286,8 @@ class TestBuilders:
     def test_repvgg_reduces_to_plain_conv_when_extras_zeroed(self):
         info = BlockInfo(0, "b", 4, 4, 1, True, 1)
         block = RepVggStyleBlock(info, rng=Rng(2))
-        eps = block.bn3.eps
         # main-branch BN becomes the exact identity map
-        block.bn3.running_var = np.full(4, 1.0 - eps)
+        block.bn3.running_var = np.full(4, 1.0 - ops.BN_EPS)
         # zero out the 1x1 and identity contributions
         block.conv1.weight.data[:] = 0.0
         block.bnid.gamma.data[:] = 0.0

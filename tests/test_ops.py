@@ -485,12 +485,10 @@ class TestPrimitives:
 
     def test_batchnorm_eval_unit_stats(self):
         x = np.random.default_rng(1).normal(size=(2, 3, 4, 4))
-        eps = 1e-5
         out = ops.batchnorm_eval(
-            Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
-            np.zeros(3), np.ones(3), eps=eps,
+            Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)), np.zeros(3), np.ones(3),
         )
-        np.testing.assert_allclose(out.data, x / np.sqrt(1.0 + eps), atol=1e-15)
+        np.testing.assert_allclose(out.data, x / np.sqrt(1.0 + ops.BN_EPS), atol=1e-15)
 
     def test_batchnorm_eval_relu_is_relu_of_the_affine_map(self):
         rng = np.random.default_rng(3)
@@ -621,5 +619,5 @@ class TestNoGrad:
         handle = gen_synthetic(40, 16, 10, seed=1)
         logits = model.forward(handle.normalized(), training=False)
         assert logits._parents == () and logits._backward is None
-        acc = evaluate(model, handle, batch_size=16)
+        acc = evaluate(model, handle)
         assert acc == float((np.argmax(logits.data, axis=1) == handle.labels).mean())

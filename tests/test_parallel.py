@@ -21,9 +21,9 @@ from gradrep.train import evaluate
 from helpers import interior_nodes
 
 SPEC = ModelSpec(4, ((1, 4), (2, 8)), 3, 8)
-# 100 samples in batches of 16: seven batches, so the last group of two
-# workers is a lone batch
-BATCH = 16
+# 300 samples in evaluation batches of 128: three batches, so the last group
+# of two workers is a lone, short batch
+N = 300
 
 
 def trained_like(model, seed):
@@ -135,18 +135,18 @@ class TestParallelMap:
 
 class TestWorkerCountInvariance:
     def test_accuracies_and_scales_byte_equal_for_one_and_two_workers(self, workers):
-        train_set = gen_synthetic(100, 8, 3, seed=4)
-        test_set = gen_synthetic(100, 8, 3, seed=5)
+        train_set = gen_synthetic(N, 8, 3, seed=4)
+        test_set = gen_synthetic(N, 8, 3, seed=5)
         model = trained_like(build_repvgg(SPEC, rng=Rng(6)), 7)
         fused = convert_model(model)
         calib = train_set.normalized()
         results = []
         for n in (1, 2):
             workers(n)
-            quantized = ptq_model(fused, calib, batch_size=BATCH)
-            accs = [model_accuracy(m, test_set, batch_size=BATCH)
+            quantized = ptq_model(fused, calib)
+            accs = [model_accuracy(m, test_set)
                     for m in (fused, quantized, quantize_weights_only(fused))]
-            accs.append(evaluate(model, test_set, batch_size=BATCH))
+            accs.append(evaluate(model, test_set))
             results.append((np.array(accs).tobytes(),
                             np.array(quantized.act_scales).tobytes(),
                             np.array(quantized.input_scale).tobytes()))
@@ -154,17 +154,17 @@ class TestWorkerCountInvariance:
 
     def test_accuracy_is_the_share_of_argmax_hits(self, workers):
         workers(2)
-        handle = gen_synthetic(100, 8, 3, seed=8)
+        handle = gen_synthetic(N, 8, 3, seed=8)
         fused = convert_model(trained_like(build_target(SPEC, rng=Rng(9)), 10))
         want = np.mean(np.argmax(fused.forward(handle.normalized()), axis=1)
                        == handle.labels)
-        assert model_accuracy(fused, handle, batch_size=BATCH) == want
+        assert model_accuracy(fused, handle) == want
 
     def test_calibration_maxima_over_all_batches(self, workers):
         workers(2)
-        calib = gen_synthetic(100, 8, 3, seed=11).normalized()
+        calib = gen_synthetic(N, 8, 3, seed=11).normalized()
         fused = convert_model(trained_like(build_target(SPEC, rng=Rng(12)), 13))
-        quantized = ptq_model(fused, calib, batch_size=BATCH)
+        quantized = ptq_model(fused, calib)
         acts = list(fused.features(calib))
         assert quantized.input_scale == np.abs(calib).max() / 127.0
         assert quantized.act_scales == [np.abs(a).max() / 127.0 for a in acts]
@@ -201,9 +201,9 @@ class TestGradModePerThread:
 
     def test_training_records_its_tape_after_a_two_worker_evaluate(self, workers):
         workers(2)
-        handle = gen_synthetic(100, 8, 3, seed=14)
+        handle = gen_synthetic(N, 8, 3, seed=14)
         model = build_target(SPEC, rng=Rng(15))
-        evaluate(model, handle, batch_size=BATCH)
+        evaluate(model, handle)
         assert grad_enabled()
         model.zero_grad()
         loss = ops.cross_entropy(model.forward(handle.normalized(slice(0, 8)),

@@ -142,7 +142,7 @@ class TestPtq:
                  FusedConv(0.3 * rng.gaussian((6, 6, 3, 3)), 0.1 * rng.gaussian(6), 1),
                  FusedConv(0.3 * rng.gaussian((8, 6, 3, 3)), 0.1 * rng.gaussian(8), 2)]
         model = InferenceModel(convs, 0.5 * rng.gaussian((4, 8)), 0.1 * rng.gaussian(4))
-        quant = ptq_model(model, rng.gaussian((20, 3, 12, 12)), batch_size=8)
+        quant = ptq_model(model, rng.gaussian((20, 3, 12, 12)))
         x = rng.gaussian((5, 3, 12, 12))
         h = fake_quantize(x, quant.input_scale)
         for conv, scale in zip(convs, quant.act_scales):
