@@ -7,9 +7,9 @@ for the multiplier constants, structural conversion (BN fusion, branch
 merging), and INT8 post-training-quantization analysis.
 """
 
-from .autodiff import Parameter, Tensor, set_checked
+from .autodiff import Parameter, Tensor
 from .rng import Rng, msra_init, msra_std
 
-__all__ = ["Parameter", "Tensor", "set_checked", "Rng", "msra_init", "msra_std"]
+__all__ = ["Parameter", "Tensor", "Rng", "msra_init", "msra_std"]
 
 __version__ = "0.1.0"

@@ -29,8 +29,7 @@ while the calling thread goes on to train.
 
 A tensor converts non-float input to float64 and keeps float32 as given; the
 layers and the data path create float64 arrays throughout, so models compute
-in float64. With checked mode on, tensor construction rejects non-finite
-values.
+in float64.
 """
 
 from __future__ import annotations
@@ -42,20 +41,12 @@ import numpy as np
 
 from .errors import UsageError
 
-_CHECKED = False
-
 
 class _GradMode(threading.local):
     enabled = True  # the class value is each new thread's default
 
 
 _GRAD_MODE = _GradMode()
-
-
-def set_checked(flag: bool) -> None:
-    """Toggle NaN/Inf rejection at tensor construction (off by default)."""
-    global _CHECKED
-    _CHECKED = bool(flag)
 
 
 def grad_enabled() -> bool:
@@ -91,8 +82,6 @@ class Tensor:
         arr = np.asarray(data)
         if arr.dtype not in (np.float64, np.float32):
             arr = arr.astype(np.float64)
-        if _CHECKED and not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite values rejected in checked mode")
         self.data = arr
         self.grad = None
         self._parents = tuple(parents)

@@ -30,7 +30,7 @@ from .models import (
     build_multipliers,
     build_hypersearch,
     build_repvgg,
-    build_resnet_reference,
+    build_resnet,
     build_target,
     build_target_equivalent_init,
     count_built_params,
@@ -64,11 +64,11 @@ def _load_datasets(cfg: RunConfig):
     return train, test
 
 
-def _scales_for_mode(scales, mode: str):
+def _scales_for_mode(scales, mode: str, spec):
     mode = mode.replace("-", "_")
     if mode == "searched":
         return scales
-    return degrade_scales(scales, mode)
+    return degrade_scales(scales, mode, spec)
 
 
 def _metrics_rows(result):
@@ -153,8 +153,8 @@ def _train_arm(cfg, spec, arch, scales, reinit, gradmult, train, test):
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    rule_flags = {"--no-reinit": args.no_reinit, "--no-gradmult": args.no_gradmult,
-                  "--ablation-matrix": args.ablation_matrix,
+    rule_flags = {"--ablation-matrix": args.ablation_matrix, "--no-reinit": args.no_reinit,
+                  "--no-gradmult": args.no_gradmult,
                   "--scales-mode": args.scales_mode != "searched"}
     given = [flag for flag, on in rule_flags.items() if on]
     if given and not args.scales:
@@ -163,6 +163,9 @@ def cmd_train(args, cfg: RunConfig) -> int:
     if args.arch == "repvgg" and args.scales:
         raise UsageError("--arch repvgg trains the three-branch baseline with a "
                          "plain optimizer; scales/multipliers do not apply")
+    if args.ablation_matrix and len(given) > 1:
+        raise UsageError(f"--ablation-matrix runs its own six arms; drop "
+                         f"{', '.join(given[1:])}")
     train, test = _load_datasets(cfg)
     spec = cfg.model_spec(train.num_classes, train.resolution)
     base_scales = import_scales(args.scales) if args.scales else None
@@ -170,7 +173,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
     if args.ablation_matrix:
         rows = []
         for source, reinit, gradmult in ABLATION_MATRIX:
-            result = _train_arm(cfg, spec, args.arch, _scales_for_mode(base_scales, source),
+            result = _train_arm(cfg, spec, args.arch,
+                                _scales_for_mode(base_scales, source, spec),
                                 reinit, gradmult, train, test)[-1]
             rows.append(("repopt", source, int(reinit), int(gradmult),
                          result.final_test_acc, result.train_loss[-1]))
@@ -183,7 +187,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
     scales = None
     if base_scales is not None:
-        scales = _scales_for_mode(base_scales, args.scales_mode)
+        scales = _scales_for_mode(base_scales, args.scales_mode, spec)
     model, opt, data_rng, result = _train_arm(
         cfg, spec, args.arch, scales, not args.no_reinit, not args.no_gradmult,
         train, test)
@@ -246,21 +250,25 @@ def cmd_verify_equivalence(args, cfg: RunConfig) -> int:
     return 0
 
 
+#: batches of two Gaussian images on which convert checks the fold
+CHECK_INPUTS = 100
+
+
 def cmd_convert(args, cfg: RunConfig) -> int:
-    if args.check_inputs < 1:
-        raise UsageError(f"--check-inputs must be >= 1, got {args.check_inputs}")
+    """Fold a trained checkpoint into its deploy form and check that both give
+    the same logits on :data:`CHECK_INPUTS` batches drawn from the run seed."""
     model = restore_model(load_checkpoint(args.checkpoint))
     fused = convert_model(model)
     stream = Rng(cfg["seed"])
     worst = 0.0
-    for _ in range(args.check_inputs):
+    for _ in range(CHECK_INPUTS):
         x = stream.gaussian((2, 3, model.spec.input_hw, model.spec.input_hw))
         want = model.forward(x, training=False).data
         got = fused.forward(x)
         worst = max(worst, float(np.abs(want - got).max()))
     write_json(os.path.join(args.out, "conversion_report.json"), {
         "from_kind": model.kind,
-        "eval_inputs_checked": args.check_inputs,
+        "eval_inputs_checked": CHECK_INPUTS,
         "max_abs_output_diff": worst,
         "fused_convs": len(fused.convs),
     })
@@ -314,17 +322,17 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
         write_json(os.path.join(args.out, "summary.json"),
                    {"from_kind": from_kind, "layers": len(rows)})
         return 0
-    # variance-ratio, the only other choice
-    stage_blocks = [int(v) for v in cfg["analyze.stage_blocks"].split(",")]
-    data = Rng(cfg["seed"]).gaussian(
-        (cfg["analyze.batch"], 3, cfg["data.resolution"], cfg["data.resolution"]))
+    # variance-ratio, the only other choice: every arch on the run's spec
+    if args.checkpoint:
+        raise UsageError("analyze.what=variance-ratio builds fresh models; "
+                         "it takes no --checkpoint")
+    spec = cfg.model_spec(cfg["data.classes"], cfg["data.resolution"])
+    data = Rng(cfg["seed"]).gaussian((cfg["analyze.batch"], 3, spec.input_hw, spec.input_hw))
     arch = cfg["analyze.arch"]
 
     def factory(seed):
         if arch == "resnet":
-            return build_resnet_reference(stage_blocks, rng=Rng(seed),
-                                          input_hw=cfg["data.resolution"])
-        spec = cfg.model_spec(cfg["data.classes"], cfg["data.resolution"])
+            return build_resnet(spec, rng=Rng(seed))
         return build_hypersearch(spec, rng=Rng(seed),
                                  init="hs_init" if arch == "hs" else "all_ones")
 
@@ -401,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
                                        "one conv per block is inference-equivalent")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--check-inputs", type=int, default=100)
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("quantize", help="INT8 post-training quantization report")

@@ -44,8 +44,6 @@ _count = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _size = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _finite = _checked(float, math.isfinite, "a finite number")
 _tolerance = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
-#: comma-separated positive integers, kept as their text
-_sizes = _checked(str, lambda t: all(_size(v) for v in t.split(",")), "positive integers")
 
 
 def _stages_ok(text: str) -> bool:
@@ -97,7 +95,6 @@ SCHEMA = {
     "analyze.what": (_choice("kernel-stats", "variance-ratio",
                              parse=lambda t: t.replace("_", "-")), "kernel-stats"),
     "analyze.arch": (_choice("resnet", "hs", "hs-ones"), "resnet"),
-    "analyze.stage_blocks": (_sizes, "2,16"),
     "analyze.seeds": (_size, "10"),
     "analyze.batch": (_size, "64"),
 }

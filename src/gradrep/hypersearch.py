@@ -2,18 +2,21 @@
 the converged scale vectors, and persist them for the multiplier optimizer.
 
 A block's scales are its branch list: one (k, scales) pair per k x k branch,
-in the block's branch order. The scales file (format 2) is JSON holding one
+in the block's branch order. The scales file (format 3) is JSON holding one
 record per block::
 
-    {"block_id": "s1b1", "c_out": 8, "has_identity": true, "depth_l": 1,
+    {"block_id": "s1b1",
      "branches": [{"k": 3, "scales_hex": [...]}, {"k": 1, "scales_hex": [...]}]}
 
 with every float stored in C hex-float form (``float.hex()``), so export/import
-round-trips are bit-exact. Only the branch scales are exported; the trained
-identity-branch gamma is dropped on purpose because the target side fixes the
-identity scale convention at 1 (the bare +1 in both the multiplier and the
-equivalent-kernel formulas). A malformed file raises ``DataFormatError`` and a
-file of another format version ``FormatVersionError``.
+round-trips are bit-exact. A record omits the block's layout: its width is
+the length of its (equal-length) scale vectors, its identity and depth are the
+run's :class:`ModelSpec`'s, and the builders check it against that spec. Only
+the branch scales are exported; the trained identity-branch gamma is dropped
+on purpose because the target side fixes the identity scale convention at 1
+(the bare +1 in both the multiplier and the equivalent-kernel formulas). A
+malformed file raises ``DataFormatError`` and a file of another format
+version ``FormatVersionError``.
 """
 
 from __future__ import annotations
@@ -25,13 +28,13 @@ import numpy as np
 
 from .data import DatasetHandle
 from .errors import ConfigError, DataFormatError, FormatVersionError
-from .models import Model, ModelSpec, build_hypersearch, hs_init_value
+from .models import Model, ModelSpec, block_infos, build_hypersearch, hs_init_value
 from .optim import MultiplierSgd, OptimizerConfig, branch_list
 from .rng import Rng
 from .reports import write_csv, write_json
 from .train import TrainResult, train_model
 
-SCALES_FORMAT_VERSION = 2
+SCALES_FORMAT_VERSION = 3
 
 DEGRADE_MODES = ("all_ones", "hs_init", "channel_mean")
 
@@ -39,12 +42,10 @@ DEGRADE_MODES = ("all_ones", "hs_init", "channel_mean")
 @dataclass
 class ScaleRecord:
     """One block's scales: ``branches`` holds a (k, scales) pair per k x k
-    branch, in the block's branch order, each scale vector of length c_out."""
+    branch, in the block's branch order, every scale vector as long as the
+    block is wide."""
 
     block_id: str
-    c_out: int
-    has_identity: bool
-    depth_l: int
     branches: tuple
 
     @property
@@ -60,8 +61,7 @@ class ScaleRecord:
 
 def _record_key(r: ScaleRecord) -> tuple:
     """Everything a record holds, with its scales as raw bytes (bit-exact)."""
-    return (r.block_id, r.c_out, r.has_identity, r.depth_l,
-            tuple((k, np.asarray(s).tobytes()) for k, s in r.branches))
+    return r.block_id, tuple((k, np.asarray(s).tobytes()) for k, s in r.branches)
 
 
 @dataclass
@@ -82,9 +82,6 @@ def export_scales(scales: ScalesFile, path: str) -> None:
         "records": [
             {
                 "block_id": r.block_id,
-                "c_out": r.c_out,
-                "has_identity": r.has_identity,
-                "depth_l": r.depth_l,
                 "branches": [{"k": int(k), "scales_hex": [float(v).hex() for v in s]}
                              for k, s in r.branches],
             }
@@ -112,29 +109,27 @@ def _branch(doc, block_id: str) -> tuple:
     :func:`branch_list` checks the record's branch list."""
     doc = _object(doc, f"block {block_id}: branch")
     k, values = _positive_int(doc["k"], f"block {block_id}: k"), doc["scales_hex"]
-    if not isinstance(values, list):
-        raise ValueError(f"block {block_id}: scales_hex must be a list, got {values!r}")
+    if not isinstance(values, list) or not values:
+        raise ValueError(f"block {block_id}: want a non-empty scales_hex list, got {values!r}")
     return k, [float.fromhex(v) for v in values]
 
 
 def _record(doc) -> ScaleRecord:
     doc = _object(doc, "record")
-    block_id, has_identity = doc["block_id"], doc["has_identity"]
-    if not isinstance(block_id, str) or type(has_identity) is not bool:
-        raise ValueError(f"record needs a string block_id and a boolean has_identity, "
-                         f"got {block_id!r}, {has_identity!r}")
-    c_out = _positive_int(doc["c_out"], f"block {block_id}: c_out")
-    depth_l = _positive_int(doc["depth_l"], f"block {block_id}: depth_l")
-    # a ShapeError or ConfigError is a ValueError: import_scales reports it
-    branches = branch_list([_branch(b, block_id) for b in doc["branches"]], c_out, block_id)
+    block_id = doc["block_id"]
+    if not isinstance(block_id, str):
+        raise ValueError(f"record needs a string block_id, got {block_id!r}")
+    raw = [_branch(b, block_id) for b in doc["branches"]]
+    # every branch as long as the first; a ShapeError or ConfigError is a ValueError
+    branches = branch_list(raw, len(raw[0][1]) if raw else 0, block_id)
     sizes = [k for k, _ in branches]
     if len(set(sizes)) != len(sizes):
         raise ValueError(f"block {block_id}: duplicate branch sizes {sizes}")
-    return ScaleRecord(block_id, c_out, has_identity, depth_l, branches)
+    return ScaleRecord(block_id, branches)
 
 
 def import_scales(path: str) -> ScalesFile:
-    """Read a format-2 scales file; any malformed content raises
+    """Read a format-3 scales file; any malformed content raises
     :class:`DataFormatError`, another format version :class:`FormatVersionError`."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -165,27 +160,28 @@ def import_scales(path: str) -> ScalesFile:
 
 def scales_from_model(model: Model, provenance: dict | None = None) -> ScalesFile:
     """Harvest the current branch scales from a trainable-scales model."""
-    records = [ScaleRecord(b.info.block_id, b.info.c_out, b.info.has_identity,
-                           b.info.depth_l, tuple((k, s.copy()) for k, s in b.branches))
+    records = [ScaleRecord(b.info.block_id, tuple((k, s.copy()) for k, s in b.branches))
                for b in model.blocks]
     return ScalesFile(records, dict(provenance or {}))
 
 
-def degrade_scales(scales: ScalesFile, mode: str) -> ScalesFile:
-    """Ablation transforms of every branch: all_ones, hs_init (sqrt(2/l)),
-    channel_mean."""
+def degrade_scales(scales: ScalesFile, mode: str, spec: ModelSpec) -> ScalesFile:
+    """Ablation transforms of every branch: all_ones, hs_init (sqrt(2/l), l the
+    block's depth in ``spec``), channel_mean. Records of blocks that ``spec``
+    does not have are dropped."""
     mode = mode.replace("-", "_")
     if mode not in DEGRADE_MODES:
         raise ConfigError(f"unknown degrade mode {mode!r}; want one of {DEGRADE_MODES}")
+    depth = {i.block_id: i.depth_l for i in block_infos(spec)}
 
     def fill(s, depth_l) -> float:
         if mode == "all_ones":
             return 1.0
         return hs_init_value(depth_l) if mode == "hs_init" else float(s.mean())
 
-    records = [replace(r, branches=tuple((k, np.full(len(s), fill(s, r.depth_l)))
+    records = [replace(r, branches=tuple((k, np.full(len(s), fill(s, depth[r.block_id])))
                                          for k, s in r.branches))
-               for r in scales.records]
+               for r in scales.records if r.block_id in depth]
     prov = dict(scales.provenance)
     prov["degraded"] = mode
     return ScalesFile(records, prov)

@@ -427,15 +427,9 @@ def build_repvgg(spec: ModelSpec, rng: Rng | None = None) -> Model:
                      lambda info, rng: RepVggStyleBlock(info, rng=rng))
 
 
-def build_resnet_reference(stage_blocks, channels=None, input_hw=32,
-                           rng: Rng | None = None) -> Model:
-    """Residual reference for the identity-variance study: each stage opens
-    with a strided plain block (no identity path) followed by residual blocks.
-    The stem is as wide as the first stage and the head has 10 classes."""
-    if channels is None:
-        channels = [8 * (2 ** i) for i in range(len(stage_blocks))]
-    spec = ModelSpec(channels[0], tuple((n, c) for n, c in zip(stage_blocks, channels)),
-                     10, input_hw)
+def build_resnet(spec: ModelSpec, rng: Rng | None = None) -> Model:
+    """Residual reference for the identity-variance study: a residual block
+    wherever a block keeps its shape, a plain block where it does not."""
     return _assemble("resnet", spec, rng, lambda info, rng: (
         ResidualBlock(info, rng=rng) if info.has_identity else PlainBlock(info, rng=rng)))
 

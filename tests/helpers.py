@@ -54,9 +54,8 @@ def interior_nodes(root):
 
 def init_scales(spec, mode: str = "hs_init") -> ScalesFile:
     """The branch scales of every block of ``spec`` at their hyper-search init."""
-    return ScalesFile([ScaleRecord(i.block_id, i.c_out, i.has_identity, i.depth_l,
-                                   hs_branches(i, mode)) for i in block_infos(spec)],
-                      {"source": f"init:{mode}"})
+    return ScalesFile([ScaleRecord(i.block_id, hs_branches(i, mode))
+                       for i in block_infos(spec)], {"source": f"init:{mode}"})
 
 
 def train_family(family, spec, scales, train_set, cfg, augment, ablation=None):

@@ -68,12 +68,10 @@ class TestConfig:
 
     def test_schema_holds_the_domains(self):
         cfg = load_config(None, ["analyze.what=variance_ratio", "eq.case=ghost",
-                                 "analyze.stage_blocks=3,1", "data.n=0",
-                                 "model.stages=1x4, 2x8", "opt.schedule=constant",
-                                 "opt.warmup_epochs=0"])
+                                 "data.n=0", "model.stages=1x4, 2x8",
+                                 "opt.schedule=constant", "opt.warmup_epochs=0"])
         assert cfg["analyze.what"] == "variance-ratio"
         assert cfg["eq.case"] == "ghost"
-        assert cfg["analyze.stage_blocks"] == "3,1"
         assert cfg["data.n"] == 0
         assert cfg["model.stages"] == "1x4, 2x8"
         assert (cfg["opt.schedule"], cfg["opt.warmup_epochs"]) == ("constant", 0)
@@ -81,8 +79,7 @@ class TestConfig:
     @pytest.mark.parametrize("item", [
         "seed=-1", "data.n=-1", "eq.hw=0", "quant.calib_n=0", "data.source=imagenet",
         "eq.case=Block", "analyze.arch=vgg", "analyze.what=stats",
-        "analyze.stage_blocks=2,0", "analyze.stage_blocks=", "eq.lr=nan",
-        "eq.tolerance=inf", "opt.base_lr=-inf", "seed=1.5", "model.stages=junk",
+        "eq.lr=nan", "eq.tolerance=inf", "opt.base_lr=-inf", "seed=1.5", "model.stages=junk",
         "model.stages=2x0", "model.stages=2x8,", "model.stem_channels=0",
         "opt.total_epochs=0", "opt.batch_size=-5", "data.resolution=0", "data.classes=0",
         "eq.batch=0", "opt.warmup_epochs=-1", "opt.schedule=step", "eq.tolerance=-1",
@@ -183,6 +180,16 @@ class TestVerifyEquivalence:
         assert finite == [True] * (len(rows) - 1) + [False]
         assert summary["steps"] == len(rows)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--set", "eq.tolerance=0"], "equivalence violated"),
+        (["--ablation", "skip-gradmult", "--set", "eq.lr=1e-9", "--set", "eq.steps=12"],
+         "failed to break"),
+    ], ids=["tolerance", "ablation-holds"])
+    def test_gates_fail_the_run(self, tmp_path, capsys, argv, message):
+        # the tolerance gate of a lockstep run, and an ablation too weak to break it
+        assert run_cli("verify-equivalence", *argv, "--out", str(tmp_path / "x")) == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_case_rejected(self, tmp_path):
         assert run_cli("verify-equivalence", "--set", "eq.case=weird",
                        "--out", str(tmp_path / "x")) == 2
@@ -202,7 +209,8 @@ class TestHyperSearchCli:
         for name in ("scales.json", "trajectory.csv", "metrics.csv", "summary.json"):
             assert os.path.exists(os.path.join(out, name))
         doc = json.loads(Path(scales_file).read_text())
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3
+        assert [sorted(r) for r in doc["records"]] == [["block_id", "branches"]] * 2
         assert [[b["k"] for b in r["branches"]] for r in doc["records"]] == [[3, 1]] * 2
 
 
@@ -243,10 +251,14 @@ class TestTrainCli:
     def test_malformed_scales_file_exits_1(self, tmp_path, scales_file):
         raw = Path(scales_file).read_bytes()
         doc = json.loads(raw)
+        # the same scales as a format-2 file, whose records restated the layout
+        v2 = [{**r, "c_out": len(r["branches"][0]["scales_hex"]), "has_identity": False,
+               "depth_l": 1} for r in doc["records"]]
         bad = tmp_path / "bad.json"
         for content in (raw[:40] + b"\xff\xfe" + raw[42:],
                         json.dumps({**doc, "records": {}}).encode(),
-                        json.dumps({**doc, "provenance": "x"}).encode()):
+                        json.dumps({**doc, "provenance": "x"}).encode(),
+                        json.dumps({**doc, "format_version": 2, "records": v2}).encode()):
             bad.write_bytes(content)
             assert run_cli("train", *TINY, "--scales", str(bad),
                            "--out", str(tmp_path / "x")) == 1
@@ -274,6 +286,18 @@ class TestTrainCli:
         lines = Path(out, "ablation_matrix.csv").read_text().splitlines()
         assert len(lines) == 7  # header + six rows
         assert lines[0] == "optimizer,source,reinit,gradmult,final_test_acc,final_train_loss"
+
+    @pytest.mark.parametrize("flags", [["--no-reinit"], ["--no-gradmult"],
+                                       ["--scales-mode", "all-ones"]], ids=lambda f: f[0])
+    def test_ablation_matrix_refuses_single_arm_flags(self, tmp_path, capsys, scales_file,
+                                                      flags):
+        # the matrix runs its own six arms, so a single-arm flag would be dropped
+        out = tmp_path / "matrix"
+        assert run_cli("train", *TINY, "--scales", scales_file, "--ablation-matrix",
+                       *flags, "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and flags[0] in err[0]
+        assert not out.exists()
 
     def test_repvgg_arch_trains(self, tmp_path):
         out = str(tmp_path / "rv")
@@ -333,8 +357,7 @@ class TestConvertQuantizeAnalyze:
         ["analyze", "--set", "analyze.seeds=0"],
         ["analyze", "--set", "analyze.seeds=-1"],
         ["analyze", "--set", "analyze.batch=0"],
-        ["analyze", "--set", "analyze.stage_blocks=1"],
-        ["analyze", "--set", "analyze.stage_blocks=1,x"],
+        ["analyze", "--set", "model.stages=1x8"],
         ["verify-equivalence", "--set", "seed=-1"],
         ["gen-data", "--set", "data.seed=-3"],
         ["hyper-search", *TINY, "--set", "opt.epochs=-1"],
@@ -343,21 +366,14 @@ class TestConvertQuantizeAnalyze:
         ["train", "--set", "data.n=-100", "--set", "data.resolution=16",
          "--set", "opt.epochs=1"],
     ], ids=["eq-steps-0", "seeds-0", "seeds-neg", "batch-0", "no-identity-block",
-            "stage-blocks-text", "seed-neg", "data-seed-neg", "epochs-neg", "eq-hw-neg",
-            "eq-channels-neg", "data-n-neg"])
+            "seed-neg", "data-seed-neg", "epochs-neg", "eq-hw-neg", "eq-channels-neg",
+            "data-n-neg"])
     def test_count_keys_exit_2(self, tmp_path, argv):
         vr = ["--set", "analyze.what=variance-ratio", "--set", "analyze.seeds=1",
               "--set", "analyze.batch=4", "--set", "data.resolution=16"]
         if argv[0] == "analyze":
             argv = argv[:1] + vr + argv[1:]
         assert run_cli(*argv, "--out", str(tmp_path / "x")) == 2
-
-    @pytest.mark.parametrize("count", ["0", "-3"])
-    def test_convert_checks_at_least_one_input(self, tmp_path, repvgg_ckpt, count):
-        out = tmp_path / "conv"
-        assert run_cli("convert", "--checkpoint", repvgg_ckpt, "--check-inputs", count,
-                       "--out", str(out)) == 2
-        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["data.n=0", "data.test_n=0"])
     def test_empty_synthetic_split_exits_2(self, tmp_path, key):
@@ -381,7 +397,7 @@ class TestConvertQuantizeAnalyze:
         monkeypatch.setitem(sys.modules, "scipy", None)
         out = str(tmp_path / "vr")
         assert run_cli("analyze", "--set", "analyze.what=variance-ratio",
-                       "--set", "analyze.stage_blocks=1,6", "--set", "analyze.seeds=2",
+                       "--set", "model.stages=1x8,6x16", "--set", "analyze.seeds=2",
                        "--set", "analyze.batch=16", "--set", "data.resolution=16",
                        "--out", out) == 0
         summary = read_json(os.path.join(out, "summary.json"))
@@ -391,6 +407,24 @@ class TestConvertQuantizeAnalyze:
         assert lines[0] == "block_id,mean_ratio" and len(lines) == 6
         for line in lines[1:]:
             float(line.split(",")[1])  # a plain float, not a numpy repr
+
+    @pytest.mark.parametrize("arch", ["resnet", "hs", "hs-ones"])
+    def test_variance_ratio_measures_the_model_stages(self, tmp_path, arch):
+        # every arch reads one layout: 1x8 has no identity block, 3x16 two
+        out = str(tmp_path / "vr")
+        assert run_cli("analyze", "--set", "analyze.what=variance-ratio",
+                       "--set", f"analyze.arch={arch}", "--set", "model.stages=1x8,3x16",
+                       "--set", "analyze.seeds=1", "--set", "analyze.batch=2",
+                       "--set", "data.resolution=16", "--out", out) == 0
+        assert read_json(os.path.join(out, "summary.json"))["blocks_measured"] == 2
+
+    def test_variance_ratio_refuses_a_checkpoint(self, tmp_path, capsys, repvgg_ckpt):
+        # it builds fresh models, so a given checkpoint would never be read
+        out = tmp_path / "vr"
+        assert run_cli("analyze", "--set", "analyze.what=variance-ratio",
+                       "--checkpoint", repvgg_ckpt, "--out", str(out)) == 2
+        assert "--checkpoint" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_variance_ratio_stage_of_one_block_writes_null(self, tmp_path):
         # hs on the default stages: one identity block per stage, no rank to correlate
@@ -418,7 +452,7 @@ class TestConvertQuantizeAnalyze:
             out = str(tmp_path / f"vr{hash_seed}")
             subprocess.run([sys.executable, "-m", "gradrep.cli", "analyze",
                             "--set", "analyze.what=variance-ratio",
-                            "--set", "analyze.stage_blocks=6,6", "--set", "analyze.seeds=1",
+                            "--set", "model.stages=6x8,6x16", "--set", "analyze.seeds=1",
                             "--set", "analyze.batch=2", "--out", out],
                            env=dict(env, PYTHONHASHSEED=hash_seed), check=True)
             summaries.append(Path(out, "summary.json").read_bytes())

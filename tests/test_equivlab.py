@@ -26,7 +26,7 @@ from gradrep.models import (
     build_csla,
     build_hypersearch,
     build_repvgg,
-    build_resnet_reference,
+    build_resnet,
     build_target,
 )
 from gradrep.optim import MultiplierSgd, OptimizerConfig, dirac_kernel, embed_kernel
@@ -382,7 +382,7 @@ class TestBlockConversion:
         spec = ModelSpec(4, ((2, 4),), 10, 16)
         ones = {i.block_id: (np.ones(4), np.ones(4)) for i in block_infos(spec)}
         for model in (build_csla(spec, ones, rng=Rng(0)),
-                      build_resnet_reference([2], channels=[4], rng=Rng(0))):
+                      build_resnet(spec, rng=Rng(0))):
             with pytest.raises(ConfigError):
                 convert_model(model)
 
@@ -401,7 +401,7 @@ class TestVarianceRatio:
         data = Rng(123).gaussian((64, 3, 32, 32))
 
         def factory(seed):
-            return build_resnet_reference([2, 16], channels=[8, 16], rng=Rng(seed))
+            return build_resnet(ModelSpec(8, ((2, 8), (16, 16)), 10, 32), rng=Rng(seed))
 
         ids, per_seed, mean = identity_variance_ratio(factory, data, num_seeds=3)
         stage2 = [i for i, b in enumerate(ids) if b.startswith("s2")]
@@ -414,7 +414,7 @@ class TestVarianceRatio:
         data = Rng(5).gaussian((16, 3, 16, 16))
 
         def factory(seed):
-            model = build_resnet_reference([1, 4], channels=[4, 4], rng=Rng(seed))
+            model = build_resnet(ModelSpec(4, ((1, 4), (4, 4)), 10, 16), rng=Rng(seed))
             for block in model.blocks:
                 if hasattr(block, "conv_b"):
                     block.conv_b.weight.data[:] = 0.0
@@ -437,8 +437,7 @@ class TestVarianceRatio:
         built = []
 
         def factory(seed):
-            built.append(build_resnet_reference([2, 16], channels=[8, 16], input_hw=16,
-                                                rng=Rng(seed)))
+            built.append(build_resnet(ModelSpec(8, ((2, 8), (16, 16)), 10, 16), rng=Rng(seed)))
             return built[-1]
 
         identity_variance_ratio(factory, data, num_seeds=2)

@@ -44,16 +44,16 @@ def tiny_search():
 class TestRunHyperSearch:
     def test_one_record_per_block_all_finite(self, tiny_search):
         scales, _, _ = tiny_search
-        assert [r.block_id for r in scales.records] == \
-            [i.block_id for i in block_infos(SPEC)]
-        for r in scales.records:
+        infos = block_infos(SPEC)
+        assert [r.block_id for r in scales.records] == [i.block_id for i in infos]
+        for r, info in zip(scales.records, infos):
             for _, s in r.branches:
-                assert np.all(np.isfinite(s)) and s.shape == (r.c_out,)
+                assert np.all(np.isfinite(s)) and s.shape == (info.c_out,)
 
     def test_scales_moved_from_init(self, tiny_search):
         scales, _, _ = tiny_search
-        moved = sum(float(np.abs(r.branches[0][1] - hs_init_value(r.depth_l)).max())
-                    for r in scales.records)
+        moved = sum(float(np.abs(r.branches[0][1] - hs_init_value(i.depth_l)).max())
+                    for r, i in zip(scales.records, block_infos(SPEC)))
         assert moved > 0.0
 
     def test_trajectory_one_entry_per_epoch_per_block(self, tiny_search):
@@ -118,10 +118,15 @@ class TestScalesIO:
                         '"depth_l": 1, "s_hex": ["0x1p+0"], "t_hex": ["0x1p+0"]}]}')
         with pytest.raises(FormatVersionError):
             import_scales(str(path))
+        # nor format 2, whose records also held c_out, has_identity and depth_l
+        path.write_text(json.dumps({"format_version": 2, "provenance": {}, "records": [
+            {**self.record(), "c_out": 2, "has_identity": False, "depth_l": 1}]}))
+        with pytest.raises(FormatVersionError, match="format_version 2 unsupported"):
+            import_scales(str(path))
 
     @staticmethod
     def record(**changes):
-        rec = {"block_id": "s1b0", "c_out": 2, "has_identity": False, "depth_l": 1,
+        rec = {"block_id": "s1b0",
                "branches": [{"k": 3, "scales_hex": ["0x1p+0", "0x1.8p+0"]},
                             {"k": 1, "scales_hex": ["0x1p-1", "0x1p+0"]}]}
         rec.update(changes)
@@ -132,9 +137,9 @@ class TestScalesIO:
         {"records": ["s1b0"]},
         {"records": [], "provenance": ["seed"]},
         {"records": [{"block_id": "s1b0"}]},
-        {"records": [record(c_out=True)]},
-        {"records": [record(depth_l=0)]},
-        {"records": [record(has_identity="no")]},
+        {"records": [record(block_id=7)]},
+        {"records": [record(branches=[{"k": 3, "scales_hex": []}])]},
+        {"records": [record(branches={"k": 3, "scales_hex": ["0x1p+0"] * 2})]},
         {"records": [record(branches=[])]},
         {"records": [record(branches=[{"k": 2, "scales_hex": ["0x1p+0"] * 2}])]},
         {"records": [record(branches=[{"k": "3", "scales_hex": ["0x1p+0"] * 2}])]},
@@ -147,13 +152,17 @@ class TestScalesIO:
     ])
     def test_malformed_content_is_a_data_format_error(self, tmp_path, doc):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format_version": 2, **doc}))
+        path.write_text(json.dumps({"format_version": 3, **doc}))
         with pytest.raises(DataFormatError):
             import_scales(str(path))
 
     def test_length_mismatch_detected(self, tmp_path):
+        # a record's width is its first branch's length; the 1x1 branch is shorter
         path = tmp_path / "short.json"
-        path.write_text(json.dumps({"format_version": 2, "records": [self.record(c_out=3)]}))
+        branches = [{"k": 3, "scales_hex": ["0x1p+0"] * 3},
+                    {"k": 1, "scales_hex": ["0x1p+0"] * 2}]
+        path.write_text(json.dumps({"format_version": 3,
+                                    "records": [self.record(branches=branches)]}))
         with pytest.raises(DataFormatError) as err:
             import_scales(str(path))
         assert "c_out=3" in str(err.value)
@@ -240,42 +249,47 @@ def test_init_scales_helper_matches_built_model(mode):
 
 
 class TestDegradeScales:
+    # s1b0 (strided, depth 1), s1b1 (identity, depth 1), s1b2 (identity, depth 2)
+    SPEC = ModelSpec(4, ((3, 4),), 10, 16)
+
     def make(self):
         rng = np.random.default_rng(0)
         return ScalesFile([
-            ScaleRecord(block_id, 4, has_id, depth_l,
-                        ((3, rng.uniform(0.2, 2, 4)), (1, rng.uniform(0.2, 2, 4))))
-            for block_id, has_id, depth_l in (("s1b0", False, 1), ("s1b1", True, 1),
-                                              ("s1b2", True, 2))
+            ScaleRecord(block_id, ((3, rng.uniform(0.2, 2, 4)), (1, rng.uniform(0.2, 2, 4))))
+            for block_id in ("s1b0", "s1b1", "s1b2")
         ])
 
     def test_all_ones(self):
-        out = degrade_scales(self.make(), "all_ones")
+        out = degrade_scales(self.make(), "all_ones", self.SPEC)
         for r in out.records:
             for _, s in r.branches:
                 np.testing.assert_array_equal(s, 1.0)
 
     def test_channel_mean(self):
         src = self.make()
-        out = degrade_scales(src, "channel_mean")
+        out = degrade_scales(src, "channel_mean", self.SPEC)
         for r_in, r_out in zip(src.records, out.records):
             s_in, s_out = r_in.branches[0][1], r_out.branches[0][1]
             np.testing.assert_allclose(s_out, s_in.mean())
             assert np.all(s_out == s_out[0])
 
     def test_hs_init_pattern(self):
-        out = degrade_scales(self.make(), "hs_init")
+        out = degrade_scales(self.make(), "hs_init", self.SPEC)
         np.testing.assert_allclose(out.records[0].branches[0][1], np.sqrt(2.0))
         np.testing.assert_allclose(out.records[1].branches[0][1], np.sqrt(2.0))
         np.testing.assert_allclose(out.records[2].branches[0][1], 1.0)
 
     def test_dash_spelling_accepted(self):
-        out = degrade_scales(self.make(), "all-ones")
+        out = degrade_scales(self.make(), "all-ones", self.SPEC)
         np.testing.assert_array_equal(out.records[0].branches[0][1], 1.0)
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
-            degrade_scales(self.make(), "searched")
+            degrade_scales(self.make(), "searched", self.SPEC)
+
+    def test_records_outside_the_spec_dropped(self):
+        out = degrade_scales(self.make(), "hs_init", ModelSpec(4, ((2, 4),), 10, 16))
+        assert [r.block_id for r in out.records] == ["s1b0", "s1b1"]
 
     def test_s_t_shims_read_the_first_two_branches(self):
         for r in self.make().records:
@@ -283,7 +297,7 @@ class TestDegradeScales:
 
 
 class TestMixedBranchScales:
-    """A hand-built format-2 file whose blocks mix ((3, s),) and
+    """A hand-built format-3 file whose blocks mix ((3, s),) and
     ((3, s), (1, t)), with and without the identity."""
 
     SPEC = PRESETS["desk4"]
@@ -293,9 +307,8 @@ class TestMixedBranchScales:
         records = []
         for i in block_infos(self.SPEC):  # s1b0, s1b1 (identity), s2b0, s2b1 (identity)
             sizes = (3,) if i.index in (1, 2) else (3, 1)
-            records.append(ScaleRecord(i.block_id, i.c_out, i.has_identity, i.depth_l,
-                                       tuple((k, 0.4 + draws.uniform(i.c_out))
-                                             for k in sizes)))
+            records.append(ScaleRecord(i.block_id, tuple((k, 0.4 + draws.uniform(i.c_out))
+                                                         for k in sizes)))
         return ScalesFile(records, {"source": "hand-built"})
 
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -304,19 +317,21 @@ class TestMixedBranchScales:
         export_scales(scales, str(path))
         assert import_scales(str(path)) == scales
         doc = json.loads(path.read_text())
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3
         assert [[b["k"] for b in r["branches"]] for r in doc["records"]] == \
             [[3, 1], [3], [3], [3, 1]]
 
     def test_degrade_per_branch(self):
         scales = self.make()
+        infos = block_infos(self.SPEC)
         for mode in ("all_ones", "hs_init", "channel_mean"):
-            for r_in, r_out in zip(scales.records, degrade_scales(scales, mode).records):
+            out = degrade_scales(scales, mode, self.SPEC).records
+            for r_in, r_out, info in zip(scales.records, out, infos, strict=True):
                 assert [k for k, _ in r_out.branches] == [k for k, _ in r_in.branches]
                 for (_, s_in), (_, s_out) in zip(r_in.branches, r_out.branches):
-                    want = {"all_ones": 1.0, "hs_init": hs_init_value(r_in.depth_l),
+                    want = {"all_ones": 1.0, "hs_init": hs_init_value(info.depth_l),
                             "channel_mean": float(s_in.mean())}[mode]
-                    np.testing.assert_array_equal(s_out, np.full(r_in.c_out, want))
+                    np.testing.assert_array_equal(s_out, np.full(info.c_out, want))
 
     def test_repopt_and_csla_stay_counterparts(self):
         scales = self.make()

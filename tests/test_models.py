@@ -27,7 +27,7 @@ from gradrep.models import (
     build_hypersearch,
     build_multipliers,
     build_repvgg,
-    build_resnet_reference,
+    build_resnet,
     build_target,
     build_target_equivalent_init,
     count_built_params,
@@ -60,7 +60,7 @@ BUILDERS = {
     "csla": lambda rng: build_csla(SMALL, ones_scales(SMALL), rng=rng),
     "hs": lambda rng: build_hypersearch(SMALL, rng=rng),
     "repvgg": lambda rng: build_repvgg(SMALL, rng=rng),
-    "resnet": lambda rng: build_resnet_reference([1, 2], channels=[4, 8], rng=rng),
+    "resnet": lambda rng: build_resnet(ModelSpec(4, ((1, 4), (2, 8)), 10, 32), rng=rng),
 }
 
 
@@ -203,7 +203,7 @@ class TestBuilders:
 
     def test_equivalent_init_rejects_branches_wider_than_the_plain_kernel(self):
         scales = init_scales(SMALL)
-        scales.records[0].branches = ((5, np.ones(scales.records[0].c_out)),)
+        scales.records[0].branches = ((5, np.ones(block_infos(SMALL)[0].c_out)),)
         with pytest.raises(ShapeError) as err:
             build_target_equivalent_init(SMALL, scales, rng=Rng(0))
         assert "s1b0" in str(err.value)
@@ -309,7 +309,7 @@ class TestBuilders:
         np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_resnet_reference_structure(self):
-        model = build_resnet_reference([4, 6, 16], rng=Rng(0))
+        model = build_resnet(ModelSpec(8, ((4, 8), (6, 16), (16, 32)), 10, 32), rng=Rng(0))
         residual = [b for b in model.blocks if isinstance(b, ResidualBlock)]
         assert len(model.blocks) == 26 and len(residual) == 23
 

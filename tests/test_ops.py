@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gradrep import ops
-from gradrep.autodiff import Parameter, Tensor, grad_enabled, no_grad, set_checked
+from gradrep.autodiff import Parameter, Tensor, grad_enabled, no_grad
 from gradrep.data import gen_synthetic
 from gradrep.errors import ShapeError, UsageError
 from gradrep.models import BlockInfo, CslaBlock, ModelSpec, build_hypersearch, hs_branches
@@ -563,23 +563,6 @@ class TestPrimitives:
     def test_relu(self):
         out = ops.relu(Tensor(np.array([[-1.0, 2.0]])))
         np.testing.assert_array_equal(out.data, [[0.0, 2.0]])
-
-
-class TestCheckedMode:
-    def test_rejects_nan(self):
-        set_checked(True)
-        try:
-            with pytest.raises(ValueError):
-                Tensor(np.array([1.0, np.nan]))
-        finally:
-            set_checked(False)
-
-    def test_accepts_finite(self):
-        set_checked(True)
-        try:
-            Tensor(np.array([1.0, 2.0]))
-        finally:
-            set_checked(False)
 
 
 class TestNoGrad:
