@@ -18,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from . import ops
+from . import ops, parallel
 from .autodiff import Parameter, Tensor, no_grad
 from .errors import ConfigError
 from .layers import BatchNorm2d
@@ -130,7 +130,12 @@ def verify_csla_gr(block: CslaBlockSpec, steps, cfg: OptimizerConfig, seed, *,
     on one seeded input/target stream (seed + 1) and record both divergences
     before every update. ``ablation`` skips the equivalent initialization or
     the gradient multiplier, which must break the equivalence. The run stops at
-    its first non-finite divergence; numpy's floating-point warnings stay silent."""
+    its first non-finite divergence; numpy's floating-point warnings stay silent.
+
+    Each iteration draws its input, then its target, from the stream; the
+    target's shape is the block's output shape. :func:`gradrep.parallel.prefetch`
+    draws the next pair while this thread runs the current iteration, so the
+    reports are the same for any worker count."""
     if ablation not in ABLATIONS:
         raise ConfigError(f"unknown ablation {ablation!r}; want one of {ABLATIONS}")
     pair = _Pair(block, seed, ablation, post_bn=post_bn)
@@ -141,13 +146,19 @@ def verify_csla_gr(block: CslaBlockSpec, steps, cfg: OptimizerConfig, seed, *,
                                weight_decay=cfg.weight_decay,
                                multipliers=pair.multipliers,
                                managed=tuple(pair.multipliers))
+    k = pair.w_prime.data.shape[-1]
+    out_shape = (batch, block.c_out) + ops.conv_output_hw(hw, hw, k, k, block.stride, k // 2)
+
+    def draw(_):
+        x = stream.gaussian((batch, block.c_in, hw, hw))
+        return x, stream.gaussian(out_shape)
+
     out_div, kern_div = [], []
-    for _ in range(steps):
-        x = Tensor(stream.gaussian((batch, block.c_in, hw, hw)))
+    for x, target in parallel.prefetch(draw, range(steps)):
+        x = Tensor(x)
         kern_div.append(float(np.abs(pair.combined_kernel() - pair.w_prime.data).max()))
         # each side runs forward and backward in turn: one tape alive at a time
         y1 = pair.forward_branched(x)
-        target = stream.gaussian(y1.data.shape)
         _mse_backward(y1, target, pair.branched_params)
         y2 = pair.forward_single(x)
         _mse_backward(y2, target, pair.single_params)

@@ -1,12 +1,19 @@
-"""Forward-only batch loops and synthetic data on every usable CPU.
+"""Forward-only batch loops, synthetic data and training input on every
+usable CPU.
 
 :func:`parallel_map` runs the lab's evaluation and calibration batches, and
 the chunks of a synthetic pool (:func:`gradrep.data.gen_synthetic`), on one
 thread per usable CPU; numpy releases the interpreter lock inside its
-kernels, so the threads compute at once. Training steps stay on the calling
-thread. Each item's result depends on that item alone and the results come
-back in item order, so whatever a caller reduces from them is the same for
-any worker count.
+kernels, so the threads compute at once. Each item's result depends on that
+item alone and the results come back in item order, so whatever a caller
+reduces from them is the same for any worker count.
+
+:func:`prefetch` builds training input one item ahead: the next batch of
+:func:`gradrep.data.iter_batches`, or the next input and target of the
+lockstep harness, is computed on a pool thread while the caller trains on the
+current one. The jobs run one at a time and in order, so a stream they draw
+from is consumed in the serial order. Forward, backward and the optimizer
+step stay on the calling thread.
 
 :func:`accuracy` is the one accuracy loop: it counts correct answers per
 contiguous batch of :data:`EVAL_BATCH` samples and sums the counts. The batch
@@ -39,8 +46,11 @@ def usable_cpus() -> int:
 WORKERS = usable_cpus()
 
 _pools: dict[int, concurrent.futures.ThreadPoolExecutor] = {}
-#: per thread: ``busy`` is true while the thread runs a parallel_map item
+#: per thread: ``busy`` is true while the thread runs a parallel_map item or
+#: a prefetch job
 _state = threading.local()
+#: what prefetch's item source returns once it is exhausted
+_END = object()
 
 
 def _pool(threads: int) -> concurrent.futures.ThreadPoolExecutor:
@@ -59,6 +69,12 @@ def _run_item(fn, item):
         _state.busy = busy
 
 
+def inline() -> bool:
+    """Whether :func:`parallel_map` and :func:`prefetch` run as plain loops
+    on the calling thread: with one worker, and inside an item of either."""
+    return WORKERS <= 1 or getattr(_state, "busy", False)
+
+
 def parallel_map(fn, items) -> list:
     """``[fn(item) for item in items]``, computed in groups of
     :data:`WORKERS` items: the calling thread runs the first item of each
@@ -69,7 +85,7 @@ def parallel_map(fn, items) -> list:
     any item reaches the caller once the whole group has finished."""
     items = list(items)
     workers = WORKERS
-    if workers <= 1 or len(items) <= 1 or getattr(_state, "busy", False):
+    if inline() or len(items) <= 1:
         return [fn(item) for item in items]
     pool = _pool(workers - 1)
     results = []
@@ -82,6 +98,39 @@ def parallel_map(fn, items) -> list:
             concurrent.futures.wait(futures)
         results.extend(f.result() for f in futures)
     return results
+
+
+def prefetch(fn, items):
+    """An iterator over ``fn(item)`` for each item, in order, that computes
+    the next result on a pool thread while the caller works on the current
+    one. At most one job is in flight, and the next item is taken from
+    ``items`` only after the previous job has finished, so the jobs run one
+    after another exactly as a plain loop would run them. An exception from
+    a job is raised from the ``next()`` that asks for its result. Closing the
+    iterator early waits for the job in flight, whose result is dropped: a
+    caller that stops early may find a stream the jobs draw from one item
+    further on than the items it took. :data:`WORKERS` is read at this call;
+    with one worker, and inside an item of :func:`parallel_map` or of
+    another prefetch, the iterator is a plain loop and starts no thread."""
+    if inline():
+        return map(fn, items)
+    return _one_ahead(_pool(WORKERS - 1), fn, iter(items))
+
+
+def _one_ahead(pool, fn, items):
+    def submit():
+        item = next(items, _END)
+        return None if item is _END else pool.submit(_run_item, fn, item)
+
+    job = submit()
+    try:
+        while job is not None:
+            result = job.result()
+            job = submit()
+            yield result
+    finally:
+        if job is not None:
+            concurrent.futures.wait([job])
 
 
 def accuracy(logits_fn, handle) -> float:

@@ -9,7 +9,10 @@ samples), and the learning rate follows the warmup+cosine schedule over
 Evaluation runs forward only, on every usable CPU (see :mod:`gradrep.parallel`),
 in batches of :data:`~gradrep.parallel.EVAL_BATCH` = 128 samples: each worker
 holds one batch in flight, so two workers hold as much as one batch of 256.
-The steps themselves stay on the calling thread.
+While a step runs, a pool thread builds the next batch
+(:func:`~gradrep.data.iter_batches`); the steps themselves, forward, backward
+and the optimizer update, stay on the calling thread, so a run is the same
+for any worker count.
 """
 
 from __future__ import annotations

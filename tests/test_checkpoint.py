@@ -305,10 +305,15 @@ class TestRoundTrip:
 
 
 class TestResume:
-    # the two kinds gradrep train writes
-    @pytest.mark.parametrize("builder", [build_target, build_repvgg],
-                             ids=["target", "repvgg"])
-    def test_resume_reproduces_uninterrupted_run(self, tmp_path, builder):
+    # the two kinds gradrep train writes, each with and without augmentation,
+    # whose draws move the stream the checkpoint saves
+    @pytest.mark.parametrize("builder,augment", [
+        pytest.param(build_target, False, id="target"),
+        pytest.param(build_repvgg, False, id="repvgg"),
+        pytest.param(build_target, True, id="target-augment"),
+        pytest.param(build_repvgg, True, id="repvgg-augment"),
+    ])
+    def test_resume_reproduces_uninterrupted_run(self, tmp_path, builder, augment):
         pool = gen_synthetic(320, 16, 10, seed=7)
         train, test = pool.subset(256), pool.subset(64, offset=256)
 
@@ -321,11 +326,12 @@ class TestResume:
 
         # uninterrupted 4 epochs
         model_a, opt_a, rng_a = fresh()
-        train_model(model_a, opt_a, train, test, CFG, rng_a, epochs=4)
+        train_model(model_a, opt_a, train, test, CFG, rng_a, epochs=4, augment=augment)
 
         # 2 epochs, checkpoint, reload, 2 more
         model_b, opt_b, rng_b = fresh()
-        train_model(model_b, opt_b, train, test, CFG, rng_b, epochs=2)
+        train_model(model_b, opt_b, train, test, CFG, rng_b, epochs=2,
+                    augment=augment)
         path = tmp_path / "mid.ckpt"
         save_checkpoint(str(path), snapshot_model(model_b, opt_b, rng_b, epoch=2,
                                                   step=2 * (256 // 32)))
@@ -337,7 +343,7 @@ class TestResume:
         rng_c = Rng(0)
         rng_c.set_state(ckpt.rng_state)
         train_model(model_c, opt_c, train, test, CFG, rng_c, epochs=2,
-                    start_epoch=ckpt.epoch)
+                    start_epoch=ckpt.epoch, augment=augment)
 
         params_a = {n: p.data for n, p in model_a.named_parameters()}
         params_c = {n: p.data for n, p in model_c.named_parameters()}

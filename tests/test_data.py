@@ -20,8 +20,11 @@ from gradrep.data import (
     load_cifar_file,
     write_cifar10,
 )
-from gradrep.errors import ConfigError, DataFormatError
+from gradrep.errors import ConfigError, DataFormatError, UsageError
+from gradrep.models import ModelSpec, build_target
+from gradrep.optim import MultiplierSgd, OptimizerConfig
 from gradrep.rng import Rng
+from gradrep.train import train_model
 
 
 def make_cifar10_bytes(records):
@@ -299,6 +302,41 @@ class TestBatching:
         b = augment_images(x, Rng(7))
         assert a.shape == x.shape
         assert a.tobytes() == b.tobytes()
+
+    def test_each_augmented_sample_is_a_hand_crop_of_the_padded_input(self):
+        ds = gen_synthetic(12, 8, 2, seed=2)
+        x = ds.normalized()
+        n, c, h, w = x.shape
+        rng = Rng(7)
+        # the draws again, from a clone of the stream, in their fixed order
+        clone = rng.ahead(0)
+        flips = clone.uniform(n) < 0.5
+        dy, dx = clone.integers_below(9, n), clone.integers_below(9, n)
+        out = augment_images(x, rng)
+        assert rng.get_state() == clone.get_state()
+        assert flips.any() and not flips.all() and len(set(dy)) > 2 and len(set(dx)) > 2
+        want = np.zeros_like(x)
+        for i in range(n):
+            for row in range(h):
+                for col in range(w):
+                    # output pixel (row, col) reads the 4-padded input at
+                    # (row + dy, src + dx), mirrored along the width if flipped
+                    src = w - 1 - col if flips[i] else col
+                    r, q = row + dy[i] - 4, src + dx[i] - 4
+                    if 0 <= r < h and 0 <= q < w:
+                        want[i, :, row, col] = x[i, :, r, q]
+        assert out.tobytes() == want.tobytes()
+        assert augment_images(x, (flips, dy, dx)).tobytes() == want.tobytes()
+
+    def test_augment_without_a_stream_is_a_usage_error(self):
+        ds = gen_synthetic(8, 8, 2, seed=1)
+        with pytest.raises(UsageError, match="no rng"):
+            iter_batches(ds, 4, augment=True)
+        model = build_target(ModelSpec(4, ((1, 4),), 2, 8), rng=Rng(0))
+        opt = MultiplierSgd(dict(model.named_parameters()))
+        cfg = OptimizerConfig(batch_size=4, warmup_epochs=0, total_epochs=1)
+        with pytest.raises(UsageError, match="no rng"):
+            train_model(model, opt, ds, None, cfg, None, augment=True)
 
     def test_subset_bounds(self):
         ds = gen_synthetic(10, 8, 2, seed=1)
