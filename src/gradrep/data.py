@@ -48,6 +48,9 @@ _AUGMENT_PAD = 4
 #: samples iter_batches normalizes and augments at a time: the float64
 #: temporaries of one fill stay under 1.5 MB at 32x32, whatever the batch size
 _FILL_CHUNK = 16
+#: the least mmap threshold iter_batches leaves glibc with; the heap keeps up
+#: to twice it free at its top
+_HEAP_FLOOR = 8 << 20
 
 CIFAR10_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR10_TEST_FILES = ["test_batch.bin"]
@@ -267,14 +270,13 @@ def augment_draws(rng: Rng, n: int) -> tuple:
 
 
 def augment_images(x: np.ndarray, draws) -> np.ndarray:
-    """Horizontal flip plus pad-4 random crop on normalized images. ``draws``
-    is either the stream to take them from (see :func:`augment_draws`) or the
-    (flips, dy, dx) arrays already taken, one entry per image: image i is
-    the crop of the zero-padded image at (dy[i], dx[i]), mirrored where
-    flips[i] is set."""
+    """Horizontal flip plus pad-4 random crop on normalized images, by the
+    (flips, dy, dx) arrays of :func:`augment_draws`, one entry per image:
+    image i is the crop of the zero-padded image at (dy[i], dx[i]), mirrored
+    where flips[i] is set."""
     n, c, h, w = x.shape
     pad = _AUGMENT_PAD
-    flips, dy, dx = augment_draws(draws, n) if isinstance(draws, Rng) else draws
+    flips, dy, dx = draws
     padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     padded[:, :, pad:pad + h, pad:pad + w] = x
     out = np.empty_like(x)
@@ -294,14 +296,19 @@ def iter_batches(handle: DatasetHandle, batch_size: int, rng: Rng | None = None,
     The calling thread draws each batch's indices and augmentation and
     allocates its array; :func:`gradrep.parallel.prefetch` fills the next
     batch, :data:`_FILL_CHUNK` samples at a time, while the caller trains on
-    the current one. Where prefetch runs inline, a batch is built whole, as
-    a plain loop builds it. The batches are the same for any worker count.
-    After a full pass the stream is where the serial loop leaves it; a
-    caller that stops early may find it one batch's draws further on."""
+    the current one. The batches are the same for any worker count. After a
+    full pass the stream is where the serial loop leaves it; a caller that
+    stops early may find it one batch's draws further on."""
     if augment and rng is None:
         raise UsageError("augmentation draws from the data stream, but no rng was given")
     n = len(handle)
-    inline = parallel.inline()
+    # glibc sets its mmap and trim thresholds from the largest mmapped block
+    # freed so far (mallopt(3), M_MMAP_THRESHOLD). Left at the batch array,
+    # the largest block a chunked fill frees, they let glibc trim the heap
+    # top after each step for the next step to fault in again: about 45,000
+    # faults per desk4 hyper-search epoch at batch 128. Freeing one block of
+    # _HEAP_FLOOR bytes raises them above a step's swing.
+    np.empty(_HEAP_FLOOR // 8)
 
     def batches():
         order = rng.permutation(n) if rng is not None else np.arange(n)
@@ -310,18 +317,11 @@ def iter_batches(handle: DatasetHandle, batch_size: int, rng: Rng | None = None,
             if drop_last and len(idx) < batch_size:
                 return
             draws = augment_draws(rng, len(idx)) if augment else None
-            out = None if inline else np.empty((len(idx),) + handle.images.shape[1:])
-            yield idx, draws, out
+            yield idx, draws, np.empty((len(idx),) + handle.images.shape[1:])
 
     def fill(batch):
         # through the public names, so that wrappers of them see every chunk
         idx, draws, out = batch
-        if out is None:
-            # chunks bound what a fill holds beside a running step; with
-            # no step beside it, the chunked fill ran desk4 hyper-search
-            # 3-14% slower on one CPU, its heap top trimmed every step
-            x = handle.normalized(idx)
-            return (augment_images(x, draws) if augment else x), handle.labels[idx]
         for start in range(0, len(idx), _FILL_CHUNK):
             chunk = slice(start, start + _FILL_CHUNK)
             x = handle.normalized(idx[chunk])

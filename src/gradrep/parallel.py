@@ -69,7 +69,7 @@ def _run_item(fn, item):
         _state.busy = busy
 
 
-def inline() -> bool:
+def _inline() -> bool:
     """Whether :func:`parallel_map` and :func:`prefetch` run as plain loops
     on the calling thread: with one worker, and inside an item of either."""
     return WORKERS <= 1 or getattr(_state, "busy", False)
@@ -85,7 +85,7 @@ def parallel_map(fn, items) -> list:
     any item reaches the caller once the whole group has finished."""
     items = list(items)
     workers = WORKERS
-    if inline() or len(items) <= 1:
+    if _inline() or len(items) <= 1:
         return [fn(item) for item in items]
     pool = _pool(workers - 1)
     results = []
@@ -112,7 +112,7 @@ def prefetch(fn, items):
     further on than the items it took. :data:`WORKERS` is read at this call;
     with one worker, and inside an item of :func:`parallel_map` or of
     another prefetch, the iterator is a plain loop and starts no thread."""
-    if inline():
+    if _inline():
         return map(fn, items)
     return _one_ahead(_pool(WORKERS - 1), fn, iter(items))
 

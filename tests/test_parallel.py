@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -12,7 +13,7 @@ import pytest
 
 from gradrep import data, ops, parallel
 from gradrep.autodiff import grad_enabled, no_grad
-from gradrep.data import augment_images, gen_synthetic, iter_batches
+from gradrep.data import augment_draws, augment_images, gen_synthetic, iter_batches
 from gradrep.equivlab import convert_model, verify_csla_gr
 from gradrep.models import CslaBlockSpec, ModelSpec, build_repvgg, build_target
 from gradrep.optim import OptimizerConfig
@@ -226,7 +227,7 @@ def serial_batches(handle, batch_size, rng, augment, drop_last):
             return
         x = handle.normalized(idx)
         if augment:
-            x = augment_images(x, rng)
+            x = augment_images(x, augment_draws(rng, len(idx)))
         yield x, handle.labels[idx]
 
 
@@ -463,3 +464,40 @@ class TestInputPipeline:
         verify_csla_gr(cli_block(), 5, LOCKSTEP_SGD, seed=1, hw=8)
         assert ran_on == {threading.get_ident()}
         assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap thresholds")
+class TestHeapFloor:
+    # a step's pattern in small, after a pass of iter_batches: one 3 MB
+    # block freed first, then rounds that allocate 10 MB in 1 MB arrays and
+    # free them. Left to glibc's thresholds the heap top is trimmed after
+    # each round and faulted in again.
+    CHILD = textwrap.dedent("""
+        import resource, sys
+        import numpy as np
+        from gradrep.data import gen_synthetic, iter_batches
+        if sys.argv[1] == "batches":
+            list(iter_batches(gen_synthetic(8, 8, 2, seed=0), 4))
+        block = np.ones(3 << 17)
+        del block
+        faults = []
+        for _ in range(5):
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            arrays = [np.ones(1 << 17) for _ in range(10)]
+            del arrays
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+        print(sum(faults[1:]))
+    """)
+
+    def faults(self, arg):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+            os.path.abspath(parallel.__file__))))
+        proc = subprocess.run([sys.executable, "-c", self.CHILD, arg], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    def test_iter_batches_keeps_the_heap_a_step_frees(self):
+        # a round touches 2560 pages; the control shows that rounds trim
+        assert self.faults("none") > 4 * 1000
+        assert self.faults("batches") < 4 * 100
