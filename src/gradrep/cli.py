@@ -4,8 +4,9 @@ Subcommands: gen-data, hyper-search, train, verify-equivalence, convert,
 quantize, analyze. Every job reads a flat key=value config file (--config)
 with --set key=value overrides on top, the run seed included as ``seed``;
 the schema in :mod:`gradrep.config` has checked each value before a command
-reads it. A job runs one module and writes CSV/JSON reports under --out,
-train also its checkpoint. convert checks a trained checkpoint's fold into the
+reads it. A job runs one module and writes CSV/JSON reports under --out.
+train runs one arm per call (the rule flags pick it) and also writes its
+checkpoint. convert checks a trained checkpoint's fold into the
 deploy form; quantize and analyze measure that fold. Reruns with an identical
 config produce byte-identical outputs.
 """
@@ -55,6 +56,10 @@ def _load_datasets(cfg: RunConfig):
     # cifar10 or cifar100, where a size of 0 keeps the whole split
     if not cfg["data.path"]:
         raise ConfigError(f"data.source={source} requires data.path")
+    if not os.path.isdir(cfg["data.path"]):
+        # a single file would serve as both splits
+        raise ConfigError(f"data.path={cfg['data.path']!r} is not a directory; "
+                          "it must hold the train and test files")
     train = load_cifar(cfg["data.path"], source, split="train")
     test = load_cifar(cfg["data.path"], source, split="test")
     if cfg["data.n"] and cfg["data.n"] < len(train):
@@ -62,13 +67,6 @@ def _load_datasets(cfg: RunConfig):
     if cfg["data.test_n"] and cfg["data.test_n"] < len(test):
         test = test.subset(cfg["data.test_n"])
     return train, test
-
-
-def _scales_for_mode(scales, mode: str, spec):
-    mode = mode.replace("-", "_")
-    if mode == "searched":
-        return scales
-    return degrade_scales(scales, mode, spec)
 
 
 def _metrics_rows(result):
@@ -120,41 +118,10 @@ def cmd_hyper_search(args, cfg: RunConfig) -> int:
     return 0
 
 
-#: (scales source, reinit rule, gradmult rule) per row of --ablation-matrix
-ABLATION_MATRIX = (
-    ("searched", True, True),
-    ("searched", False, True),
-    ("searched", True, False),
-    ("all-ones", True, True),
-    ("hs-init", True, True),
-    ("channel-mean", True, True),
-)
-
-
-def _train_arm(cfg, spec, arch, scales, reinit, gradmult, train, test):
-    """Build and train one arm: the three-branch baseline (arch "repvgg") or
-    the plain model, with the multiplier rules turned on by ``scales``.
-    Returns the model, its optimizer, the data stream and the result."""
-    model_rng, data_rng = Rng.spawn(cfg["seed"], 2)
-    if arch == "repvgg":
-        model = build_repvgg(spec, rng=model_rng)
-    elif scales is not None and reinit:
-        model = build_target_equivalent_init(spec, scales, rng=model_rng)
-    else:
-        model = build_target(spec, rng=model_rng)
-    mults = build_multipliers(model, scales) if scales is not None and gradmult else {}
-    ocfg = cfg.optimizer_config()
-    opt = MultiplierSgd(dict(model.named_parameters()), momentum=ocfg.momentum,
-                        weight_decay=ocfg.weight_decay, multipliers=mults,
-                        managed=tuple(model.gr_managed_params()) if mults else ())
-    result = train_model(model, opt, train, test, ocfg, data_rng,
-                         epochs=cfg.epochs_to_run(), augment=cfg["data.augment"])
-    return model, opt, data_rng, result
-
-
 def cmd_train(args, cfg: RunConfig) -> int:
-    rule_flags = {"--ablation-matrix": args.ablation_matrix, "--no-reinit": args.no_reinit,
-                  "--no-gradmult": args.no_gradmult,
+    """Train one arm: the three-branch baseline (--arch repvgg) or the plain
+    model, with the multiplier rules turned on by --scales."""
+    rule_flags = {"--no-reinit": args.no_reinit, "--no-gradmult": args.no_gradmult,
                   "--scales-mode": args.scales_mode != "searched"}
     given = [flag for flag, on in rule_flags.items() if on]
     if given and not args.scales:
@@ -163,34 +130,27 @@ def cmd_train(args, cfg: RunConfig) -> int:
     if args.arch == "repvgg" and args.scales:
         raise UsageError("--arch repvgg trains the three-branch baseline with a "
                          "plain optimizer; scales/multipliers do not apply")
-    if args.ablation_matrix and len(given) > 1:
-        raise UsageError(f"--ablation-matrix runs its own six arms; drop "
-                         f"{', '.join(given[1:])}")
     train, test = _load_datasets(cfg)
     spec = cfg.model_spec(train.num_classes, train.resolution)
-    base_scales = import_scales(args.scales) if args.scales else None
+    scales = import_scales(args.scales) if args.scales else None
+    if args.scales_mode != "searched":  # refused above without --scales
+        scales = degrade_scales(scales, args.scales_mode, spec)
 
-    if args.ablation_matrix:
-        rows = []
-        for source, reinit, gradmult in ABLATION_MATRIX:
-            result = _train_arm(cfg, spec, args.arch,
-                                _scales_for_mode(base_scales, source, spec),
-                                reinit, gradmult, train, test)[-1]
-            rows.append(("repopt", source, int(reinit), int(gradmult),
-                         result.final_test_acc, result.train_loss[-1]))
-        write_csv(os.path.join(args.out, "ablation_matrix.csv"),
-                  ["optimizer", "source", "reinit", "gradmult", "final_test_acc",
-                   "final_train_loss"], rows)
-        write_json(os.path.join(args.out, "summary.json"),
-                   {"rows": len(rows), "config": cfg.as_dict()})
-        return 0
-
-    scales = None
-    if base_scales is not None:
-        scales = _scales_for_mode(base_scales, args.scales_mode, spec)
-    model, opt, data_rng, result = _train_arm(
-        cfg, spec, args.arch, scales, not args.no_reinit, not args.no_gradmult,
-        train, test)
+    model_rng, data_rng = Rng.spawn(cfg["seed"], 2)
+    if args.arch == "repvgg":
+        model = build_repvgg(spec, rng=model_rng)
+    elif scales is not None and not args.no_reinit:
+        model = build_target_equivalent_init(spec, scales, rng=model_rng)
+    else:
+        model = build_target(spec, rng=model_rng)
+    mults = (build_multipliers(model, scales)
+             if scales is not None and not args.no_gradmult else {})
+    ocfg = cfg.optimizer_config()
+    opt = MultiplierSgd(dict(model.named_parameters()), momentum=ocfg.momentum,
+                        weight_decay=ocfg.weight_decay, multipliers=mults,
+                        managed=tuple(model.gr_managed_params()) if mults else ())
+    result = train_model(model, opt, train, test, ocfg, data_rng,
+                         epochs=cfg.epochs_to_run(), augment=cfg["data.augment"])
     write_csv(os.path.join(args.out, "metrics.csv"),
               ["epoch", "train_loss", "test_acc"], _metrics_rows(result))
     write_json(os.path.join(args.out, "summary.json"), {
@@ -218,9 +178,9 @@ def cmd_verify_equivalence(args, cfg: RunConfig) -> int:
     seed = cfg["seed"]
     c = cfg["eq.channels"]
     ablation = args.ablation.replace("-", "_") if args.ablation else None
-    if case == "scalar":  # two 3x3 branches with scalar scales
-        block = CslaBlockSpec(c, c, 1, ((3, np.full(c, cfg["eq.alpha_a"])),
-                                        (3, np.full(c, cfg["eq.alpha_b"]))), False)
+    if case == "scalar":  # two 3x3 branches with scalar scales 0.9 and 0.35
+        block = CslaBlockSpec(c, c, 1, ((3, np.full(c, 0.9)), (3, np.full(c, 0.35))),
+                              False)
     elif case == "block":
         draws = Rng(seed).uniform(2 * c)
         block = CslaBlockSpec(c, c, 1, ((3, 0.4 + draws[:c]), (1, 0.4 + draws[c:])), True)
@@ -327,7 +287,9 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
         raise UsageError("analyze.what=variance-ratio builds fresh models; "
                          "it takes no --checkpoint")
     spec = cfg.model_spec(cfg["data.classes"], cfg["data.resolution"])
-    data = Rng(cfg["seed"]).gaussian((cfg["analyze.batch"], 3, spec.input_hw, spec.input_hw))
+    # a child stream: Rng(seed) itself builds the first model
+    data = Rng.spawn(cfg["seed"], 1)[0].gaussian(
+        (cfg["analyze.batch"], 3, spec.input_hw, spec.input_hw))
     arch = cfg["analyze.arch"]
 
     def factory(seed):
@@ -383,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_hyper_search)
 
-    p = sub.add_parser("train", help="train the plain target model (or the "
-                                     "three-branch baseline)")
+    p = sub.add_parser("train", help="train one arm: the plain target model, "
+                                     "with the multiplier rules under --scales, "
+                                     "or the three-branch baseline")
     _add_common(p)
     p.add_argument("--arch", choices=["target", "repvgg"], default="target")
     p.add_argument("--scales", help="scales JSON from hyper-search (enables the "
@@ -395,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the equivalent-kernel initialization rule")
     p.add_argument("--no-gradmult", action="store_true",
                    help="skip the gradient-multiplier rule")
-    p.add_argument("--ablation-matrix", action="store_true",
-                   help="run the six-row rule/source ablation grid")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("verify-equivalence", help="lockstep counterpart verification")

@@ -2,9 +2,11 @@
 
 A run is fully determined by its config, the ``seed`` key included. Every
 value enters as text through its key's parser in :data:`SCHEMA`: the default,
-then each ``key = value`` line of a file ('#' comments allowed), then each
-``--set key=value``. A parser holds its key's whole domain and raises on an
-unknown key or a value outside it; list keys keep their checked text.
+then each ``key = value`` line of a file, then each ``--set key=value``. Only
+a whole line can be a comment ('#' first); a '#' after a value is part of it,
+so ``opt.momentum = 0.95 # x`` is refused. A parser holds its key's whole
+domain and raises on an unknown key or a value outside it; list keys keep
+their checked text.
 """
 
 from __future__ import annotations
@@ -88,8 +90,6 @@ SCHEMA = {
     "eq.lr": (_finite, "0.01"),
     "eq.momentum": (_finite, "0.9"),
     "eq.weight_decay": (_finite, "4e-5"),
-    "eq.alpha_a": (_finite, "0.9"),
-    "eq.alpha_b": (_finite, "0.35"),
     "eq.tolerance": (_tolerance, "1e-8"),
     "quant.calib_n": (_size, "256"),
     "analyze.what": (_choice("kernel-stats", "variance-ratio",
@@ -168,8 +168,13 @@ def parse_config_text(text: str, path: str = "<config>") -> RunConfig:
 def load_config(path: str | None, overrides=()) -> RunConfig:
     """The config file (or the defaults), then each ``--set`` override."""
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = parse_config_text(fh.read(), path)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+        cfg = parse_config_text(text, path)
     else:
         cfg = RunConfig()
     for item in overrides:

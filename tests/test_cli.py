@@ -1,15 +1,18 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gradrep
+from gradrep import cli, config
 from gradrep.cli import _load_datasets, main
-from gradrep.config import load_config, parse_config_text
+from gradrep.config import SCHEMA, load_config, parse_config_text
 from gradrep.data import gen_synthetic
 from gradrep.errors import ConfigError
 from gradrep.reports import read_json
@@ -83,10 +86,26 @@ class TestConfig:
         "model.stages=2x0", "model.stages=2x8,", "model.stem_channels=0",
         "opt.total_epochs=0", "opt.batch_size=-5", "data.resolution=0", "data.classes=0",
         "eq.batch=0", "opt.warmup_epochs=-1", "opt.schedule=step", "eq.tolerance=-1",
+        "opt.momentum=0.95 # x",
     ])
     def test_value_outside_domain_rejected(self, item):
         with pytest.raises(ConfigError, match="--set: bad value"):
             load_config(None, [item])
+
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        # a UTF-16 byte-order mark is no UTF-8 text
+        path = tmp_path / "utf16.cfg"
+        path.write_bytes(b"\xff\xfe" + "seed = 1\n".encode("utf-16-le"))
+        assert run_cli("train", "--config", str(path), "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: not UTF-8")
+
+    def test_every_schema_key_is_read(self):
+        # a key no command reads would be accepted and then ignored
+        text = "".join(Path(m.__file__).read_text() for m in (cli, config))
+        read = set(re.findall(r"""(?:cfg|self)\[["']([\w.]+)["']\]""", text))
+        assert sorted(set(SCHEMA) - read) == []
+        assert sorted(read - set(SCHEMA)) == []
 
 
 class TestGenData:
@@ -118,6 +137,19 @@ class TestGenData:
             None, ["data.source=cifar100", f"data.path={c100}", *whole]))
         assert (train.num_classes, train.labels.tolist(), test.labels.tolist()) == \
             (100, [43] * 3, [42] * 2)
+
+    def test_data_path_naming_a_file_exits_2(self, tmp_path, capsys):
+        # one file would be read as both the train and the test split
+        out = str(tmp_path / "gen")
+        assert run_cli("gen-data", "--set", "data.n=8", "--set", "data.test_n=4",
+                       "--set", "data.classes=4", "--out", out) == 0
+        train_bin = os.path.join(out, "train.bin")
+        assert run_cli("train", "--set", "data.source=cifar10",
+                       "--set", f"data.path={train_bin}", "--set", "opt.epochs=1",
+                       "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: data.path=")
+        assert not (tmp_path / "x").exists()
 
     def test_wrong_resolution_rejected(self, tmp_path):
         code = run_cli("gen-data", "--set", "data.resolution=16",
@@ -157,10 +189,7 @@ class TestVerifyEquivalence:
         assert run_cli("verify-equivalence", "--ablation", "skip-gradmult",
                        "--set", "eq.steps=11", "--set", "eq.lr=0.1", "--out", out) == 0
 
-    @pytest.mark.parametrize("keys", [
-        ["eq.case=scalar", "eq.alpha_a=1e308", "eq.steps=2"],
-        ["eq.lr=1e6", "eq.steps=100"],
-    ], ids=["scale-overflow", "lr-blowup"])
+    @pytest.mark.parametrize("keys", [["eq.lr=1e6", "eq.steps=100"]], ids=["lr-blowup"])
     def test_non_finite_divergence_fails(self, tmp_path, keys):
         # NaN compares False with the tolerance; it must fail the run, and the
         # summary stays strict JSON (a non-finite maximum is null). The run
@@ -218,8 +247,7 @@ class TestTrainCli:
     def test_repopt_without_scales_is_usage_error(self, tmp_path):
         # the multiplier-rule flags are on only with --scales; without it
         # each one is refused instead of being dropped
-        for flags in (["--no-reinit"], ["--no-gradmult"], ["--ablation-matrix"],
-                      ["--scales-mode", "all-ones"]):
+        for flags in (["--no-reinit"], ["--no-gradmult"], ["--scales-mode", "all-ones"]):
             assert run_cli("train", *flags, "--out", str(tmp_path / "x")) == 2, flags
 
     def test_dump_mults_flag_is_gone(self, tmp_path, capsys):
@@ -228,6 +256,13 @@ class TestTrainCli:
             run_cli("train", "--dump-mults", "--out", str(tmp_path / "x"))
         assert exc.value.code == 2
         assert "unrecognized arguments: --dump-mults" in capsys.readouterr().err
+
+    def test_ablation_matrix_flag_is_gone(self, tmp_path, capsys):
+        # each ablation row is its own train run (test_ablation_rows_as_single_arms)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train", "--ablation-matrix", "--out", str(tmp_path / "x"))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --ablation-matrix" in capsys.readouterr().err
 
     def test_sgd_run_writes_reports(self, tmp_path):
         out = str(tmp_path / "sgd")
@@ -278,26 +313,23 @@ class TestTrainCli:
         assert summary["rule_of_initialization"] is True
         assert summary["rule_of_iteration"] is False
 
-    def test_ablation_matrix_six_rows(self, tmp_path, scales_file):
-        out = str(tmp_path / "matrix")
-        assert run_cli("train", *TINY, "--set", "opt.epochs=1",
-                       "--scales", scales_file, "--ablation-matrix",
-                       "--out", out) == 0
-        lines = Path(out, "ablation_matrix.csv").read_text().splitlines()
-        assert len(lines) == 7  # header + six rows
-        assert lines[0] == "optimizer,source,reinit,gradmult,final_test_acc,final_train_loss"
-
-    @pytest.mark.parametrize("flags", [["--no-reinit"], ["--no-gradmult"],
-                                       ["--scales-mode", "all-ones"]], ids=lambda f: f[0])
-    def test_ablation_matrix_refuses_single_arm_flags(self, tmp_path, capsys, scales_file,
-                                                      flags):
-        # the matrix runs its own six arms, so a single-arm flag would be dropped
-        out = tmp_path / "matrix"
-        assert run_cli("train", *TINY, "--scales", scales_file, "--ablation-matrix",
-                       *flags, "--out", str(out)) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and flags[0] in err[0]
-        assert not out.exists()
+    def test_ablation_rows_as_single_arms(self, tmp_path, scales_file):
+        # the paper's ablation: the two rules one at a time, then three scale
+        # sources with both rules; each row is one train run
+        rows = [([], "searched", True, True),
+                (["--no-reinit"], "searched", False, True),
+                (["--no-gradmult"], "searched", True, False),
+                (["--scales-mode", "all-ones"], "all-ones", True, True),
+                (["--scales-mode", "hs-init"], "hs-init", True, True),
+                (["--scales-mode", "channel-mean"], "channel-mean", True, True)]
+        for i, (flags, mode, reinit, gradmult) in enumerate(rows):
+            out = str(tmp_path / str(i))
+            assert run_cli("train", *TINY, "--set", "opt.epochs=1",
+                           "--scales", scales_file, *flags, "--out", out) == 0
+            summary = read_json(os.path.join(out, "summary.json"))
+            assert (summary["optimizer"], summary["scales_mode"],
+                    summary["rule_of_initialization"], summary["rule_of_iteration"]) == \
+                ("repopt", mode, reinit, gradmult), flags
 
     def test_repvgg_arch_trains(self, tmp_path):
         out = str(tmp_path / "rv")
@@ -417,6 +449,25 @@ class TestConvertQuantizeAnalyze:
                        "--set", "analyze.seeds=1", "--set", "analyze.batch=2",
                        "--set", "data.resolution=16", "--out", out) == 0
         assert read_json(os.path.join(out, "summary.json"))["blocks_measured"] == 2
+
+    def test_variance_ratio_input_is_not_a_model_stream(self, tmp_path, monkeypatch):
+        # model k is built from Rng(seed + k); the input batch must not repeat
+        # model 0's draws (its stem kernel, up to the MSRA std)
+        seen = {}
+
+        def spy(factory, data, num_seeds, base_seed=0):
+            seen["data"], seen["model"] = data, factory(base_seed)
+            return measure(factory, data, num_seeds, base_seed)
+
+        measure = cli.identity_variance_ratio
+        monkeypatch.setattr(cli, "identity_variance_ratio", spy)
+        assert run_cli("analyze", "--set", "analyze.what=variance-ratio",
+                       "--set", "model.stages=1x8,2x16", "--set", "analyze.seeds=1",
+                       "--set", "analyze.batch=2", "--set", "data.resolution=16",
+                       "--out", str(tmp_path / "vr")) == 0
+        kernel = seen["model"].stem_conv.weight.data.ravel()
+        data = seen["data"].ravel()[:kernel.size]
+        assert abs(np.corrcoef(kernel, data)[0, 1]) < 0.5
 
     def test_variance_ratio_refuses_a_checkpoint(self, tmp_path, capsys, repvgg_ckpt):
         # it builds fresh models, so a given checkpoint would never be read
