@@ -15,7 +15,8 @@ Restoring builds the zero skeleton (no random draws) of one of the two kinds
 rule (:func:`_fill`): the stored param/buffer arrays must match the
 skeleton's slots (:meth:`Module.state_slots`) one to one, name and shape, or
 the restore raises one ``DataFormatError`` naming every missing, unknown and
-wrongly shaped array. A checkpoint holds training
+wrongly shaped array, and every array with a non-finite value or a negative
+running variance, which ``train`` never writes. A checkpoint holds training
 state only: the deploy form and the gradient multipliers are derived from it,
 never stored.
 """
@@ -181,7 +182,9 @@ def snapshot_model(model: Model, optimizer=None, data_rng=None, epoch=0,
 def _fill(slots: dict, ckpt: Checkpoint) -> None:
     """Write a float64 copy of every stored param/buffer array into its slot,
     (section, name) -> (holder, attribute), or raise one DataFormatError that
-    names every array missing, unknown or wrongly shaped (None: absent)."""
+    names every array missing, unknown or wrongly shaped (None: absent), and
+    every array holding what ``train`` never writes: a non-finite value or a
+    negative running variance."""
     stored = {(s, n): a for s, n, a in _array_sections(ckpt) if s != "opt"}
     misfits = []
     for key in sorted(stored.keys() | slots.keys()):
@@ -189,6 +192,10 @@ def _fill(slots: dict, ckpt: Checkpoint) -> None:
         want = getattr(*slots[key]).shape if key in slots else None
         if have != want:
             misfits.append(f"{' '.join(key)}: stored {have}, model {want}")
+        elif not np.isfinite(stored[key]).all():
+            misfits.append(f"{' '.join(key)}: non-finite values")
+        elif key[1].endswith("running_var") and (stored[key] < 0).any():
+            misfits.append(f"{' '.join(key)}: negative running variance")
     if misfits:
         raise DataFormatError(f"stored arrays do not fit this {ckpt.model_kind} model: "
                               f"{misfits}")

@@ -44,8 +44,9 @@ def _choice(*names: str, parse=str):
 
 _count = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _size = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_finite = _checked(float, math.isfinite, "a finite number")
-_tolerance = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_positive = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_unit = _checked(float, lambda v: 0 <= v < 1, "a number in [0, 1)")
 
 
 def _stages_ok(text: str) -> bool:
@@ -65,13 +66,13 @@ SCHEMA = {
     "seed": (_count, "0"),
     "model.stem_channels": (_size, "8"),
     "model.stages": (_stages, "2x8,2x16,2x32"),
-    "opt.base_lr": (_finite, "0.05"),
-    "opt.momentum": (_finite, "0.9"),
-    "opt.weight_decay": (_finite, "4e-5"),
+    "opt.base_lr": (_positive, "0.05"),
+    "opt.momentum": (_unit, "0.9"),
+    "opt.weight_decay": (_nonnegative, "4e-5"),
     "opt.warmup_epochs": (_count, "1"),
     "opt.total_epochs": (_size, "10"),
     "opt.schedule": (_choice("cosine", "constant"), "cosine"),
-    "opt.label_smoothing": (_finite, "0.1"),
+    "opt.label_smoothing": (_unit, "0.1"),
     "opt.batch_size": (_size, "64"),
     "opt.epochs": (_count, "0"),  # 0 = run all total_epochs
     "data.source": (_choice("synthetic", "cifar10", "cifar100"), "synthetic"),
@@ -87,10 +88,10 @@ SCHEMA = {
     "eq.channels": (_size, "8"),
     "eq.hw": (_size, "16"),
     "eq.batch": (_size, "4"),
-    "eq.lr": (_finite, "0.01"),
-    "eq.momentum": (_finite, "0.9"),
-    "eq.weight_decay": (_finite, "4e-5"),
-    "eq.tolerance": (_tolerance, "1e-8"),
+    "eq.lr": (_positive, "0.01"),
+    "eq.momentum": (_unit, "0.9"),
+    "eq.weight_decay": (_nonnegative, "4e-5"),
+    "eq.tolerance": (_nonnegative, "1e-8"),
     "quant.calib_n": (_size, "256"),
     "analyze.what": (_choice("kernel-stats", "variance-ratio",
                              parse=lambda t: t.replace("_", "-")), "kernel-stats"),
@@ -171,7 +172,7 @@ def load_config(path: str | None, overrides=()) -> RunConfig:
         with open(path, "rb") as fh:
             raw = fh.read()
         try:
-            text = raw.decode("utf-8")
+            text = raw.decode("utf-8-sig")  # a leading byte-order mark is no key text
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
         cfg = parse_config_text(text, path)

@@ -13,9 +13,10 @@ All builders share one stem / blocks / head skeleton (:func:`_assemble`): a
 stride-2 3x3 stem conv with BN+ReLU, stages whose first block has stride 2,
 and a global-average-pool + FC head. A builder's one source of randomness is
 its ``rng``: it draws every kernel from that stream in a fixed order (stem,
-blocks in sequence, head), which is what lets the branched model and its
-single-operator counterpart be initialized as exact counterparts. Without an
-``rng`` a builder draws nothing and every kernel is zero: the skeleton that
+blocks in sequence, head). :func:`build_target_equivalent_init` draws none
+itself but folds a :func:`build_csla` model, so from equal streams the two are
+exact counterparts by construction. Without an ``rng`` a builder draws nothing
+and every kernel is zero: the skeleton that
 :func:`gradrep.checkpoint.restore_model` fills from stored arrays.
 
 The hyper-search block trains as one 3x3 conv with its branches folded into
@@ -35,7 +36,7 @@ from .autodiff import Tensor, no_grad
 from .errors import ConfigError, ShapeError
 from .layers import BatchNorm2d, ChannelScale, Conv2d, Linear, Module
 from .optim import branch_list, equivalent_kernel, grad_mult
-from .rng import Rng, msra_init
+from .rng import Rng
 
 
 @dataclass(frozen=True)
@@ -230,6 +231,12 @@ class CslaBlock(Module):
         """The (k, current scale values) pair of every branch, in branch order."""
         return tuple((k, getattr(self, f"scale{k}").values) for k in self.sizes)
 
+    def equivalent_kernel(self) -> np.ndarray:
+        """The fold of the block's current branch kernels, scales and identity scale."""
+        return equivalent_kernel(self.branches,
+                                 [getattr(self, f"conv{k}").weight.data for k in self.sizes],
+                                 self.gamma.values if self.info.has_identity else None)
+
     def forward(self, x, training):
         kernels = [getattr(self, f"conv{k}").weight for k in self.sizes]
         gamma = self.gamma.scale if self.info.has_identity else None
@@ -340,22 +347,25 @@ def _assemble(kind, spec: ModelSpec, rng: Rng | None, make_block) -> Model:
     return Model(kind, spec, stem_conv, stem_bn, blocks, fc)
 
 
-def _scales_lookup(scales) -> dict:
-    """block_id -> branch list, from a ScalesFile-like object (records with
-    ``.branches``) or from the mapping shorthand block_id -> one scale vector
-    per :data:`BLOCK_RECIPE` branch."""
-    if scales is None:
-        return {}
+def _block_branches(spec: ModelSpec, scales) -> dict:
+    """block_id -> branch list of every block of ``spec``, from a ScalesFile-like
+    object (records with ``.branches``) or from the mapping shorthand block_id ->
+    one scale vector per :data:`BLOCK_RECIPE` branch. Every list is checked by
+    :func:`branch_list` and to fold into a 3x3 kernel before anything is drawn."""
     if hasattr(scales, "records"):
-        return {r.block_id: r.branches for r in scales.records}
-    return {b: tuple(zip(BLOCK_RECIPE, v, strict=True)) for b, v in scales.items()}
-
-
-def _block_branches(info, lookup) -> tuple:
-    """The branch list of one block from ``lookup``, checked by :func:`branch_list`."""
-    if info.block_id not in lookup:
-        raise ConfigError(f"scales file has no record for block {info.block_id!r}")
-    return branch_list(lookup[info.block_id], info.c_out, info.block_id)
+        lookup = {r.block_id: r.branches for r in scales.records}
+    else:
+        lookup = {b: tuple(zip(BLOCK_RECIPE, v, strict=True)) for b, v in scales.items()}
+    checked = {}
+    for info in block_infos(spec):
+        if info.block_id not in lookup:
+            raise ConfigError(f"scales file has no record for block {info.block_id!r}")
+        branches = branch_list(lookup[info.block_id], info.c_out, info.block_id)
+        if max(k for k, _ in branches) > 3:
+            raise ShapeError(f"block {info.block_id}: branches of sizes "
+                             f"{[k for k, _ in branches]} do not fold into a 3x3 kernel")
+        checked[info.block_id] = branches
+    return checked
 
 
 def build_target(spec: ModelSpec, rng: Rng | None = None) -> Model:
@@ -365,36 +375,24 @@ def build_target(spec: ModelSpec, rng: Rng | None = None) -> Model:
 
 
 def build_target_equivalent_init(spec: ModelSpec, scales, rng: Rng) -> Model:
-    """Plain stack whose kernels are the equivalent single-operator form of a
-    freshly initialized branched counterpart with the given constant scales.
-
-    Draws the same random stream as :func:`build_csla` (stem, then per block
-    one kernel per branch in branch order, then the head), so from equal
-    streams the two models are exact training counterparts.
-    """
-    lookup = _scales_lookup(scales)
-
-    def block(info, rng):
-        branches = _block_branches(info, lookup)
-        kernels = [msra_init((info.c_out, info.c_in, k, k), rng=rng) for k, _ in branches]
-        gamma = np.ones(info.c_out) if info.has_identity else None
-        plain = PlainBlock(info)
-        w = equivalent_kernel(branches, kernels, gamma)
-        if w.shape != plain.conv.weight.data.shape:
-            raise ShapeError(f"block {info.block_id}: branches of sizes "
-                             f"{[k for k, _ in branches]} do not fold into a 3x3 kernel")
-        plain.conv.weight.data = w
-        return plain
-
-    return _assemble("target", spec, rng, block)
+    """Plain stack started at a freshly initialized :func:`build_csla`
+    counterpart with the given constant scales: its stem, stem BN and head,
+    and each block's :meth:`CslaBlock.equivalent_kernel`. From equal streams
+    the two models are exact training counterparts."""
+    csla = build_csla(spec, scales, rng=rng)
+    model = build_target(spec)
+    model.stem_conv, model.stem_bn, model.fc = csla.stem_conv, csla.stem_bn, csla.fc
+    for plain, block in zip(model.blocks, csla.blocks):
+        plain.conv.weight.data = block.equivalent_kernel()
+    return model
 
 
 def build_csla(spec: ModelSpec, scales, rng: Rng | None = None) -> Model:
     """The branched constant-scale counterpart (never trained in production;
     exists so its dynamics can be verified against the multiplier optimizer)."""
-    lookup = _scales_lookup(scales)
+    branches = _block_branches(spec, scales)
     return _assemble("csla", spec, rng, lambda info, rng: CslaBlock(
-        info, _block_branches(info, lookup), False, rng=rng))
+        info, branches[info.block_id], False, rng=rng))
 
 
 def hs_init_value(depth_l: int) -> float:
@@ -479,7 +477,7 @@ def count_built_params(model: Module) -> int:
 def build_multipliers(model: Model, scales) -> dict:
     """Multiplier tensors for every managed block kernel of a plain target
     model, derived on demand from a scales file (or the (s, t) shorthand)."""
-    lookup = _scales_lookup(scales)
-    return {f"blocks.{i}.conv.weight": grad_mult(_block_branches(b.info, lookup),
+    branches = _block_branches(model.spec, scales)
+    return {f"blocks.{i}.conv.weight": grad_mult(branches[b.info.block_id],
                                                  b.info.has_identity, c_in=b.info.c_in)
             for i, b in enumerate(model.blocks)}

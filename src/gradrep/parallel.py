@@ -29,6 +29,8 @@ import threading
 
 import numpy as np
 
+from .errors import UsageError
+
 #: samples per evaluation batch. Every worker holds one batch's activations
 #: in flight, so two workers at 128 hold as much as one worker at 256.
 EVAL_BATCH = 128
@@ -136,12 +138,14 @@ def _one_ahead(pool, fn, items):
 def accuracy(logits_fn, handle) -> float:
     """Share of ``handle``'s samples whose largest logit is at their label;
     ``logits_fn`` maps a batch of normalized images to an (n, classes)
-    array."""
+    array. A batch with a non-finite logit raises :class:`UsageError`."""
     n = len(handle)
 
     def correct(start):
         stop = min(start + EVAL_BATCH, n)
         logits = logits_fn(handle.normalized(slice(start, stop)))
+        if not np.isfinite(logits).all():
+            raise UsageError(f"non-finite logits in samples {start}:{stop}")
         return int((np.argmax(logits, axis=1) == handle.labels[start:stop]).sum())
 
     return sum(parallel_map(correct, range(0, n, EVAL_BATCH))) / n

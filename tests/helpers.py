@@ -15,7 +15,7 @@ from gradrep.models import (
     build_target_equivalent_init,
     hs_branches,
 )
-from gradrep.optim import MultiplierSgd, equivalent_kernel
+from gradrep.optim import MultiplierSgd
 from gradrep.rng import Rng
 from gradrep.train import train_model
 
@@ -85,10 +85,5 @@ def train_family(family, spec, scales, train_set, cfg, augment, ablation=None):
 def kernel_gap(plain, csla) -> float:
     """Max-abs gap between the plain model's block kernels and the equivalent
     kernels of each CSLA block's own branches and identity scale."""
-    gaps = []
-    for pb, cb in zip(plain.blocks, csla.blocks):
-        kernels = [getattr(cb, f"conv{k}").weight.data for k in cb.sizes]
-        gamma = cb.gamma.values if cb.info.has_identity else None
-        w = equivalent_kernel(cb.branches, kernels, gamma)
-        gaps.append(np.abs(w - pb.conv.weight.data).max())
-    return float(max(gaps))
+    return float(max(np.abs(cb.equivalent_kernel() - pb.conv.weight.data).max()
+                     for pb, cb in zip(plain.blocks, csla.blocks)))

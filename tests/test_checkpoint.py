@@ -247,19 +247,24 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("kind", ["target", "repvgg"])
     @pytest.mark.parametrize("edit", ["unknown-param", "unknown-buffer", "param-shape",
-                                      "running-var-1"])
+                                      "running-var-1", "nan-weight", "negative-var"])
     def test_misfit_model_array(self, tmp_path, kind, edit):
-        # one array that does not fit the skeleton: DataFormatError naming it
+        # one array that does not fit the skeleton, or holds a value train
+        # never writes: DataFormatError naming it
         model = {"target": lambda: build_target(SPEC, rng=Rng(3)),
                  "repvgg": lambda: build_repvgg(SPEC, rng=Rng(3))}[kind]()
         ckpt = snapshot_model(model)
         weight = next(n for n in sorted(ckpt.params) if n.endswith("weight"))
         var = next(n for n in sorted(ckpt.buffers) if n.endswith("running_var"))
+        nan_kernel = ckpt.params[weight].copy()
+        nan_kernel.flat[1] = np.nan
         name, section, arr = {
             "unknown-param": ("blocks.0.nope", ckpt.params, np.zeros(4)),
             "unknown-buffer": ("blocks.0.running_nope", ckpt.buffers, np.zeros(4)),
             "param-shape": (weight, ckpt.params, ckpt.params[weight][:1]),
             "running-var-1": (var, ckpt.buffers, np.ones(1)),
+            "nan-weight": (weight, ckpt.params, nan_kernel),
+            "negative-var": (var, ckpt.buffers, -np.ones_like(ckpt.buffers[var])),
         }[edit]
         section[name] = arr
         path = tmp_path / "m.ckpt"

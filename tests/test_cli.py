@@ -11,11 +11,14 @@ import pytest
 
 import gradrep
 from gradrep import cli, config
+from gradrep.checkpoint import save_checkpoint, snapshot_model
 from gradrep.cli import _load_datasets, main
 from gradrep.config import SCHEMA, load_config, parse_config_text
 from gradrep.data import gen_synthetic
 from gradrep.errors import ConfigError
+from gradrep.models import ModelSpec, build_target
 from gradrep.reports import read_json
+from gradrep.rng import Rng
 
 TINY_DATA = ["--set", "data.n=96", "--set", "data.test_n=32",
              "--set", "data.resolution=16", "--set", "data.classes=4"]
@@ -86,7 +89,8 @@ class TestConfig:
         "model.stages=2x0", "model.stages=2x8,", "model.stem_channels=0",
         "opt.total_epochs=0", "opt.batch_size=-5", "data.resolution=0", "data.classes=0",
         "eq.batch=0", "opt.warmup_epochs=-1", "opt.schedule=step", "eq.tolerance=-1",
-        "opt.momentum=0.95 # x",
+        "opt.momentum=0.95 # x", "opt.base_lr=0", "opt.momentum=1", "opt.weight_decay=-1e-5",
+        "opt.label_smoothing=1", "eq.lr=-0.01", "eq.momentum=1.5", "eq.weight_decay=-1",
     ])
     def test_value_outside_domain_rejected(self, item):
         with pytest.raises(ConfigError, match="--set: bad value"):
@@ -99,6 +103,12 @@ class TestConfig:
         assert run_cli("train", "--config", str(path), "--out", str(tmp_path / "x")) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {path}: not UTF-8")
+
+    def test_config_file_with_utf8_byte_order_mark_reads(self, tmp_path):
+        # some editors save UTF-8 with a leading mark; it is not part of the first key
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + b"seed = 1\n")
+        assert load_config(str(path))["seed"] == 1
 
     def test_every_schema_key_is_read(self):
         # a key no command reads would be accepted and then ignored
@@ -298,6 +308,20 @@ class TestTrainCli:
             assert run_cli("train", *TINY, "--scales", str(bad),
                            "--out", str(tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize("flags", [[], ["--no-reinit"]], ids=["reinit", "no-reinit"])
+    def test_branch_too_wide_for_the_kernel_exits_1(self, tmp_path, capsys, scales_file,
+                                                   flags):
+        # refused naming the block before any kernel or multiplier is allocated
+        doc = json.loads(Path(scales_file).read_text())
+        for record in doc["records"]:
+            record["branches"] = [{**record["branches"][0], "k": 1000000001}]
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps(doc))
+        assert run_cli("train", *TINY, "--scales", str(wide), *flags,
+                       "--out", str(tmp_path / "x")) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: block s1b0: branches of sizes [1000000001] do not fold into a 3x3 kernel"]
+
     def test_scales_mode_flag(self, tmp_path, scales_file):
         out = str(tmp_path / "m")
         assert run_cli("train", *TINY, "--scales",
@@ -377,6 +401,24 @@ class TestConvertQuantizeAnalyze:
         lines = Path(out, "kernel_stats.csv").read_text().splitlines()
         assert lines[0] == "layer,std_overall,std_central,std_surrounding"
         assert len(lines) > 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_outputs_fail_convert_and_quantize(self, tmp_path, capsys):
+        # every stored value is finite but the forward overflows to NaN: the
+        # gate must not read the NaN gap as 0, nor quantize score NaN logits
+        ckpt = snapshot_model(build_target(ModelSpec(4, ((1, 4), (2, 8)), 4, 16), rng=Rng(3)))
+        ckpt.params["blocks.0.conv.weight"] *= 1.7e308
+        path = str(tmp_path / "big.ckpt")
+        save_checkpoint(path, ckpt)
+        out = str(tmp_path / "conv")
+        assert run_cli("convert", "--checkpoint", path, "--out", out) == 2
+        assert read_json(os.path.join(out, "conversion_report.json"))[
+            "max_abs_output_diff"] is None
+        assert "max diff nan" in capsys.readouterr().err
+        assert run_cli("quantize", "--checkpoint", path, *TINY_DATA,
+                       "--out", str(tmp_path / "q")) == 2
+        assert "non-finite logits" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["data.classes=5", "data.resolution=32"])
     def test_quantize_rejects_data_that_does_not_fit_the_checkpoint(

@@ -15,6 +15,7 @@ from gradrep import data, ops, parallel
 from gradrep.autodiff import grad_enabled, no_grad
 from gradrep.data import augment_draws, augment_images, gen_synthetic, iter_batches
 from gradrep.equivlab import convert_model, verify_csla_gr
+from gradrep.errors import UsageError
 from gradrep.models import CslaBlockSpec, ModelSpec, build_repvgg, build_target
 from gradrep.optim import OptimizerConfig
 from gradrep.quantize import model_accuracy, ptq_model, quantize_weights_only
@@ -162,6 +163,15 @@ class TestWorkerCountInvariance:
         want = np.mean(np.argmax(fused.forward(handle.normalized()), axis=1)
                        == handle.labels)
         assert model_accuracy(fused, handle) == want
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_logits_raise(self, workers, n, bad):
+        # a NaN row's argmax is its first class, which would count as an answer
+        workers(n)
+        handle = gen_synthetic(N, 8, 3, seed=8)
+        with pytest.raises(UsageError, match="non-finite logits in samples 0:128"):
+            parallel.accuracy(lambda x: np.full((len(x), 3), bad), handle)
 
     def test_calibration_maxima_over_all_batches(self, workers):
         workers(2)
