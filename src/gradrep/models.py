@@ -351,7 +351,8 @@ def _block_branches(spec: ModelSpec, scales) -> dict:
     """block_id -> branch list of every block of ``spec``, from a ScalesFile-like
     object (records with ``.branches``) or from the mapping shorthand block_id ->
     one scale vector per :data:`BLOCK_RECIPE` branch. Every list is checked by
-    :func:`branch_list` and to fold into a 3x3 kernel before anything is drawn."""
+    :func:`branch_list` and to have a 3x3 branch as its largest, the plain
+    kernel's size, before anything is drawn."""
     if hasattr(scales, "records"):
         lookup = {r.block_id: r.branches for r in scales.records}
     else:
@@ -361,7 +362,7 @@ def _block_branches(spec: ModelSpec, scales) -> dict:
         if info.block_id not in lookup:
             raise ConfigError(f"scales file has no record for block {info.block_id!r}")
         branches = branch_list(lookup[info.block_id], info.c_out, info.block_id)
-        if max(k for k, _ in branches) > 3:
+        if max(k for k, _ in branches) != 3:
             raise ShapeError(f"block {info.block_id}: branches of sizes "
                              f"{[k for k, _ in branches]} do not fold into a 3x3 kernel")
         checked[info.block_id] = branches

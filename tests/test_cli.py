@@ -308,19 +308,20 @@ class TestTrainCli:
             assert run_cli("train", *TINY, "--scales", str(bad),
                            "--out", str(tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize("k", [1000000001, 1], ids=["too-wide", "all-1x1"])
     @pytest.mark.parametrize("flags", [[], ["--no-reinit"]], ids=["reinit", "no-reinit"])
-    def test_branch_too_wide_for_the_kernel_exits_1(self, tmp_path, capsys, scales_file,
-                                                   flags):
+    def test_branch_not_filling_the_kernel_exits_1(self, tmp_path, capsys, scales_file,
+                                                   flags, k):
         # refused naming the block before any kernel or multiplier is allocated
         doc = json.loads(Path(scales_file).read_text())
         for record in doc["records"]:
-            record["branches"] = [{**record["branches"][0], "k": 1000000001}]
-        wide = tmp_path / "wide.json"
-        wide.write_text(json.dumps(doc))
-        assert run_cli("train", *TINY, "--scales", str(wide), *flags,
+            record["branches"] = [{**record["branches"][0], "k": k}]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("train", *TINY, "--scales", str(bad), *flags,
                        "--out", str(tmp_path / "x")) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: block s1b0: branches of sizes [1000000001] do not fold into a 3x3 kernel"]
+            f"error: block s1b0: branches of sizes [{k}] do not fold into a 3x3 kernel"]
 
     def test_scales_mode_flag(self, tmp_path, scales_file):
         out = str(tmp_path / "m")

@@ -208,16 +208,19 @@ class TestBuilders:
             build_target_equivalent_init(SMALL, scales, rng=Rng(0))
         assert "s1b0" in str(err.value)
 
+    @pytest.mark.parametrize("k", [1000000001, 1], ids=["too-wide", "all-1x1"])
     @pytest.mark.parametrize("build", SCALED_BUILDERS.values(), ids=SCALED_BUILDERS)
-    def test_branch_too_wide_rejected_before_anything_is_drawn(self, build, monkeypatch):
-        # the last block's branch neither folds into 3x3 nor fits in memory:
+    def test_branch_not_filling_3x3_rejected_before_anything_is_drawn(self, build, k,
+                                                                      monkeypatch):
+        # the last block's one branch is wider than 3x3 (and would not fit in
+        # memory) or narrower (a 1x1 fold in a padded 3x3 conv grows the output):
         # refused naming the block before the stem's kernel is drawn
         scales = init_scales(SMALL)
         last = block_infos(SMALL)[-1]
-        scales.records[-1].branches = ((1000000001, np.ones(last.c_out)),)
+        scales.records[-1].branches = ((k, np.ones(last.c_out)),)
         monkeypatch.setattr(Rng, "gaussian", lambda self, shape: pytest.fail(f"drew {shape}"))
         with pytest.raises(ShapeError, match=rf"block {last.block_id}: branches of sizes "
-                                             r"\[1000000001\] do not fold into a 3x3 kernel"):
+                                             rf"\[{k}\] do not fold into a 3x3 kernel"):
             build(scales)
 
     def test_hs_scale_init_values(self):
