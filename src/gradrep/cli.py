@@ -7,8 +7,9 @@ the schema in :mod:`gradrep.config` has checked each value before a command
 reads it. A job runs one module and writes CSV/JSON reports under --out.
 train runs one arm per call (the rule flags pick it) and also writes its
 checkpoint. convert checks a trained checkpoint's fold into the
-deploy form; quantize and analyze measure that fold. Reruns with an identical
-config produce byte-identical outputs.
+deploy form; quantize measures that fold: its INT8 accuracy drops and its
+kernel position stats. analyze measures identity-variance ratios on fresh
+models. Reruns with an identical config produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -80,6 +81,12 @@ def _metrics_rows(result):
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+
+#: largest output divergence a lockstep run may reach
+LOCKSTEP_TOLERANCE = 1e-8
+#: batches of two Gaussian images on which convert checks the fold
+CHECK_INPUTS = 100
+
 
 def cmd_gen_data(args, cfg: RunConfig) -> int:
     if cfg["data.resolution"] != 32:
@@ -202,18 +209,15 @@ def cmd_verify_equivalence(args, cfg: RunConfig) -> int:
                 f"(max divergence {report.max_output_divergence!r})"
             )
         return 0
-    if report.max_output_divergence > cfg["eq.tolerance"]:
+    if report.max_output_divergence > LOCKSTEP_TOLERANCE:
         raise UsageError(
             f"equivalence violated: max output divergence "
-            f"{report.max_output_divergence!r} > tolerance {cfg['eq.tolerance']!r}"
+            f"{report.max_output_divergence!r} > tolerance {LOCKSTEP_TOLERANCE!r}"
         )
     return 0
 
 
-#: batches of two Gaussian images on which convert checks the fold
-CHECK_INPUTS = 100
-
-
+@np.errstate(all="ignore")  # an overflow fails the gate; numpy's warnings stay silent
 def cmd_convert(args, cfg: RunConfig) -> int:
     """Fold a trained checkpoint into its deploy form and check that both give
     the same logits on :data:`CHECK_INPUTS` batches drawn from the run seed."""
@@ -236,13 +240,10 @@ def cmd_convert(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _deploy_model_from_checkpoint(path: str):
-    model = restore_model(load_checkpoint(path))
-    return convert_model(model), model.kind
-
-
+@np.errstate(all="ignore")  # non-finite stats or logits fail the run; no warnings
 def cmd_quantize(args, cfg: RunConfig) -> int:
-    deploy, from_kind = _deploy_model_from_checkpoint(args.checkpoint)
+    model = restore_model(load_checkpoint(args.checkpoint))
+    deploy = convert_model(model)
     train, test = _load_datasets(cfg)
     if (train.num_classes, train.resolution) != (deploy.spec.num_classes,
                                                   deploy.spec.input_hw):
@@ -256,11 +257,15 @@ def cmd_quantize(args, cfg: RunConfig) -> int:
     fp_acc = quantmod.model_accuracy(deploy, test)
     int8_acc = quantmod.model_accuracy(quantized, test)
     wq_acc = quantmod.model_accuracy(weights_only, test)
+    stats = quantmod.position_stats_report(deploy)
+    for layer, *stds in stats:
+        if not np.isfinite(stds).all():
+            raise UsageError(f"non-finite kernel stats in {layer}: std overall, "
+                             f"central, surrounding {stds!r}")
     write_csv(os.path.join(args.out, "kernel_stats.csv"),
-              ["layer", "std_overall", "std_central", "std_surrounding"],
-              quantmod.position_stats_report(deploy))
+              ["layer", "std_overall", "std_central", "std_surrounding"], stats)
     write_json(os.path.join(args.out, "ptq_report.json"), {
-        "from_kind": from_kind,
+        "from_kind": model.kind,
         "fp_acc": fp_acc,
         "int8_acc": int8_acc,
         "weights_only_acc": wq_acc,
@@ -271,20 +276,7 @@ def cmd_quantize(args, cfg: RunConfig) -> int:
 
 
 def cmd_analyze(args, cfg: RunConfig) -> int:
-    if cfg["analyze.what"] == "kernel-stats":
-        if not args.checkpoint:
-            raise UsageError("analyze.what=kernel-stats requires --checkpoint")
-        deploy, from_kind = _deploy_model_from_checkpoint(args.checkpoint)
-        rows = quantmod.position_stats_report(deploy)
-        write_csv(os.path.join(args.out, "kernel_stats.csv"),
-                  ["layer", "std_overall", "std_central", "std_surrounding"], rows)
-        write_json(os.path.join(args.out, "summary.json"),
-                   {"from_kind": from_kind, "layers": len(rows)})
-        return 0
-    # variance-ratio, the only other choice: every arch on the run's spec
-    if args.checkpoint:
-        raise UsageError("analyze.what=variance-ratio builds fresh models; "
-                         "it takes no --checkpoint")
+    """Identity-variance ratios of fresh analyze.arch models on the run's spec."""
     spec = cfg.model_spec(cfg["data.classes"], cfg["data.resolution"])
     # a child stream: Rng(seed) itself builds the first model
     data = Rng.spawn(cfg["seed"], 1)[0].gaussian(
@@ -376,10 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(fn=cmd_quantize)
 
-    p = sub.add_parser("analyze", help="kernel position stats or identity-variance "
-                                       "ratios")
+    p = sub.add_parser("analyze", help="identity-variance ratios of fresh models "
+                                       "(analyze.arch)")
     _add_common(p)
-    p.add_argument("--checkpoint")
     p.set_defaults(fn=cmd_analyze)
 
     return parser
@@ -396,6 +387,10 @@ def main(argv=None) -> int:
         return 2 if isinstance(exc, (ConfigError, UsageError)) else 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the allocation it could not make
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 1
 
 

@@ -37,9 +37,9 @@ def _checked(parse, ok, want: str):
     return run
 
 
-def _choice(*names: str, parse=str):
-    """One of ``names``, read through ``parse``."""
-    return _checked(parse, names.__contains__, "one of " + "|".join(names))
+def _choice(*names: str):
+    """One of ``names``."""
+    return _checked(str, names.__contains__, "one of " + "|".join(names))
 
 
 _count = _checked(int, lambda v: v >= 0, "an integer >= 0")
@@ -91,10 +91,7 @@ SCHEMA = {
     "eq.lr": (_positive, "0.01"),
     "eq.momentum": (_unit, "0.9"),
     "eq.weight_decay": (_nonnegative, "4e-5"),
-    "eq.tolerance": (_nonnegative, "1e-8"),
     "quant.calib_n": (_size, "256"),
-    "analyze.what": (_choice("kernel-stats", "variance-ratio",
-                             parse=lambda t: t.replace("_", "-")), "kernel-stats"),
     "analyze.arch": (_choice("resnet", "hs", "hs-ones"), "resnet"),
     "analyze.seeds": (_size, "10"),
     "analyze.batch": (_size, "64"),

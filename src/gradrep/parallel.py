@@ -24,6 +24,7 @@ on the machine's CPU count.
 from __future__ import annotations
 
 import concurrent.futures
+import contextvars
 import os
 import threading
 
@@ -71,6 +72,12 @@ def _run_item(fn, item):
         _state.busy = busy
 
 
+def _submit(pool, fn, item):
+    """Run ``fn(item)`` on ``pool`` in a copy of the caller's context, so the
+    caller's ``np.errstate`` holds there too."""
+    return pool.submit(contextvars.copy_context().run, _run_item, fn, item)
+
+
 def _inline() -> bool:
     """Whether :func:`parallel_map` and :func:`prefetch` run as plain loops
     on the calling thread: with one worker, and inside an item of either."""
@@ -93,7 +100,7 @@ def parallel_map(fn, items) -> list:
     results = []
     for start in range(0, len(items), workers):
         group = items[start:start + workers]
-        futures = [pool.submit(_run_item, fn, item) for item in group[1:]]
+        futures = [_submit(pool, fn, item) for item in group[1:]]
         try:
             results.append(_run_item(fn, group[0]))
         finally:
@@ -122,7 +129,7 @@ def prefetch(fn, items):
 def _one_ahead(pool, fn, items):
     def submit():
         item = next(items, _END)
-        return None if item is _END else pool.submit(_run_item, fn, item)
+        return None if item is _END else _submit(pool, fn, item)
 
     job = submit()
     try:

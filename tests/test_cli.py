@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import os
 import re
@@ -11,12 +13,14 @@ import pytest
 
 import gradrep
 from gradrep import cli, config
-from gradrep.checkpoint import save_checkpoint, snapshot_model
+from gradrep.checkpoint import load_checkpoint, restore_model, save_checkpoint, snapshot_model
 from gradrep.cli import _load_datasets, main
 from gradrep.config import SCHEMA, load_config, parse_config_text
 from gradrep.data import gen_synthetic
+from gradrep.equivlab import convert_model
 from gradrep.errors import ConfigError
 from gradrep.models import ModelSpec, build_target
+from gradrep.quantize import position_stats_report
 from gradrep.reports import read_json
 from gradrep.rng import Rng
 
@@ -73,10 +77,8 @@ class TestConfig:
         assert (cfg["seed"], cfg["opt.base_lr"]) == (3, 0.3)
 
     def test_schema_holds_the_domains(self):
-        cfg = load_config(None, ["analyze.what=variance_ratio", "eq.case=ghost",
-                                 "data.n=0", "model.stages=1x4, 2x8",
+        cfg = load_config(None, ["eq.case=ghost", "data.n=0", "model.stages=1x4, 2x8",
                                  "opt.schedule=constant", "opt.warmup_epochs=0"])
-        assert cfg["analyze.what"] == "variance-ratio"
         assert cfg["eq.case"] == "ghost"
         assert cfg["data.n"] == 0
         assert cfg["model.stages"] == "1x4, 2x8"
@@ -84,16 +86,22 @@ class TestConfig:
 
     @pytest.mark.parametrize("item", [
         "seed=-1", "data.n=-1", "eq.hw=0", "quant.calib_n=0", "data.source=imagenet",
-        "eq.case=Block", "analyze.arch=vgg", "analyze.what=stats",
-        "eq.lr=nan", "eq.tolerance=inf", "opt.base_lr=-inf", "seed=1.5", "model.stages=junk",
+        "eq.case=Block", "analyze.arch=vgg",
+        "eq.lr=nan", "opt.base_lr=-inf", "seed=1.5", "model.stages=junk",
         "model.stages=2x0", "model.stages=2x8,", "model.stem_channels=0",
         "opt.total_epochs=0", "opt.batch_size=-5", "data.resolution=0", "data.classes=0",
-        "eq.batch=0", "opt.warmup_epochs=-1", "opt.schedule=step", "eq.tolerance=-1",
+        "eq.batch=0", "opt.warmup_epochs=-1", "opt.schedule=step",
         "opt.momentum=0.95 # x", "opt.base_lr=0", "opt.momentum=1", "opt.weight_decay=-1e-5",
         "opt.label_smoothing=1", "eq.lr=-0.01", "eq.momentum=1.5", "eq.weight_decay=-1",
     ])
     def test_value_outside_domain_rejected(self, item):
         with pytest.raises(ConfigError, match="--set: bad value"):
+            load_config(None, [item])
+
+    @pytest.mark.parametrize("item", ["analyze.what=variance-ratio", "eq.tolerance=1e-8"])
+    def test_removed_keys_are_unknown(self, item):
+        # analyze runs one study; the lockstep bound is cli.LOCKSTEP_TOLERANCE
+        with pytest.raises(ConfigError, match="--set: unknown config key"):
             load_config(None, [item])
 
     def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
@@ -116,6 +124,19 @@ class TestConfig:
         read = set(re.findall(r"""(?:cfg|self)\[["']([\w.]+)["']\]""", text))
         assert sorted(set(SCHEMA) - read) == []
         assert sorted(read - set(SCHEMA)) == []
+
+    def test_every_flag_is_read(self):
+        # a flag its command never reads would be accepted and then ignored
+        commands = next(a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        main_text = inspect.getsource(cli.main)
+        unread = []
+        for name, sub in commands.items():
+            text = main_text + inspect.getsource(sub.get_default("fn"))
+            unread += [f"{name} {a.option_strings[0]}" for a in sub._actions
+                       if not isinstance(a, argparse._HelpAction)
+                       and not re.search(rf"\bargs\.{a.dest}\b", text)]
+        assert unread == []
 
 
 class TestGenData:
@@ -219,19 +240,37 @@ class TestVerifyEquivalence:
         assert finite == [True] * (len(rows) - 1) + [False]
         assert summary["steps"] == len(rows)
 
-    @pytest.mark.parametrize("argv, message", [
-        (["--set", "eq.tolerance=0"], "equivalence violated"),
+    @pytest.mark.parametrize("argv, tolerance, message", [
+        ([], 0.0, "equivalence violated"),
         (["--ablation", "skip-gradmult", "--set", "eq.lr=1e-9", "--set", "eq.steps=12"],
-         "failed to break"),
+         cli.LOCKSTEP_TOLERANCE, "failed to break"),
     ], ids=["tolerance", "ablation-holds"])
-    def test_gates_fail_the_run(self, tmp_path, capsys, argv, message):
+    def test_gates_fail_the_run(self, tmp_path, capsys, monkeypatch, argv, tolerance,
+                                message):
         # the tolerance gate of a lockstep run, and an ablation too weak to break it
+        monkeypatch.setattr(cli, "LOCKSTEP_TOLERANCE", tolerance)
         assert run_cli("verify-equivalence", *argv, "--out", str(tmp_path / "x")) == 2
         assert message in capsys.readouterr().err
 
     def test_bad_case_rejected(self, tmp_path):
         assert run_cli("verify-equivalence", "--set", "eq.case=weird",
                        "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 671. GiB for an array with shape "
+                     "(100000, 100000, 3, 3) and data type float64"),
+         "error: out of memory: Unable to allocate 671. GiB for an array with shape "
+         "(100000, 100000, 3, 3) and data type float64"),
+        (MemoryError(), "error: out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch, exc, line):
+        # a stand-in for eq.channels=100000; nothing is allocated
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "verify_csla_gr", fail)
+        assert run_cli("verify-equivalence", "--out", str(tmp_path / "x")) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +410,23 @@ def repvgg_ckpt(tmp_path_factory):
     return os.path.join(out, "checkpoint.ckpt")
 
 
+@pytest.fixture(scope="module")
+def plain_ckpt(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("plain"))
+    assert run_cli("train", *TINY, "--out", out) == 0
+    return os.path.join(out, "checkpoint.ckpt")
+
+
+def big_checkpoint(tmp_path, factor):
+    """A target checkpoint whose first block kernel is scaled by ``factor``;
+    every stored value stays finite."""
+    ckpt = snapshot_model(build_target(ModelSpec(4, ((1, 4), (2, 8)), 4, 16), rng=Rng(3)))
+    ckpt.params["blocks.0.conv.weight"] *= factor
+    path = str(tmp_path / "big.ckpt")
+    save_checkpoint(path, ckpt)
+    return path
+
+
 class TestConvertQuantizeAnalyze:
     def test_convert_then_quantize(self, tmp_path, repvgg_ckpt):
         conv_out = str(tmp_path / "conv")
@@ -386,40 +442,56 @@ class TestConvertQuantizeAnalyze:
         assert ptq["from_kind"] == "repvgg"
         assert 0.0 <= ptq["fp_acc"] <= 1.0 and 0.0 <= ptq["int8_acc"] <= 1.0
 
-    def test_quantize_plain_checkpoint_directly(self, tmp_path):
-        train_out = str(tmp_path / "t")
-        assert run_cli("train", *TINY, "--out", train_out) == 0
+    def test_quantize_plain_checkpoint_directly(self, tmp_path, plain_ckpt):
         q_out = str(tmp_path / "q")
-        assert run_cli("quantize", "--checkpoint",
-                       os.path.join(train_out, "checkpoint.ckpt"), *TINY_DATA,
+        assert run_cli("quantize", "--checkpoint", plain_ckpt, *TINY_DATA,
                        "--out", q_out) == 0
         assert read_json(os.path.join(q_out, "ptq_report.json"))["from_kind"] == "target"
 
-    def test_analyze_kernel_stats(self, tmp_path, repvgg_ckpt):
-        out = str(tmp_path / "stats")
-        assert run_cli("analyze", "--checkpoint", repvgg_ckpt, *TINY_DATA,
-                       "--out", out) == 0
-        lines = Path(out, "kernel_stats.csv").read_text().splitlines()
-        assert lines[0] == "layer,std_overall,std_central,std_surrounding"
-        assert len(lines) > 1
+    @pytest.mark.parametrize("ckpt", ["repvgg_ckpt", "plain_ckpt"])
+    def test_quantize_kernel_stats(self, tmp_path, request, ckpt):
+        # one row per 3x3 conv of the deploy model, floats in repr form
+        path = request.getfixturevalue(ckpt)
+        out = str(tmp_path / "q")
+        assert run_cli("quantize", "--checkpoint", path, *TINY_DATA, "--out", out) == 0
+        rows = position_stats_report(convert_model(restore_model(load_checkpoint(path))))
+        assert len(rows) == 3
+        assert Path(out, "kernel_stats.csv").read_text().splitlines() == [
+            "layer,std_overall,std_central,std_surrounding",
+            *(",".join([name, *map(repr, stds)]) for name, *stds in rows)]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
-    def test_non_finite_outputs_fail_convert_and_quantize(self, tmp_path, capsys):
+    def test_non_finite_outputs_fail_convert_and_quantize(self, tmp_path):
         # every stored value is finite but the forward overflows to NaN: the
-        # gate must not read the NaN gap as 0, nor quantize score NaN logits
-        ckpt = snapshot_model(build_target(ModelSpec(4, ((1, 4), (2, 8)), 4, 16), rng=Rng(3)))
-        ckpt.params["blocks.0.conv.weight"] *= 1.7e308
-        path = str(tmp_path / "big.ckpt")
-        save_checkpoint(path, ckpt)
+        # gate must not read the NaN gap as 0, nor quantize score NaN logits.
+        # Each prints one error line and no numpy warning, also none from the
+        # pool thread that scores the second of three test batches. A child
+        # process runs each, so numpy's warnings reach its real stderr.
+        path = big_checkpoint(tmp_path, 1.7e308)
+        child = ("import sys; from gradrep import cli, parallel; parallel.WORKERS = 2; "
+                 "sys.exit(cli.main(sys.argv[1:]))")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gradrep.__file__)))
         out = str(tmp_path / "conv")
-        assert run_cli("convert", "--checkpoint", path, "--out", out) == 2
+        for argv, line in [
+                (["convert", "--out", out],
+                 "error: conversion not inference-equivalent: max diff nan"),
+                (["quantize", *TINY_DATA, "--set", "data.test_n=300",
+                  "--out", str(tmp_path / "q")],
+                 "error: non-finite logits in samples 0:128")]:
+            proc = subprocess.run([sys.executable, "-c", child, *argv, "--checkpoint", path],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stderr.splitlines()) == (2, [line])
         assert read_json(os.path.join(out, "conversion_report.json"))[
             "max_abs_output_diff"] is None
-        assert "max diff nan" in capsys.readouterr().err
-        assert run_cli("quantize", "--checkpoint", path, *TINY_DATA,
-                       "--out", str(tmp_path / "q")) == 2
-        assert "non-finite logits" in capsys.readouterr().err
+
+    def test_non_finite_kernel_stats_fail_quantize(self, tmp_path, capsys):
+        # the logits stay finite, but the std of a 1e160-scaled kernel overflows
+        path = big_checkpoint(tmp_path, 1e160)
+        out = tmp_path / "q"
+        assert run_cli("quantize", "--checkpoint", path, *TINY_DATA, "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: non-finite kernel stats in conv1: std overall, central, "
+            "surrounding [inf, inf, inf]"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["data.classes=5", "data.resolution=32"])
     def test_quantize_rejects_data_that_does_not_fit_the_checkpoint(
@@ -444,8 +516,8 @@ class TestConvertQuantizeAnalyze:
             "seed-neg", "data-seed-neg", "epochs-neg", "eq-hw-neg", "eq-channels-neg",
             "data-n-neg"])
     def test_count_keys_exit_2(self, tmp_path, argv):
-        vr = ["--set", "analyze.what=variance-ratio", "--set", "analyze.seeds=1",
-              "--set", "analyze.batch=4", "--set", "data.resolution=16"]
+        vr = ["--set", "analyze.seeds=1", "--set", "analyze.batch=4",
+              "--set", "data.resolution=16"]
         if argv[0] == "analyze":
             argv = argv[:1] + vr + argv[1:]
         assert run_cli(*argv, "--out", str(tmp_path / "x")) == 2
@@ -471,8 +543,7 @@ class TestConvertQuantizeAnalyze:
         # runs on numpy alone: importing scipy fails while the job runs
         monkeypatch.setitem(sys.modules, "scipy", None)
         out = str(tmp_path / "vr")
-        assert run_cli("analyze", "--set", "analyze.what=variance-ratio",
-                       "--set", "model.stages=1x8,6x16", "--set", "analyze.seeds=2",
+        assert run_cli("analyze", "--set", "model.stages=1x8,6x16", "--set", "analyze.seeds=2",
                        "--set", "analyze.batch=16", "--set", "data.resolution=16",
                        "--out", out) == 0
         summary = read_json(os.path.join(out, "summary.json"))
@@ -487,10 +558,10 @@ class TestConvertQuantizeAnalyze:
     def test_variance_ratio_measures_the_model_stages(self, tmp_path, arch):
         # every arch reads one layout: 1x8 has no identity block, 3x16 two
         out = str(tmp_path / "vr")
-        assert run_cli("analyze", "--set", "analyze.what=variance-ratio",
-                       "--set", f"analyze.arch={arch}", "--set", "model.stages=1x8,3x16",
-                       "--set", "analyze.seeds=1", "--set", "analyze.batch=2",
-                       "--set", "data.resolution=16", "--out", out) == 0
+        assert run_cli("analyze", "--set", f"analyze.arch={arch}",
+                       "--set", "model.stages=1x8,3x16", "--set", "analyze.seeds=1",
+                       "--set", "analyze.batch=2", "--set", "data.resolution=16",
+                       "--out", out) == 0
         assert read_json(os.path.join(out, "summary.json"))["blocks_measured"] == 2
 
     def test_variance_ratio_input_is_not_a_model_stream(self, tmp_path, monkeypatch):
@@ -504,20 +575,20 @@ class TestConvertQuantizeAnalyze:
 
         measure = cli.identity_variance_ratio
         monkeypatch.setattr(cli, "identity_variance_ratio", spy)
-        assert run_cli("analyze", "--set", "analyze.what=variance-ratio",
-                       "--set", "model.stages=1x8,2x16", "--set", "analyze.seeds=1",
+        assert run_cli("analyze", "--set", "model.stages=1x8,2x16", "--set", "analyze.seeds=1",
                        "--set", "analyze.batch=2", "--set", "data.resolution=16",
                        "--out", str(tmp_path / "vr")) == 0
         kernel = seen["model"].stem_conv.weight.data.ravel()
         data = seen["data"].ravel()[:kernel.size]
         assert abs(np.corrcoef(kernel, data)[0, 1]) < 0.5
 
-    def test_variance_ratio_refuses_a_checkpoint(self, tmp_path, capsys, repvgg_ckpt):
-        # it builds fresh models, so a given checkpoint would never be read
+    def test_analyze_checkpoint_flag_is_gone(self, tmp_path, capsys, repvgg_ckpt):
+        # analyze builds fresh models; quantize writes a checkpoint's kernel stats
         out = tmp_path / "vr"
-        assert run_cli("analyze", "--set", "analyze.what=variance-ratio",
-                       "--checkpoint", repvgg_ckpt, "--out", str(out)) == 2
-        assert "--checkpoint" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli("analyze", "--checkpoint", repvgg_ckpt, "--out", str(out))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --checkpoint {repvgg_ckpt}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_variance_ratio_stage_of_one_block_writes_null(self, tmp_path):
@@ -525,8 +596,7 @@ class TestConvertQuantizeAnalyze:
         out = str(tmp_path / "vr")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run_cli("analyze", "--set", "analyze.what=variance-ratio",
-                           "--set", "analyze.arch=hs", "--set", "analyze.seeds=1",
+            assert run_cli("analyze", "--set", "analyze.arch=hs", "--set", "analyze.seeds=1",
                            "--set", "analyze.batch=2", "--set", "data.resolution=16",
                            "--out", out) == 0
 
@@ -545,7 +615,6 @@ class TestConvertQuantizeAnalyze:
         for hash_seed in ("1", "2"):
             out = str(tmp_path / f"vr{hash_seed}")
             subprocess.run([sys.executable, "-m", "gradrep.cli", "analyze",
-                            "--set", "analyze.what=variance-ratio",
                             "--set", "model.stages=6x8,6x16", "--set", "analyze.seeds=1",
                             "--set", "analyze.batch=2", "--out", out],
                            env=dict(env, PYTHONHASHSEED=hash_seed), check=True)

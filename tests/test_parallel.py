@@ -88,6 +88,16 @@ class TestParallelMap:
             parallel.parallel_map(fn, range(4))
         assert parallel.parallel_map(lambda i: i + 1, range(4)) == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("run", [
+        parallel.parallel_map, lambda fn, items: list(parallel.prefetch(fn, items))],
+        ids=["parallel_map", "prefetch"])
+    def test_pool_items_keep_the_callers_errstate(self, workers, run):
+        # a pool thread starts from numpy's default error state, whose overflow
+        # warning is an error under this suite's warning filters
+        workers(2)
+        with np.errstate(over="ignore"):
+            assert run(lambda x: np.float64(1e308) * x, [10.0] * 3) == [np.inf] * 3
+
     def test_a_call_inside_an_item_runs_as_a_plain_loop(self):
         # with two workers the pool has one thread; a nested call that used
         # the pool would wait on itself. A hung pool thread would also hang
